@@ -64,7 +64,7 @@ func engineBenchGraph(kind string) *dsms.QueryGraph {
 }
 
 // runEngineBenchOne stands up a fresh engine with one deployed query
-// and drives tuples through IngestBatchOwned — the same path the shard
+// and drives tuples through IngestBatchPrevalidated — the same path the shard
 // workers use — reusing one scratch batch slice, exactly like the drain
 // loop (the engine copies into columnar form before returning).
 func runEngineBenchOne(kind string, batch, tuples int) (engineBenchRow, error) {
@@ -108,7 +108,7 @@ func runEngineBenchOne(kind string, batch, tuples int) (engineBenchRow, error) {
 			buf = append(buf, t)
 			i++
 		}
-		if err := eng.IngestBatchOwned("s", buf); err != nil {
+		if err := eng.IngestBatchPrevalidated("s", buf); err != nil {
 			return engineBenchRow{}, err
 		}
 	}

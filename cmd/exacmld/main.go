@@ -21,12 +21,11 @@
 //
 // -shard-addrs turns shard slots into remote dsmsd processes for a
 // mixed local/remote topology ("local" or an empty entry keeps a slot
-// in-process); its length overrides -shards. -failover picks what
-// happens to publishes bound for a downed remote shard (fail fast, or
-// reroute to the next healthy shard):
+// in-process); its length overrides -shards. Publishes bound for a
+// downed remote shard fail fast, accounted as errors, until the
+// restarted dsmsd is re-adopted:
 //
-//	exacmld -embedded -shard-addrs "local,127.0.0.1:7420,127.0.0.1:7430" \
-//	    -failover reroute
+//	exacmld -embedded -shard-addrs "local,127.0.0.1:7420,127.0.0.1:7430"
 //
 // -replication keeps every single-shard stream on N shards (a primary
 // plus N-1 asynchronously fed followers); when the primary's shard
@@ -118,7 +117,6 @@ func main() {
 	embedded := flag.Bool("embedded", false, "run an in-process sharded runtime instead of dialing dsmsd")
 	shards := flag.Int("shards", 4, "embedded mode: engine shard count")
 	shardAddrs := flag.String("shard-addrs", "", `embedded mode: per-shard backend list "local,host:port,..." (overrides -shards)`)
-	failover := flag.String("failover", "fail", "embedded mode: publishes to a downed remote shard fail|reroute")
 	replication := flag.Int("replication", 0, "embedded mode: copies of each single-shard stream (primary + followers); 0/1 disables")
 	queue := flag.Int("queue", 0, "embedded mode: per-shard queue capacity (0 = default)")
 	shed := flag.String("shed", "block", "embedded mode: backpressure policy block|dropnewest|dropoldest")
@@ -208,10 +206,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmode, err := runtime.ParseFailover(*failover)
-		if err != nil {
-			log.Fatal(err)
-		}
 		streamOpts := func(name string) []runtime.StreamOption {
 			cfg, ok := specs[name]
 			if !ok {
@@ -226,7 +220,6 @@ func main() {
 			QueueSize:          *queue,
 			Policy:             policy,
 			BlockClass:         bc,
-			Failover:           fmode,
 			Replication:        *replication,
 			MergeBuffer:        *mergeBuffer,
 			MergeLateness:      *mergeLateness,
@@ -311,8 +304,8 @@ func main() {
 		for i := range kinds {
 			kinds[i] = fw.Runtime.Backend(i).Kind()
 		}
-		fmt.Printf("exacmld: embedded runtime with %d shard(s) [%s], policy %s, failover %s (streams: weather, gps)\n",
-			fw.Runtime.NumShards(), strings.Join(kinds, " "), policy, fmode)
+		fmt.Printf("exacmld: embedded runtime with %d shard(s) [%s], policy %s (streams: weather, gps)\n",
+			fw.Runtime.NumShards(), strings.Join(kinds, " "), policy)
 	} else {
 		engine, err := dsmsd.Dial(*dsmsAddr)
 		if err != nil {

@@ -57,11 +57,6 @@ type Options struct {
 	// class or above; lower classes are shed when a queue is full. The
 	// default (runtime.BestEffort) blocks every stream.
 	BlockClass runtime.Class
-	// Failover selects how publishes bound for a downed remote shard
-	// are handled: runtime.FailoverFail (default) or
-	// runtime.FailoverReroute. Replicated streams ignore it (they fail
-	// over to their own replicas).
-	Failover runtime.FailoverMode
 	// Replication places every single-shard stream on this many shards
 	// (primary + Replication-1 asynchronously fed followers) and fails
 	// queries over to the most caught-up follower when the primary's
@@ -209,7 +204,6 @@ func newWithOptions(name string, opts Options, catalog runtime.CatalogObserver) 
 		BatchSize:        opts.BatchSize,
 		Policy:           opts.Policy,
 		BlockClass:       opts.BlockClass,
-		Failover:         opts.Failover,
 		Replication:      opts.Replication,
 		ReplicationLog:   opts.ReplicationLog,
 		MergeBuffer:      opts.MergeBuffer,

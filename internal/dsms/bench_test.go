@@ -139,9 +139,6 @@ func TestColPipelineSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.colOK {
-		t.Fatal("filter+map must compile to the columnar program")
-	}
 	cb := benchColBatch(t, benchTuples(512))
 	for i := 0; i < 4; i++ {
 		if _, _, err := p.processCols(cb, false); err != nil {
@@ -238,7 +235,7 @@ func BenchmarkEngineSealContention(b *testing.B) {
 						buf = append(buf, t)
 						i++
 					}
-					if err := eng.IngestBatchOwned(name, buf); err != nil {
+					if err := eng.IngestBatchPrevalidated(name, buf); err != nil {
 						b.Error(err)
 						return
 					}
@@ -250,9 +247,9 @@ func BenchmarkEngineSealContention(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestBatchOwned is the engine's zero-copy batch path in
-// isolation (one stream, one filter query), across batch sizes.
-func BenchmarkIngestBatchOwned(b *testing.B) {
+// BenchmarkIngestBatchPrevalidated is the engine's shard-drain batch
+// path in isolation (one stream, one filter query), across batch sizes.
+func BenchmarkIngestBatchPrevalidated(b *testing.B) {
 	for _, batch := range []int{1, 64, 512} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			eng := NewEngine("owned")
@@ -275,7 +272,7 @@ func BenchmarkIngestBatchOwned(b *testing.B) {
 					buf = append(buf, t)
 					i++
 				}
-				if err := eng.IngestBatchOwned("s", buf); err != nil {
+				if err := eng.IngestBatchPrevalidated("s", buf); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -735,22 +735,13 @@ func (e *Engine) IngestBatchPrevalidated(streamName string, ts []stream.Tuple) e
 	return e.ingestBatch(streamName, ts, true, nil, false)
 }
 
-// IngestBatchOwned is a legacy alias of IngestBatchPrevalidated: since
-// the engine went columnar, every ingest variant copies the batch into
-// typed vectors during the call and retains nothing, so there is no
-// separate ownership-transfer path anymore. Callers (the shard drain
-// loop) may reuse the slice and its tuples immediately after return.
-func (e *Engine) IngestBatchOwned(streamName string, ts []stream.Tuple) error {
-	return e.ingestBatch(streamName, ts, true, nil, false)
-}
-
-// IngestBatchOwnedTraced is IngestBatchOwned for callers that run their
-// own publish tracer (the sharded runtime): sp, which may be nil for an
-// unsampled batch, continues through the engine's seal / pipeline /
-// push stages, and the engine's own sampling is suppressed so the
-// caller's sampling rate governs. The engine takes ownership of the
-// span (it is finished when the batch completes or errors out).
-func (e *Engine) IngestBatchOwnedTraced(streamName string, ts []stream.Tuple, sp *telemetry.Span) error {
+// IngestBatchTraced is IngestBatchPrevalidated for callers that run
+// their own publish tracer (the sharded runtime): sp, which may be nil
+// for an unsampled batch, continues through the engine's seal /
+// pipeline / push stages, and the engine's own sampling is suppressed
+// so the caller's sampling rate governs. The engine takes ownership of
+// the span (it is finished when the batch completes or errors out).
+func (e *Engine) IngestBatchTraced(streamName string, ts []stream.Tuple, sp *telemetry.Span) error {
 	return e.ingestBatch(streamName, ts, true, sp, true)
 }
 

@@ -97,14 +97,9 @@ type pipeline struct {
 	// postAggAt is the op index right after the first aggregate; -1
 	// when the chain has none.
 	postAggAt int
-	// colOK gates the columnar path; false falls back to materializing
-	// rows and running the row program (never expected in practice —
-	// every box kind compiles).
-	colOK bool
 
-	sel      []int32        // reused selection vector
-	colHdrs  []stream.Tuple // reused materialized output headers
-	colArena []stream.Value // reused value arena for unretained outputs
+	sel     []int32        // reused selection vector
+	colHdrs []stream.Tuple // reused materialized output headers
 
 	// stage, when set, runs after the operator chain on every batch
 	// (including batches the chain filtered to nothing) and replaces the
@@ -204,7 +199,9 @@ func buildPipeline(g *QueryGraph, in *stream.Schema) (*pipeline, *stream.Schema,
 
 // buildColProgram compiles the columnar form of the chain. Maps cost
 // nothing at runtime: they only compose the logical→physical column
-// mapping carried into downstream filters and the aggregate.
+// mapping carried into downstream filters and the aggregate. A chain
+// the compiler does not cover fails the deploy: the live engine has no
+// other program to run it with.
 func (p *pipeline) buildColProgram(in *stream.Schema) error {
 	cur := make([]int, in.Len())
 	for i := range cur {
@@ -219,10 +216,7 @@ func (p *pipeline) buildColProgram(in *stream.Schema) error {
 			}
 			cp, err := expr.BindCols(o.cond, o.schema)
 			if err != nil {
-				// Bind succeeded at newOperator time, so this is
-				// unreachable; the row fallback keeps the query correct
-				// regardless.
-				return nil
+				return err
 			}
 			p.colSteps = append(p.colSteps, colStep{pred: cp, colIdx: cur})
 		case *mapOp:
@@ -238,14 +232,12 @@ func (p *pipeline) buildColProgram(in *stream.Schema) error {
 			}
 			p.colSteps = append(p.colSteps, colStep{agg: o, aggCols: ac})
 			p.postAggAt = i + 1
-			p.colOK = true
 			return nil
 		default:
-			return nil // unknown operator kind: row fallback
+			return fmt.Errorf("dsms: operator %T has no columnar form", op)
 		}
 	}
 	p.outIdx = cur
-	p.colOK = true
 	return nil
 }
 
@@ -338,10 +330,6 @@ func (p *pipeline) processCols(cb *stream.ColBatch, needRows bool) ([]stream.Tup
 
 // processColsCore is the stage-free columnar program.
 func (p *pipeline) processColsCore(cb *stream.ColBatch, needRows bool) ([]stream.Tuple, int, error) {
-	if !p.colOK {
-		outs, err := p.processColsFallback(cb, needRows)
-		return outs, len(outs), err
-	}
 	n := cb.Len()
 	if cap(p.sel) < n {
 		p.sel = make([]int32, n)
@@ -390,38 +378,6 @@ func (p *pipeline) processColsCore(cb *stream.ColBatch, needRows bool) ([]stream
 	hdrs, _ := cb.MaterializeRows(p.outIdx, sel, p.colHdrs[:0], arena)
 	p.colHdrs = hdrs
 	return hdrs, len(hdrs), nil
-}
-
-// processColsFallback materializes the whole batch and runs the row
-// program — the safety net for chains the columnar compiler does not
-// cover.
-func (p *pipeline) processColsFallback(cb *stream.ColBatch, retain bool) ([]stream.Tuple, error) {
-	n := cb.Len()
-	nc := len(cb.Cols)
-	if cap(p.sel) < n {
-		p.sel = make([]int32, n)
-	}
-	sel := p.sel[:n]
-	idx := make([]int, nc)
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	for i := range idx {
-		idx[i] = i
-	}
-	arena := p.colArena[:0]
-	if retain || cap(arena) < n*nc {
-		arena = make([]stream.Value, 0, n*nc)
-	}
-	if cap(p.colHdrs) < n {
-		p.colHdrs = make([]stream.Tuple, 0, n)
-	}
-	hdrs, arena := cb.MaterializeRows(idx, sel, p.colHdrs[:0], arena)
-	p.colHdrs = hdrs
-	if !retain {
-		p.colArena = arena
-	}
-	return p.processRows(hdrs, retain)
 }
 
 // filterOp drops tuples that do not satisfy the condition, compacting

@@ -480,7 +480,7 @@ func (s *Server) handleIngestBatch(m *protocol.Message, _ *protocol.Conn) (any, 
 		// The decoded batch is request-scoped, so hand it to the engine
 		// outright: a canonical batch reaches the query mailboxes with
 		// zero copying.
-		err = s.Engine.IngestBatchOwned(req.Stream, ts)
+		err = s.Engine.IngestBatchPrevalidated(req.Stream, ts)
 	} else if grant > 0 || n == 0 {
 		err = s.Engine.IngestBatch(req.Stream, ts)
 	} else {
@@ -579,7 +579,7 @@ func (s *Server) handleReplicate(m *protocol.Message, _ *protocol.Conn) (any, er
 				fmt.Errorf("dsmsd: stream %q: replication refused by admission quota", req.Stream))
 		}
 		if s.TrustPrevalidated {
-			err = s.Engine.IngestBatchOwned(req.Stream, ts)
+			err = s.Engine.IngestBatchPrevalidated(req.Stream, ts)
 		} else {
 			err = s.Engine.IngestBatch(req.Stream, ts)
 		}

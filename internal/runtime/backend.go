@@ -55,8 +55,8 @@ type DeployRequest struct {
 }
 
 // ShardBackend is the engine surface one shard slot of the runtime
-// needs: stream DDL, the prevalidated batch ingest the shard worker
-// ships, the xacmlplus.StreamEngine deploy/withdraw surface (via
+// needs: stream DDL, the batch ingest the shard worker ships, the
+// xacmlplus.StreamEngine deploy/withdraw surface (via
 // Deploy/Withdraw), subscriptions, and lifecycle. LocalBackend adapts
 // an in-process dsms.Engine; RemoteBackend fronts a dsmsd process over
 // the socket protocol, so a runtime can mix in-process and remote
@@ -70,12 +70,16 @@ type ShardBackend interface {
 	DropStream(name string) error
 	// StreamSchema returns a registered stream's schema.
 	StreamSchema(name string) (*stream.Schema, error)
-	// IngestBatchPrevalidated ships a schema-checked batch into the
-	// engine (the shard worker's drain path). The backend takes
-	// ownership of the slice and its tuples: callers must not reuse or
-	// mutate the batch after the call, so local engines can feed it
-	// straight to the query mailboxes without copying.
-	IngestBatchPrevalidated(streamName string, ts []stream.Tuple) error
+	// IngestBatch ships a schema-checked batch into the engine (the
+	// shard worker's drain path). The backend must be done with ts when
+	// the call returns — copied into the engine's columns, or serialized
+	// onto the wire — because the worker reuses the slice and its tuples
+	// for the next run. sp is the batch's publish-trace span, nil when
+	// unsampled: the backend owns it and must finish it exactly once on
+	// every path, stamping whichever stages it can see (seal / pipeline
+	// / push inside an in-process engine, one StageBackend interval
+	// around a remote RPC).
+	IngestBatch(streamName string, ts []stream.Tuple, sp *telemetry.Span) error
 	// Deploy starts a continuous query.
 	Deploy(req DeployRequest) (BackendDeployment, error)
 	// Withdraw stops a query by id or handle.
@@ -90,17 +94,6 @@ type ShardBackend interface {
 	Flush() error
 	// Close releases the backend (engine shutdown / connection close).
 	Close() error
-}
-
-// tracedIngester is the optional ShardBackend surface the shard worker
-// uses to hand a sampled publish-trace span down with its batch, so the
-// span's seal / pipeline / push stages are stamped inside the engine.
-// Backends without it (remote shards, test fakes) get the whole backend
-// call recorded as one StageBackend interval instead; keeping the
-// surface optional means the ShardBackend interface — and every
-// implementation of it — is untouched by tracing.
-type tracedIngester interface {
-	IngestBatchOwnedTraced(streamName string, ts []stream.Tuple, sp *telemetry.Span) error
 }
 
 // replicaTarget is the optional ShardBackend surface a replicated
@@ -183,18 +176,11 @@ func (b *LocalBackend) StreamSchema(name string) (*stream.Schema, error) {
 	return b.eng.StreamSchema(name)
 }
 
-// IngestBatchPrevalidated implements ShardBackend. The batch is owned
-// by the callee, so it flows to the engine's query mailboxes with zero
-// copying via IngestBatchOwned.
-func (b *LocalBackend) IngestBatchPrevalidated(streamName string, ts []stream.Tuple) error {
-	return b.eng.IngestBatchOwned(streamName, ts)
-}
-
-// IngestBatchOwnedTraced implements tracedIngester: a publish-trace
-// span sampled at PublishBatch time continues through the in-process
-// engine's seal / pipeline / push stages.
-func (b *LocalBackend) IngestBatchOwnedTraced(streamName string, ts []stream.Tuple, sp *telemetry.Span) error {
-	return b.eng.IngestBatchOwnedTraced(streamName, ts, sp)
+// IngestBatch implements ShardBackend: a publish-trace span sampled at
+// PublishBatch time continues through the in-process engine's seal /
+// pipeline / push stages.
+func (b *LocalBackend) IngestBatch(streamName string, ts []stream.Tuple, sp *telemetry.Span) error {
+	return b.eng.IngestBatchTraced(streamName, ts, sp)
 }
 
 // Deploy implements ShardBackend, preferring the compiled graph and
@@ -231,8 +217,7 @@ func (b *LocalBackend) Withdraw(idOrHandle string) error { return b.eng.Withdraw
 // Replicate implements replicaTarget: a shipped run of a replicated
 // stream is applied to the in-process engine after trimming any
 // already-applied prefix (a shipper retry after an error) against the
-// stored position. The tuples are shipper-owned copies, so the owned
-// ingest path is safe.
+// stored position.
 func (b *LocalBackend) Replicate(streamName string, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
 	key := strings.ToLower(streamName)
 	b.replMu.Lock()
@@ -266,7 +251,7 @@ func (b *LocalBackend) Replicate(streamName string, base uint64, reset bool, ts 
 		}
 	}
 	if len(fresh) > 0 {
-		if err := b.eng.IngestBatchOwned(streamName, fresh); err != nil {
+		if err := b.eng.IngestBatchPrevalidated(streamName, fresh); err != nil {
 			return applied, err
 		}
 	}

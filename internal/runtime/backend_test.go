@@ -26,18 +26,6 @@ func TestParseShardAddrs(t *testing.T) {
 	}
 }
 
-func TestParseFailover(t *testing.T) {
-	for in, want := range map[string]FailoverMode{"": FailoverFail, "fail": FailoverFail, "Reroute": FailoverReroute} {
-		got, err := ParseFailover(in)
-		if err != nil || got != want {
-			t.Errorf("ParseFailover(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseFailover("bogus"); err == nil {
-		t.Error("want error for unknown mode")
-	}
-}
-
 // TestBackendAccessor checks the post-refactor shard surface: the raw
 // engine is reachable only by asserting the backend to *LocalBackend.
 func TestBackendAccessor(t *testing.T) {

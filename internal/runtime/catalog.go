@@ -177,7 +177,7 @@ func (rt *Runtime) ExportQueryCheckpoint(idOrHandle string) ([]QueryCheckpoint, 
 
 	var paused []*shard
 	if r.keyIdx < 0 {
-		paused = append(paused, rt.shards[rt.targetShard(r, r.shard)])
+		paused = append(paused, rt.shards[r.primaryShard()])
 	} else {
 		for _, si := range shards {
 			paused = append(paused, rt.shards[si])

@@ -166,7 +166,7 @@ func (rt *Runtime) deploy(input string, req DeployRequest, forceID string) (Depl
 	}
 	dep := Deployment{ID: id, Input: r.name}
 	if r.keyIdx < 0 {
-		si := rt.targetShard(r, r.shard)
+		si := r.primaryShard()
 		d, err := rt.shards[si].be.Deploy(req)
 		if err != nil {
 			return Deployment{}, err
@@ -178,14 +178,6 @@ func (rt *Runtime) deploy(input string, req DeployRequest, forceID string) (Depl
 	} else {
 		dep.Handle = fmt.Sprintf("xrt://%s/streams/%s", rt.name, id)
 		for i, s := range rt.shards {
-			if rt.opts.Failover == FailoverReroute && s.failedErr() != nil {
-				// Under reroute the stream's tuples already flow to the
-				// survivors; deploying on them is exactly the documented
-				// "redeploy after failover" path, so a dead shard must
-				// not veto it. (Under FailoverFail the deploy fails like
-				// the publishes do.)
-				continue
-			}
 			d, err := s.be.Deploy(req) // backends clone/compile per shard; reuse is safe
 			if err != nil {
 				undo(&dep)
@@ -194,9 +186,6 @@ func (rt *Runtime) deploy(input string, req DeployRequest, forceID string) (Depl
 			dep.OutputSchema = d.OutputSchema
 			dep.Parts = append(dep.Parts, d)
 			dep.shards = append(dep.shards, i)
-		}
-		if len(dep.Parts) == 0 {
-			return Deployment{}, fmt.Errorf("runtime: no healthy shard to deploy on")
 		}
 	}
 	rt.mu.Lock()
@@ -335,14 +324,8 @@ func (rt *Runtime) deployStaged(r *route, req DeployRequest, mode dsms.StageMode
 			}
 		}
 		if ferr := rt.shards[primary].failedErr(); ferr != nil {
-			if r.subs != nil || rt.opts.Failover != FailoverReroute {
-				undo()
-				return Deployment{}, fmt.Errorf("runtime: partition %d: shard %d down: %w", p, primary, ferr)
-			}
-			// Reroute without replication: partition p's tuples already
-			// flow to a survivor's stream and surface in its records, so
-			// there is nothing to deploy (or align) here.
-			continue
+			undo()
+			return Deployment{}, fmt.Errorf("runtime: partition %d: shard %d down: %w", p, primary, ferr)
 		}
 		d, derr := rt.shards[primary].be.Deploy(partReq)
 		if derr != nil {
@@ -837,7 +820,7 @@ func (rt *Runtime) MigrateQuery(idOrHandle string, target int) error {
 	// and an unfenced mid-drain batch could ingest and append to the
 	// replication log after waitIdle sampled its head — exporting state
 	// that covers tuples the target later re-applies.
-	ps := rt.shards[rt.targetShard(r, r.shard)]
+	ps := rt.shards[r.primaryShard()]
 	ps.pause()
 	defer ps.resume()
 	ps.waitInflight()

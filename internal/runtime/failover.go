@@ -246,8 +246,8 @@ func (rt *Runtime) readoptShard(i int) error {
 	be := rt.shards[i].be
 
 	// 1. Streams: re-create everything this shard hosts (partitioned
-	// streams live everywhere; single-shard streams if it is the owner,
-	// a replica, or a lazily-created failover target).
+	// streams live everywhere; single-shard streams if it is the owner
+	// or a replica).
 	for _, r := range routes {
 		if r.subs != nil {
 			// A replicated partitioned parent has no engine stream of its
@@ -255,13 +255,7 @@ func (rt *Runtime) readoptShard(i int) error {
 			// re-adopt individually.
 			continue
 		}
-		hosted := r.keyIdx >= 0 || r.shard == i || r.hasReplica(i)
-		if !hosted {
-			r.fmu.Lock()
-			hosted = r.extra[i] && !r.dropped
-			r.fmu.Unlock()
-		}
-		if !hosted {
+		if r.keyIdx < 0 && r.shard != i && !r.hasReplica(i) {
 			continue
 		}
 		if err := be.CreateStream(r.name, r.schema); err != nil && !adopted(err) {

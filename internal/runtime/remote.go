@@ -12,6 +12,7 @@ import (
 	"repro/internal/dsmsd"
 	"repro/internal/protocol"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 )
 
 // Remote backend defaults.
@@ -48,10 +49,10 @@ type RemoteOptions struct {
 	// OnDown is the failover hook: invoked once per down transition,
 	// with the error, when the backend exhausts its reconnect budget
 	// and declares the dsmsd process unreachable. The runtime wires
-	// this to the owning shard so publishes fail fast (or reroute) with
-	// correct accounting. A backend that is later re-adopted (see
-	// OnReadopt) re-arms the notification, so a second crash fires
-	// OnDown again.
+	// this to the owning shard so publishes fail fast with correct
+	// accounting and replicated streams promote a follower. A backend
+	// that is later re-adopted (see OnReadopt) re-arms the
+	// notification, so a second crash fires OnDown again.
 	OnDown func(err error)
 	// OnReadopt is the self-healing hook: while down, the background
 	// probe keeps trying to redial, and when a dial succeeds — the
@@ -102,7 +103,8 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 // between publishes. Once the budget is exhausted the backend is
 // declared down — every subsequent operation fails fast with an error
 // wrapping protocol.ErrClosed (client.ErrConnClosed), and the OnDown
-// hook fires so the owning shard can fail or reroute its streams.
+// hook fires so the owning shard can fail its streams fast (and promote
+// the replicated ones).
 //
 // Down is sticky but not terminal: the probe keeps redialing while
 // down, and a successful dial — the dsmsd was restarted, or a
@@ -433,13 +435,18 @@ func (b *RemoteBackend) StreamSchema(name string) (*stream.Schema, error) {
 	return out, err
 }
 
-// IngestBatchPrevalidated implements ShardBackend. At-most-once: a
-// batch whose connection died mid-call is reported as an error (the
-// shard worker counts it) instead of re-sent, which could double-apply
-// it. Taking ownership of the batch (per the interface contract) is
-// trivial here: the tuples are serialized onto the wire and dropped.
-func (b *RemoteBackend) IngestBatchPrevalidated(streamName string, ts []stream.Tuple) error {
-	return b.doOnce(func(c *dsmsd.Client) error { return c.IngestBatchPrevalidated(streamName, ts) })
+// IngestBatch implements ShardBackend. At-most-once: a batch whose
+// connection died mid-call is reported as an error (the shard worker
+// counts it) instead of re-sent, which could double-apply it. The
+// tuples are serialized onto the wire before the call returns, and the
+// span records the whole RPC as one StageBackend interval (the dsmsd's
+// engine stages are not visible from here).
+func (b *RemoteBackend) IngestBatch(streamName string, ts []stream.Tuple, sp *telemetry.Span) error {
+	sp.Begin(telemetry.StageBackend)
+	err := b.doOnce(func(c *dsmsd.Client) error { return c.IngestBatchPrevalidated(streamName, ts) })
+	sp.End(telemetry.StageBackend)
+	sp.Finish()
+	return err
 }
 
 // Deploy implements ShardBackend. Remote deployment needs the script

@@ -6,6 +6,7 @@ package runtime_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -323,63 +324,161 @@ func TestPartitionedPublishSurvivesDownedShard(t *testing.T) {
 	checkInvariant(t, rt)
 }
 
-// TestRemoteFailoverReroute checks the FailoverReroute mode: once the
-// remote shard is declared down, publishes for its stream are lazily
-// re-created on and routed to the surviving local shard.
-func TestRemoteFailoverReroute(t *testing.T) {
-	srv, addr := startDSMSD(t, "remote-r", nil)
-	defer srv.Engine.Close()
+// TestDownedShardFailsFastUntilReadopted pins the whole contract for a
+// dead shard without replication, on a partitioned stream across a
+// local shard and a remote dsmsd: deploys fail naming the dead shard
+// and roll back the healthy shard's part, publishes keep exact
+// accounting (the dead shard's buckets are errors, the live shard's
+// are served, and no key ever changes shard), and once a restarted
+// dsmsd is re-adopted the same script deploys on both shards and the
+// dead shard's keys land on it again.
+func TestDownedShardFailsFastUntilReadopted(t *testing.T) {
+	const decl = "CREATE INPUT STREAM ps (deviceid string, v double); CREATE OUTPUT STREAM o; "
+	for _, tc := range []struct{ name, script string }{
+		{"filter", decl + "SELECT * FROM ps WHERE v >= 0 INTO o;"},
+		{"staged-aggregate", decl + "CREATE WINDOW w (SIZE 8 ADVANCE 4 TUPLES); SELECT avg(v) AS av FROM ps[w] INTO o;"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr := startDSMSD(t, "remote-d", nil)
+			// Non-blocking sends: the restarted dsmsd's teardown at the end
+			// of the test fires the down hook a second time.
+			down, readopted := make(chan struct{}, 1), make(chan struct{}, 1)
+			signal := func(c chan struct{}) {
+				select {
+				case c <- struct{}{}:
+				default:
+				}
+			}
+			rt := runtime.New("down", runtime.Options{
+				Backends: []runtime.BackendSpec{{}, {Addr: addr, Remote: runtime.RemoteOptions{
+					MaxReconnects:    2,
+					ReconnectBackoff: time.Millisecond,
+					HealthInterval:   3 * time.Millisecond,
+					CallTimeout:      2 * time.Second,
+					OnReadopt:        func() error { signal(readopted); return nil },
+				}}},
+				OnShardDown: func(int, error) { signal(down) },
+			})
+			defer rt.Close()
 
-	down := make(chan struct{})
-	rt := runtime.New("reroute", runtime.Options{
-		Backends:    []runtime.BackendSpec{{}, {Addr: addr, Remote: fastRemote()}},
-		Failover:    runtime.FailoverReroute,
-		OnShardDown: func(int, error) { close(down) },
-	})
-	defer rt.Close()
+			schema := stream.MustSchema(
+				stream.Field{Name: "deviceid", Type: stream.TypeString},
+				stream.Field{Name: "v", Type: stream.TypeDouble},
+			)
+			if err := rt.CreatePartitionedStream("ps", schema, "deviceid"); err != nil {
+				t.Fatal(err)
+			}
+			// The same 64 keys every time, so each shard's share of a
+			// batch is a constant: n0 tuples hash to shard 0, n1 to shard 1.
+			publish := func() (runtime.PublishVerdict, error) {
+				batch := make([]stream.Tuple, 64)
+				for i := range batch {
+					batch[i] = stream.NewTuple(stream.StringValue(fmt.Sprintf("dev%d", i)), stream.DoubleValue(float64(i)))
+				}
+				return rt.PublishBatchVerdict("ps", batch)
+			}
+			if v, err := publish(); err != nil || v.Accepted != 64 {
+				t.Fatalf("pre-kill publish = %+v, %v", v, err)
+			}
+			rt.Flush()
+			st := rt.Stats()
+			n0, n1 := st.Shards[0].Offered, st.Shards[1].Offered
+			if n0 == 0 || n1 == 0 || n0+n1 != 64 {
+				t.Fatalf("keys split %d/%d across the shards, want both non-empty", n0, n1)
+			}
 
-	names := streamNamesPerShard(t, rt)
-	remoteStream := names[1]
-	if err := rt.CreateStream(remoteStream, testSchema()); err != nil {
-		t.Fatal(err)
+			srv.Close()
+			srv.Engine.Close()
+			select {
+			case <-down:
+			case <-time.After(10 * time.Second):
+				t.Fatal("probe never declared the killed dsmsd down")
+			}
+
+			// Deploy fails on the dead shard and leaves nothing behind on
+			// the healthy one.
+			before := rt.Backend(0).QueryCount()
+			if _, _, err := rt.DeployScript(tc.script); err == nil || !strings.Contains(err.Error(), "shard 1") {
+				t.Fatalf("deploy with shard 1 down: err = %v, want one naming shard 1", err)
+			}
+			if got := rt.Backend(0).QueryCount(); got != before {
+				t.Errorf("healthy shard runs %d queries after the failed deploy, want %d (rollback)", got, before)
+			}
+			if rt.QueryCount() != 0 {
+				t.Errorf("runtime registered %d queries from a failed deploy", rt.QueryCount())
+			}
+
+			// Publishes: shard 1's bucket is refused and accounted, shard
+			// 0's is served, and neither receives the other's keys.
+			for round := 1; round <= 3; round++ {
+				v, err := publish()
+				if !errors.Is(err, client.ErrConnClosed) || uint64(v.Accepted) != n0 {
+					t.Fatalf("publish %d with shard 1 down = %+v, %v; want %d accepted and client.ErrConnClosed", round, v, err, n0)
+				}
+			}
+			rt.Flush()
+			st = rt.Stats()
+			if got := st.Shards[0].Offered; got != 4*n0 {
+				t.Errorf("shard 0 offered %d, want %d (only its own keys, every round)", got, 4*n0)
+			}
+			if got := st.Shards[1].Errors; got != 3*n1 {
+				t.Errorf("shard 1 errors %d, want %d (its keys, refused while down)", got, 3*n1)
+			}
+			checkInvariant(t, rt)
+
+			// A restarted process remembers nothing; the probe re-adopts it.
+			srv2 := restartDSMSD(t, addr)
+			defer srv2.Close()
+			defer srv2.Engine.Close()
+			select {
+			case <-readopted:
+			case <-time.After(10 * time.Second):
+				t.Fatal("restarted dsmsd was never re-adopted")
+			}
+
+			id, _, err := rt.DeployScript(tc.script)
+			if err != nil {
+				t.Fatalf("deploy after re-adoption: %v", err)
+			}
+			if d, ok := rt.Query(id); !ok || len(d.Parts) != 2 {
+				t.Fatalf("deployment %+v, want one part per shard", d)
+			}
+			if got := rt.Backend(1).QueryCount(); got != 1 {
+				t.Errorf("re-adopted shard runs %d queries, want 1", got)
+			}
+			if v, err := publish(); err != nil || v.Accepted != 64 {
+				t.Fatalf("publish after re-adoption = %+v, %v", v, err)
+			}
+			rt.Flush()
+			st = rt.Stats()
+			if got := st.Shards[0].Offered; got != 5*n0 {
+				t.Errorf("shard 0 offered %d, want %d (shard 1's keys never moved to it)", got, 5*n0)
+			}
+			if got := st.Shards[1].Ingested; got != 2*n1 {
+				t.Errorf("shard 1 ingested %d, want %d (its keys land on it again)", got, 2*n1)
+			}
+			checkInvariant(t, rt)
+		})
 	}
-	batch := make([]stream.Tuple, 16)
-	for i := range batch {
-		batch[i] = mkTuple(float64(i), int64(i)*1000)
-	}
-	if _, err := rt.PublishBatchVerdict(remoteStream, batch); err != nil {
-		t.Fatal(err)
-	}
-	rt.Flush()
+}
 
-	srv.Close()
-
-	// Drive publishes until the failover hook fires; afterwards the
-	// stream must accept traffic again via the local shard.
-	deadline := time.Now().Add(10 * time.Second)
-	fired := false
-	for !fired {
+// restartDSMSD binds a fresh, empty dsmsd to an address a killed one
+// just released, retrying briefly while the old listener unwinds.
+func restartDSMSD(t *testing.T, addr string) *dsmsd.Server {
+	t.Helper()
+	eng := dsms.NewEngine("reborn")
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		srv := dsmsd.NewServer(eng, nil)
+		if _, err := srv.Listen(addr); err == nil {
+			return srv
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("failover hook never fired")
+			eng.Close()
+			t.Fatalf("could not rebind %s", addr)
 		}
-		_, _ = rt.PublishBatchVerdict(remoteStream, batch)
-		select {
-		case <-down:
-			fired = true
-		case <-time.After(5 * time.Millisecond):
-		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	v, err := rt.PublishBatchVerdict(remoteStream, batch)
-	if err != nil || v.Accepted != len(batch) {
-		t.Fatalf("post-failover publish = %+v, %v; want full acceptance via reroute", v, err)
-	}
-	rt.Flush()
-
-	st := rt.Stats()
-	if st.Shards[0].Ingested < uint64(len(batch)) {
-		t.Errorf("local shard ingested %d tuples, want >= %d rerouted", st.Shards[0].Ingested, len(batch))
-	}
-	checkInvariant(t, rt)
 }
 
 // TestSlowRemoteShardShedsWithoutStallingSiblings puts a high-latency

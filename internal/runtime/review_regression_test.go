@@ -117,8 +117,8 @@ func (b *restartableBackend) DropStream(name string) error { return b.cur().Drop
 func (b *restartableBackend) StreamSchema(name string) (*stream.Schema, error) {
 	return b.cur().StreamSchema(name)
 }
-func (b *restartableBackend) IngestBatchPrevalidated(name string, ts []stream.Tuple) error {
-	return b.cur().IngestBatchPrevalidated(name, ts)
+func (b *restartableBackend) IngestBatch(name string, ts []stream.Tuple, sp *telemetry.Span) error {
+	return b.cur().IngestBatch(name, ts, sp)
 }
 func (b *restartableBackend) Deploy(req runtime.DeployRequest) (runtime.BackendDeployment, error) {
 	return b.cur().Deploy(req)
@@ -246,25 +246,14 @@ type fencedIngestBackend struct {
 	exportDuringInflight atomic.Bool
 }
 
-func (b *fencedIngestBackend) delayedIngest(name string, ts []stream.Tuple, ingest func() error) error {
+func (b *fencedIngestBackend) IngestBatch(name string, ts []stream.Tuple, sp *telemetry.Span) error {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	if b.slow.Load() {
 		b.startedOnce.Do(func() { close(b.ingestStarted) })
 		time.Sleep(200 * time.Millisecond)
 	}
-	return ingest()
-}
-
-func (b *fencedIngestBackend) IngestBatchPrevalidated(name string, ts []stream.Tuple) error {
-	return b.delayedIngest(name, ts, func() error { return b.LocalBackend.IngestBatchPrevalidated(name, ts) })
-}
-
-// IngestBatchOwnedTraced is the path the shard worker actually takes
-// (LocalBackend implements tracedIngester, and embedding surfaces it),
-// so the delay must cover it too.
-func (b *fencedIngestBackend) IngestBatchOwnedTraced(name string, ts []stream.Tuple, sp *telemetry.Span) error {
-	return b.delayedIngest(name, ts, func() error { return b.LocalBackend.IngestBatchOwnedTraced(name, ts, sp) })
+	return b.LocalBackend.IngestBatch(name, ts, sp)
 }
 
 func (b *fencedIngestBackend) ExportQueryState(id string) (*dsms.QueryState, error) {

@@ -119,46 +119,6 @@ type BackendSpec struct {
 	Remote RemoteOptions
 }
 
-// FailoverMode selects what happens to publishes bound for a shard
-// whose remote backend has been declared down.
-type FailoverMode int
-
-const (
-	// FailoverFail (default) fails such publishes fast: the tuples are
-	// accounted as errors and PublishBatchVerdict returns the backend's
-	// terminal error (wrapping client.ErrConnClosed).
-	FailoverFail FailoverMode = iota
-	// FailoverReroute re-targets such publishes at the next healthy
-	// shard (linear probe, so the dead shard's whole load lands on one
-	// survivor): partitioned buckets are redirected there, single-shard
-	// streams are lazily re-created on the fallback shard. Continuous
-	// queries deployed on the dead shard do not migrate — data keeps
-	// flowing, queries must be redeployed.
-	FailoverReroute
-)
-
-// String names the failover mode.
-func (m FailoverMode) String() string {
-	switch m {
-	case FailoverFail:
-		return "fail"
-	case FailoverReroute:
-		return "reroute"
-	}
-	return fmt.Sprintf("failover(%d)", int(m))
-}
-
-// ParseFailover reads a failover mode name (as printed by String).
-func ParseFailover(s string) (FailoverMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "fail", "":
-		return FailoverFail, nil
-	case "reroute":
-		return FailoverReroute, nil
-	}
-	return FailoverFail, fmt.Errorf("runtime: unknown failover mode %q", s)
-}
-
 // ParseShardAddrs reads a comma-separated shard backend list for CLI
 // flags: each entry is a dsmsd host:port address, or "local" (or the
 // empty string) for an in-process shard. "local,127.0.0.1:7420,local"
@@ -202,11 +162,6 @@ type Options struct {
 	// when the queue is full. The default (BestEffort, the lowest class)
 	// blocks every stream, matching the pre-admission behaviour.
 	BlockClass Class
-	// Failover selects how publishes bound for a downed remote shard
-	// are handled (default FailoverFail). Replicated streams (see
-	// Replication) ignore this: their failover is promotion of a
-	// follower replica.
-	Failover FailoverMode
 	// Replication is the number of shards each single-shard stream is
 	// materialized on: the owning shard plus Replication-1 follower
 	// shards receiving an asynchronous copy of every ingested tuple
@@ -316,20 +271,14 @@ type route struct {
 	// errors keeps holding across a class/quota transition.
 	counters *streamCounters
 
-	// failover state: extra shards this single-shard stream has been
-	// lazily created on after its owner went down (FailoverReroute),
-	// and whether the stream has been dropped (in-flight publishers
-	// must not re-create it on a fallback shard afterwards).
-	fmu     sync.Mutex
-	extra   map[int]bool
-	dropped bool
-
 	// Replication state (nil repl means the stream is not replicated):
 	// replicas are the follower shard indices, repl owns the bounded
 	// tuple log and shippers, and failTo is the promoted primary shard
-	// after a failover (-1 while the original owner serves). fmu also
+	// after a failover (-1 while the original owner serves). fmu
 	// serializes promotion, so two concurrent shard failures cannot
-	// promote the same route twice.
+	// promote the same route twice, and the admission swap+forward pair
+	// of Reconfigure.
+	fmu      sync.Mutex
 	replicas []int
 	repl     *replicator
 	failTo   atomic.Int32
@@ -337,9 +286,7 @@ type route struct {
 	// Global sequence stamping (partitioned routes only): stampG is
 	// the number of tuples admitted to the route so far — the global
 	// position g of the most recently stamped tuple — and stampA[p] is
-	// the highest g routed to record source p (the logical partition
-	// for replicated sub-routes, the possibly-rerouted target shard
-	// otherwise). stampMu is held from
+	// the highest g routed to logical partition p. stampMu is held from
 	// stamping through the bucket enqueues of a batch, so every
 	// partition's queue receives its tuples in strictly increasing g
 	// order; the staged shard pipelines and the merge stage both rely
@@ -381,6 +328,9 @@ func (r *route) stampFrontier(p int) (g, a uint64) {
 
 // primaryShard is the shard currently serving the route's ingest: the
 // promoted replica after a failover, the registered owner otherwise.
+// A shard that is down is still returned: publishes and deploys against
+// it fail fast with exact error accounting until a promotion moves
+// failTo or the shard is re-adopted.
 func (r *route) primaryShard() int {
 	if ft := r.failTo.Load(); ft >= 0 {
 		return int(ft)
@@ -1038,30 +988,12 @@ func (rt *Runtime) DropStream(name string) error {
 				_ = rt.shards[fi].be.DropStream(r.name)
 			}
 		}
-		// Failover reroute may have lazily created the stream on
-		// fallback shards; drop those copies too, and bar in-flight
-		// publishers from re-creating any more.
-		r.fmu.Lock()
-		r.dropped = true
-		extra := make([]int, 0, len(r.extra))
-		for i := range r.extra {
-			extra = append(extra, i)
-		}
-		r.fmu.Unlock()
-		for _, i := range extra {
-			if rt.shards[i].failedErr() == nil {
-				_ = rt.shards[i].be.DropStream(r.name)
-			}
-		}
 		return err
 	}
 	if r.subs != nil {
 		// Replicated partitioned: tear down each partition's sub-route
 		// (replicator, primary copy, follower copies).
 		for _, sub := range r.subs {
-			sub.fmu.Lock()
-			sub.dropped = true
-			sub.fmu.Unlock()
 			if sub.repl != nil {
 				sub.repl.close()
 			}
@@ -1163,8 +1095,6 @@ func (rt *Runtime) reconfigure(name string, cfg StreamConfig, durable bool) (Str
 	}
 	// fmu serializes the swap+forward pair, so two racing Reconfigures
 	// cannot leave a remote shard on the config the local route lost.
-	// (Holding fmu across the forwarding RPCs mirrors ensureStreamOn,
-	// which already holds it across a remote CreateStream.)
 	r.fmu.Lock()
 	old := r.adm.Swap(newAdmissionState(norm))
 	r.reconfigures.Add(1)
@@ -1227,9 +1157,6 @@ func (rt *Runtime) forwardAdmissionLocked(r *route, cfg StreamConfig, must bool)
 	var shards []int
 	if r.keyIdx < 0 {
 		shards = append(shards, r.shard)
-		for i := range r.extra {
-			shards = append(shards, i)
-		}
 	} else {
 		for i := range rt.shards {
 			shards = append(shards, i)
@@ -1341,8 +1268,8 @@ func (rt *Runtime) PublishBatchVerdict(streamName string, ts []stream.Tuple) (Pu
 	// Replicated streams stamp arrival times at publish admission: the
 	// engine's seal preserves non-zero arrivals, so the primary and
 	// every follower see identical timestamps and their time-window
-	// aggregates stay bit-compatible. (The runtime owns the batch from
-	// here on, same contract as the engine's owned ingest.)
+	// aggregates stay bit-compatible. (The stamp is written into the
+	// caller's tuples: a published batch is the runtime's to mutate.)
 	if r.repl != nil {
 		now := coarsetime.NowMillis()
 		for i := range ts {
@@ -1358,7 +1285,7 @@ func (rt *Runtime) PublishBatchVerdict(streamName string, ts []stream.Tuple) (Pu
 	sp := rt.tracer.Sample()
 	sp.Begin(telemetry.StageQueueWait)
 	if r.keyIdx < 0 {
-		n, err := rt.shards[rt.targetShard(r, r.shard)].enqueue(r.name, ad.cfg.Class, r.counters, r.repl, ts, sp)
+		n, err := rt.shards[r.primaryShard()].enqueue(r.name, ad.cfg.Class, r.counters, r.repl, ts, sp)
 		v.Accepted = n
 		return v, err
 	}
@@ -1408,28 +1335,21 @@ func (rt *Runtime) PublishBatchVerdict(streamName string, ts []stream.Tuple) (Pu
 		// The span rides with the first dispatched bucket; the others go
 		// untraced (per-bucket spans would multiply one sampled publish
 		// into shard-count traces).
-		sname, repl, tgt := r.name, (*replicator)(nil), rt.targetShard(r, si)
-		src := si
+		sname, repl, tgt := r.name, (*replicator)(nil), si
 		if r.subs != nil {
 			// Replicated partition: the bucket lands on the sub-route's
 			// current primary and feeds its replication log. The record
 			// source stays the logical partition — whichever shard hosts
 			// it after failover serves the same "name@p" stream.
 			sub := r.subs[si]
-			sname, repl, tgt = sub.name, sub.repl, rt.targetShard(sub, sub.shard)
-		} else {
-			// Without replication the record source is the physical
-			// shard: under FailoverReroute a dead shard's bucket flows to
-			// a survivor's stream, and the survivor's watermark is what
-			// covers these positions.
-			src = tgt
+			sname, repl, tgt = sub.name, sub.repl, sub.primaryShard()
 		}
-		// A_src must cover the bucket before its tuples can surface in a
+		// A_si must cover the bucket before its tuples can surface in a
 		// shard watermark; the stamp lock makes the pair (G, A) consistent
 		// for frontier snapshots. A bucket the shard then refuses leaves
 		// its positions permanently unwatermarked — the merge stage stalls
 		// on such holes until its lateness bound (if any) forces release.
-		r.stampA[src].Store(bucket[len(bucket)-1].Seq)
+		r.stampA[si].Store(bucket[len(bucket)-1].Seq)
 		n, err := rt.shards[tgt].enqueue(sname, ad.cfg.Class, r.counters, repl, bucket, sp)
 		sp = nil
 		v.Accepted += n
@@ -1441,68 +1361,6 @@ func (rt *Runtime) PublishBatchVerdict(streamName string, ts []stream.Tuple) (Pu
 	sp.CloseOpen()
 	sp.Finish()
 	return v, firstErr
-}
-
-// targetShard applies the failover policy: tuples bound for a downed
-// shard are re-targeted at the next healthy one under FailoverReroute
-// (partitioned streams exist on every shard; single-shard streams are
-// lazily created on the fallback). Under FailoverFail — or when no
-// healthy sibling exists — the original shard is returned and its
-// enqueue fails fast with exact error accounting.
-func (rt *Runtime) targetShard(r *route, si int) int {
-	// Replicated routes ignore the generic failover modes: after a
-	// promotion every publish lands on the promoted replica (even if it
-	// is currently failing — the next promotion will move failTo), and
-	// until the promotion completes publishes fail fast, bounding the
-	// blast radius to exactly the accounted errors.
-	if r.repl != nil && si == r.shard {
-		if ft := r.failTo.Load(); ft >= 0 {
-			return int(ft)
-		}
-		return si
-	}
-	if rt.shards[si].failedErr() == nil {
-		return si
-	}
-	if rt.opts.Failover != FailoverReroute {
-		return si
-	}
-	n := len(rt.shards)
-	for d := 1; d < n; d++ {
-		t := (si + d) % n
-		if rt.shards[t].failedErr() != nil {
-			continue
-		}
-		if err := rt.ensureStreamOn(r, t); err != nil {
-			continue
-		}
-		return t
-	}
-	return si
-}
-
-// ensureStreamOn lazily registers a single-shard stream on a failover
-// target, once; partitioned streams already exist everywhere.
-func (rt *Runtime) ensureStreamOn(r *route, t int) error {
-	if r.keyIdx >= 0 || t == r.shard {
-		return nil
-	}
-	r.fmu.Lock()
-	defer r.fmu.Unlock()
-	if r.dropped {
-		return fmt.Errorf("runtime: stream %q dropped", r.name)
-	}
-	if r.extra[t] {
-		return nil
-	}
-	if err := rt.shards[t].be.CreateStream(r.name, r.schema); err != nil {
-		return err
-	}
-	if r.extra == nil {
-		r.extra = map[int]bool{}
-	}
-	r.extra[t] = true
-	return nil
 }
 
 // Flush blocks until every queued tuple has been drained into the

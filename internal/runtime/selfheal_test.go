@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dsms"
 	"repro/internal/dsmsd"
 	"repro/internal/netsim"
 	"repro/internal/runtime"
@@ -97,22 +96,8 @@ func TestRestartedFollowerReadoption(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 			// Rebind the same address with a fresh, empty engine (a
-			// restarted process remembers nothing). The old listener
-			// just closed, so retry the bind briefly.
-			eng := dsms.NewEngine("follower-reborn")
-			for {
-				s := dsmsd.NewServer(eng, nil)
-				if _, err := s.Listen(addr); err == nil {
-					srv2 = s
-					return
-				}
-				if time.Now().After(deadline) {
-					t.Errorf("could not rebind %s", addr)
-					eng.Close()
-					return
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
+			// restarted process remembers nothing).
+			srv2 = restartDSMSD(t, addr)
 		}},
 	)
 

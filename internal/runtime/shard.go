@@ -76,13 +76,11 @@ func (r *classRing) popNewest() item {
 // shard owns one ShardBackend — an in-process dsms.Engine or a remote
 // dsmsd process — plus the bounded, class-partitioned queue in front of
 // it. A dedicated worker goroutine drains the queue in batches —
-// highest class first — and ships them to the backend via
-// IngestBatchPrevalidated, so publishers never touch the backend
-// directly.
+// highest class first — and ships them to the backend via IngestBatch,
+// so publishers never touch the backend directly.
 type shard struct {
 	idx        int
 	be         ShardBackend
-	ti         tracedIngester // be's optional tracing surface, or nil
 	policy     Policy
 	blockClass Class
 	batch      int
@@ -121,7 +119,6 @@ func newShard(idx int, be ShardBackend, queue, batch int, policy Policy, blockCl
 		cap:        queue,
 		done:       make(chan struct{}),
 	}
-	s.ti, _ = be.(tracedIngester)
 	s.notEmpty = sync.NewCond(&s.mu)
 	s.notFull = sync.NewCond(&s.mu)
 	s.idle = sync.NewCond(&s.mu)
@@ -403,21 +400,11 @@ func (s *shard) run() {
 			if scratch[i].rep != nil {
 				repCopy = cloneTuples(tuples)
 			}
-			// PublishBatch already validated against the stream schema;
-			// skip the engine's conformance walk.
+			// PublishBatch already validated against the stream schema,
+			// so backends skip the engine's conformance walk. The backend
+			// takes ownership of the span.
 			run := uint64(j - i)
-			var err error
-			if s.ti != nil {
-				// The span's seal/pipeline/push stages are stamped inside
-				// the in-process engine, which takes ownership of it.
-				err = s.ti.IngestBatchOwnedTraced(scratch[i].stream, tuples, sp)
-			} else {
-				sp.Begin(telemetry.StageBackend)
-				err = s.be.IngestBatchPrevalidated(scratch[i].stream, tuples)
-				sp.End(telemetry.StageBackend)
-				sp.Finish()
-			}
-			if err != nil {
+			if err := s.be.IngestBatch(scratch[i].stream, tuples, sp); err != nil {
 				bad += run
 				if sc := scratch[i].sc; sc != nil {
 					sc.errors.Add(run)
