@@ -19,8 +19,8 @@
 // the runtime-stats RPC on -addr. -count bounds the refreshes (0 =
 // forever).
 //
-// subscribe, publish, runtime-stats and reconfigure need a data server
-// with an embedded ingest runtime (exacmld -embedded); governor-stats
+// subscribe, publish, runtime-stats and reconfigure work against any
+// exacmld (every topology runs the ingest runtime); governor-stats
 // additionally needs the governor (exacmld -governor). publish
 // generates synthetic tuples for the named stream and reports the
 // server's admission verdict — how many tuples the stream's quota shed

@@ -21,7 +21,7 @@
 //
 // Without -addr the runtime is stood up in-process and the per-shard
 // accounting is printed; with -addr the tuples are batch-published
-// over TCP to an exacmld running with an embedded runtime.
+// over TCP to an exacmld (any topology).
 //
 // -mix splits the in-process publish load across priority classes, one
 // stream per class, so class-aware shedding can be observed directly:
@@ -211,8 +211,8 @@ func publishMix(mix string, publishers, batch, shards, tuples, queue int, policy
 }
 
 // publishRemote batch-publishes synthetic weather tuples over TCP to a
-// data server with an embedded runtime (exacmld -embedded). The
-// server's policy decides the shedding; we report its accounting.
+// data server (any exacmld: every topology runs the ingest runtime).
+// The server's policy decides the shedding; we report its accounting.
 func publishRemote(addr string, publishers, batch, tuples int) error {
 	var wg sync.WaitGroup
 	errs := make(chan error, publishers)

@@ -151,8 +151,8 @@ func (c *Client) PublishBatchVerdict(streamName string, ts []stream.Tuple) (serv
 }
 
 // Subscribe attaches this client to a granted stream handle on a
-// server with an embedded runtime; tuples arrive via OnTuple. One
-// subscription per client connection.
+// server with an attached runtime (any exacmld); tuples arrive via
+// OnTuple. One subscription per client connection.
 func (c *Client) Subscribe(handle string) error {
 	_, err := c.rpc.Call(server.MsgSubscribe, server.SubscribeReq{Handle: handle})
 	return err

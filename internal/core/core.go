@@ -1,21 +1,24 @@
 // Package core is the top-level facade of the eXACML+ reproduction: it
-// wires the sharded ingest runtime (a pool of Aurora-style stream
-// engines behind bounded queues), the XACML PDP and the XACML+ PEP into
-// a single in-process Framework with a small, documented API.
+// wires the sharded ingest runtime (a pool of stream-engine backends
+// behind bounded queues), the XACML PDP and the XACML+ PEP into one
+// Framework with a small, documented API. Boot is the only way
+// cmd/exacmld constructs a server; examples, tools and tests start
+// from New / NewWithOptions, which is Boot without a state dir.
 //
-// Options selects the ingest configuration (shard count, queue sizes,
-// backpressure policy and its class threshold); streams register with
+// Options selects the topology (Shards in-process engines, or
+// ShardAddrs naming a local engine or a remote dsmsd per slot — one
+// remote slot is the paper's data server → stream engine deployment)
+// and the ingest configuration (queue size, backpressure policy and
+// its class threshold, replication). Streams register with
 // RegisterStream / RegisterPartitionedStream and may carry a priority
 // class and a token-bucket quota via runtime.WithClass /
 // runtime.WithQuota, both swappable at runtime with Reconfigure.
 // Options.Audit records every decision into a hash-chained
 // accountability log, and Options.Governor starts the audit-fed
 // governor that demotes abusive subjects' streams live (see
-// internal/governor and docs/ACCOUNTABILITY.md). The networked
-// deployment (data server, proxy, client over TCP) lives in
-// internal/server, internal/proxy and internal/client; this package is
-// the embedded form that examples, tools and downstream users start
-// from.
+// internal/governor and docs/ACCOUNTABILITY.md). The TCP surfaces
+// (data server, proxy, client) live in internal/server, internal/proxy
+// and internal/client and sit on top of a Framework.
 package core
 
 import (
@@ -47,8 +50,6 @@ type Options struct {
 	ShardAddrs []runtime.BackendSpec
 	// QueueSize is the per-shard publish queue capacity (default 4096).
 	QueueSize int
-	// BatchSize is the per-shard drain batch size (default 256).
-	BatchSize int
 	// Policy is the backpressure policy applied when a shard queue is
 	// full: runtime.Block (default), runtime.DropNewest or
 	// runtime.DropOldest.
@@ -63,10 +64,6 @@ type Options struct {
 	// shard dies. 0/1 disables replication; values above the shard
 	// count are clamped.
 	Replication int
-	// ReplicationLog bounds the retained per-stream replication log in
-	// tuples (default runtime.DefaultReplicationLog). Only meaningful
-	// with Replication > 1.
-	ReplicationLog int
 	// Audit, when non-nil, records every PDP/PEP decision into the
 	// given accountability log (equivalent to setting PEP.Audit after
 	// construction, but available before the first request).
@@ -88,14 +85,6 @@ type Options struct {
 	// tuples (rounded up to a power of two; default
 	// runtime.DefaultTraceSampleEvery). Only meaningful with Metrics.
 	TraceSampleEvery int
-	// MergeBuffer bounds the cross-partition merge stage's per-partition
-	// reorder buffer (default runtime.DefaultMergeBuffer); see
-	// runtime.Options.MergeBuffer for the force-release semantics.
-	MergeBuffer int
-	// MergeLateness bounds how long the merge stage waits on a lagging
-	// partition before force-releasing the oldest pending window
-	// (default 0 = wait indefinitely); see runtime.Options.MergeLateness.
-	MergeLateness time.Duration
 	// StateDir, when non-empty, makes the control plane durable (Boot
 	// only): the audit chain is persisted as JSON lines, stream DDL and
 	// deployed queries as crash-consistent catalog snapshots, and window
@@ -109,30 +98,16 @@ type Options struct {
 	CheckpointInterval time.Duration
 }
 
-// EngineSurface is the runtime-wide DSMS surface a Framework exposes:
-// the PEP-facing xacmlplus.StreamEngine (schema lookup, script deploy,
-// withdraw — routed to the owning shard by stream) plus the query
-// inventory.
-type EngineSurface interface {
-	xacmlplus.StreamEngine
-	// QueryCount sums running continuous queries across all shards.
-	QueryCount() int
-	// Streams lists registered stream names, sorted.
-	Streams() []string
-}
-
 // Framework is an embedded eXACML+ instance: a sharded stream runtime
 // plus the access-control plane over it.
 type Framework struct {
 	// Runtime is the sharded ingest plane fronting the shard backends
-	// (in-process engines and/or remote dsmsd processes).
+	// (in-process engines and/or remote dsmsd processes). It is also
+	// the DSMS surface the PEP deploys against: schema lookups, script
+	// deploys and withdrawals are routed to the shard owning the target
+	// stream, so every registered stream is visible regardless of which
+	// shard it landed on.
 	Runtime *runtime.Runtime
-	// Engine is the runtime-wide DSMS surface: deploys and withdrawals
-	// are routed to the shard owning the target stream, so every
-	// registered stream is visible regardless of which shard it landed
-	// on. (It used to be shard 0's raw engine, which hid streams hashed
-	// onto other shards.)
-	Engine EngineSurface
 	// PDP stores and evaluates XACML policies.
 	PDP *xacml.PDP
 	// PEP enforces decisions: obligations → query graphs, merging,
@@ -201,13 +176,9 @@ func newWithOptions(name string, opts Options, catalog runtime.CatalogObserver) 
 		Shards:           opts.Shards,
 		Backends:         opts.ShardAddrs,
 		QueueSize:        opts.QueueSize,
-		BatchSize:        opts.BatchSize,
 		Policy:           opts.Policy,
 		BlockClass:       opts.BlockClass,
 		Replication:      opts.Replication,
-		ReplicationLog:   opts.ReplicationLog,
-		MergeBuffer:      opts.MergeBuffer,
-		MergeLateness:    opts.MergeLateness,
 		Metrics:          opts.Metrics,
 		TraceSampleEvery: opts.TraceSampleEvery,
 		Audit:            auditLog,
@@ -216,7 +187,6 @@ func newWithOptions(name string, opts Options, catalog runtime.CatalogObserver) 
 	pdp := xacml.NewPDP()
 	fw := &Framework{
 		Runtime: rt,
-		Engine:  rt,
 		PDP:     pdp,
 		PEP:     xacmlplus.NewPEP(pdp, rt),
 		Audit:   auditLog,

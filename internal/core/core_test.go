@@ -116,7 +116,7 @@ func TestFrameworkPolicyXMLLifecycle(t *testing.T) {
 	if err != nil || len(withdrawn) != 1 {
 		t.Fatalf("RemovePolicy: (%v,%v)", withdrawn, err)
 	}
-	if f.Engine.QueryCount() != 0 {
+	if f.Runtime.QueryCount() != 0 {
 		t.Error("graphs not withdrawn")
 	}
 	if _, err := f.LoadPolicy([]byte("<broken")); err == nil {
@@ -135,7 +135,7 @@ func TestFrameworkRelease(t *testing.T) {
 	if err := f.Release("LTA", "weather"); err != nil {
 		t.Fatal(err)
 	}
-	if f.Engine.QueryCount() != 0 {
+	if f.Runtime.QueryCount() != 0 {
 		t.Error("release should withdraw the query")
 	}
 	if err := f.AddPolicy(&xacml.Policy{}); err == nil {

@@ -75,11 +75,11 @@ func TestBootRecoveryRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	idA, handleA, err := fwA.Engine.DeployScript(durableScript)
+	idA, handleA, err := fwA.Runtime.DeployScript(durableScript)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, handleB, err := fwB.Engine.DeployScript(durableScript)
+	_, handleB, err := fwB.Runtime.DeployScript(durableScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestBootRecoveryCorruptCatalog(t *testing.T) {
 	if err := fwA.RegisterStream("s", durableSchema()); err != nil { // catalog gen 1
 		t.Fatal(err)
 	}
-	if _, _, err := fwA.Engine.DeployScript(durableScript); err != nil { // catalog gen 2
+	if _, _, err := fwA.Runtime.DeployScript(durableScript); err != nil { // catalog gen 2
 		t.Fatal(err)
 	}
 	fwA.Close()
@@ -266,7 +266,7 @@ func TestBootRecoveryCorruptCheckpoint(t *testing.T) {
 	if err := fwA.RegisterStream("s", durableSchema()); err != nil {
 		t.Fatal(err)
 	}
-	id, _, err := fwA.Engine.DeployScript(durableScript)
+	id, _, err := fwA.Runtime.DeployScript(durableScript)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,11 @@ import (
 	"repro/internal/stream"
 )
 
-// TestEngineSurfaceSeesAllShards guards the fix for the shard-0-only
-// Engine field: the framework's engine surface must resolve schemas
-// and deploy scripts for streams on every shard, not just shard 0.
-func TestEngineSurfaceSeesAllShards(t *testing.T) {
+// TestRuntimeDeploySurfaceSeesAllShards guards the fix for the old
+// shard-0-only engine field: the surface the PEP deploys against
+// (Framework.Runtime) must resolve schemas and deploy scripts for
+// streams on every shard, not just shard 0.
+func TestRuntimeDeploySurfaceSeesAllShards(t *testing.T) {
 	f := NewWithOptions("multi", Options{Shards: 4})
 	t.Cleanup(f.Close)
 
@@ -34,15 +35,15 @@ func TestEngineSurfaceSeesAllShards(t *testing.T) {
 	}
 
 	for _, name := range names {
-		got, err := f.Engine.StreamSchema(name)
+		got, err := f.Runtime.StreamSchema(name)
 		if err != nil {
-			t.Fatalf("StreamSchema(%q) through the engine surface: %v", name, err)
+			t.Fatalf("StreamSchema(%q) through the runtime: %v", name, err)
 		}
 		if !got.Equal(schema) {
 			t.Errorf("schema for %q = %v", name, got)
 		}
 	}
-	if got := f.Engine.Streams(); len(got) != len(names) {
+	if got := f.Runtime.Streams(); len(got) != len(names) {
 		t.Errorf("Streams() = %v, want all %d registered streams", got, len(names))
 	}
 
@@ -52,7 +53,7 @@ func TestEngineSurfaceSeesAllShards(t *testing.T) {
 		script := fmt.Sprintf(
 			"CREATE INPUT STREAM %s (a double); CREATE OUTPUT STREAM o; SELECT * FROM %s WHERE a > 0 INTO o;",
 			name, name)
-		id, handle, err := f.Engine.DeployScript(script)
+		id, handle, err := f.Runtime.DeployScript(script)
 		if err != nil {
 			t.Fatalf("DeployScript on %q: %v", name, err)
 		}
@@ -61,15 +62,15 @@ func TestEngineSurfaceSeesAllShards(t *testing.T) {
 		}
 		handles = append(handles, handle)
 	}
-	if qc := f.Engine.QueryCount(); qc != len(names) {
+	if qc := f.Runtime.QueryCount(); qc != len(names) {
 		t.Errorf("QueryCount = %d, want %d (one query per shard)", qc, len(names))
 	}
 	for _, h := range handles {
-		if err := f.Engine.Withdraw(h); err != nil {
+		if err := f.Runtime.Withdraw(h); err != nil {
 			t.Fatalf("Withdraw(%q): %v", h, err)
 		}
 	}
-	if qc := f.Engine.QueryCount(); qc != 0 {
+	if qc := f.Runtime.QueryCount(); qc != 0 {
 		t.Errorf("QueryCount after withdraw = %d, want 0", qc)
 	}
 }

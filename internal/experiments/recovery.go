@@ -100,7 +100,7 @@ func RunRecovery(o RecoveryOptions) (RecoveryResult, error) {
 	if err := fw.RegisterStream("s", schema); err != nil {
 		return res, err
 	}
-	if _, _, err := fw.Engine.DeployScript(recoveryScript); err != nil {
+	if _, _, err := fw.Runtime.DeployScript(recoveryScript); err != nil {
 		return res, err
 	}
 

@@ -154,6 +154,12 @@ func (rt *Runtime) deploy(input string, req DeployRequest, forceID string) (Depl
 			return rt.deployStaged(r, req, mode, forceID)
 		}
 	}
+	if r.subs != nil {
+		// A replicated partitioned stream lives on the shards as the
+		// sub-routes "name@p"; the plain per-shard deploy below targets
+		// "name", which no backend holds. Refuse before touching one.
+		return Deployment{}, fmt.Errorf("runtime: stream %q is partitioned with replication %d: non-aggregate queries over a replicated partitioned stream are not supported yet (windowed aggregates are)", r.name, rt.opts.Replication)
+	}
 	id, err := rt.assignDepID(forceID)
 	if err != nil {
 		return Deployment{}, err

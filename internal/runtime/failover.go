@@ -136,7 +136,7 @@ func (rt *Runtime) promoteDeps(r *route, fi int) {
 // deploy time) is attached or redeployed now — the documented degraded
 // mode, mirroring the single-shard "redeploy fresh with an empty
 // window" path: windows already spanning the gap may go unmet until
-// the lateness bound, later windows are exact again.
+// the MergeBuffer bound forces them out, later windows are exact again.
 func (rt *Runtime) promoteStagedParts(sub *route, fi int) {
 	rt.mu.RLock()
 	deps := make(map[string]*Deployment)
@@ -385,7 +385,7 @@ func (rt *Runtime) readoptShard(i int) error {
 // primaries (replication off, or a replicated partition that never
 // promoted away) is redeployed and its record stream re-attached — the
 // documented degraded restart: its windows begin empty, so windows
-// spanning the outage can go unmet until the merge stage's lateness
+// spanning the outage can go unmet until the merge stage's buffer
 // bound, and later windows are exact again. A part that is now a
 // follower's standby is redeployed warm but left DETACHED: replication
 // warms its window going forward, but its state gap means records it

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dsms"
 	"repro/internal/stream"
@@ -39,15 +38,12 @@ import (
 // released rows feed a real in-engine aggregate operator (AggDriver),
 // so emissions are bit-identical to single-shard by construction.
 //
-// Skew between shards is bounded two ways: Options.MergeBuffer caps the
+// Skew between shards is bounded one way: Options.MergeBuffer caps the
 // per-partition backlog (beyond it the oldest pending window/row is
-// force-released, trading exactness for memory), and
-// Options.MergeLateness force-releases output that one laggard
-// partition has blocked for longer than the bound while another
-// partition has already sealed it. Both paths count
-// exacml_merge_forced_total; with the defaults (lateness 0) the stage
-// waits indefinitely — a dead shard is replication failover's problem,
-// not a reason to emit a wrong window.
+// force-released, trading exactness for memory, and counted in
+// exacml_merge_forced_total). There is no time bound: below the buffer
+// bound the stage waits indefinitely — a dead shard is replication
+// failover's problem, not a reason to emit a wrong window.
 type mergeStage struct {
 	rt *Runtime
 	r  *route // parent partitioned route (stamp-frontier source)
@@ -60,8 +56,6 @@ type mergeStage struct {
 
 	outSchema *stream.Schema
 	bound     int
-	lateness  time.Duration
-	done      chan struct{}
 
 	mu     sync.Mutex
 	parts  []*mergePart
@@ -70,12 +64,6 @@ type mergeStage struct {
 	srcs   []BackendSubscription
 	closed bool
 	failed error
-
-	// blockedSince is when output first became releasable from one
-	// partition's perspective while another held it back; zero when
-	// nothing is blocked. The lateness ticker forces a release when it
-	// ages past the bound.
-	blockedSince time.Time
 }
 
 // mergePart is the per-partition ingest state.
@@ -149,14 +137,12 @@ func (o *mergeOut) closeCh() {
 // input schema after every preceding box).
 func newMergeStage(rt *Runtime, r *route, mode dsms.StageMode, agg *dsms.Box, aggIn *stream.Schema) (*mergeStage, error) {
 	ms := &mergeStage{
-		rt:       rt,
-		r:        r,
-		mode:     mode,
-		bound:    rt.opts.MergeBuffer,
-		lateness: rt.opts.MergeLateness,
-		done:     make(chan struct{}),
-		parts:    make([]*mergePart, len(rt.shards)),
-		outs:     map[*mergeOut]struct{}{},
+		rt:    rt,
+		r:     r,
+		mode:  mode,
+		bound: rt.opts.MergeBuffer,
+		parts: make([]*mergePart, len(rt.shards)),
+		outs:  map[*mergeOut]struct{}{},
 	}
 	for p := range ms.parts {
 		ms.parts[p] = &mergePart{}
@@ -196,9 +182,6 @@ func newMergeStage(rt *Runtime, r *route, mode dsms.StageMode, agg *dsms.Box, ag
 	for p := range ms.parts {
 		_, a := r.stampFrontier(p)
 		ms.parts[p].w = a
-	}
-	if ms.lateness > 0 {
-		go ms.latenessLoop()
 	}
 	return ms, nil
 }
@@ -303,8 +286,8 @@ func (ms *mergeStage) ewLocked() []uint64 {
 	return ew
 }
 
-// advanceLocked releases everything the frontier allows, applies the
-// buffer bound, and updates the blocked clock for the lateness ticker.
+// advanceLocked releases everything the frontier allows, then applies
+// the buffer bound.
 func (ms *mergeStage) advanceLocked() {
 	ew := ms.ewLocked()
 	switch ms.mode {
@@ -354,17 +337,10 @@ func (ms *mergeStage) advanceLocked() {
 	}
 	for ms.overBoundLocked() {
 		ms.rt.count("exacml_merge_forced_total",
-			"Merge-stage releases forced by the reorder-buffer bound or the lateness bound.")
+			"Merge-stage releases forced by the reorder-buffer bound (Options.MergeBuffer).")
 		if !ms.forceOneLocked() {
 			return
 		}
-	}
-	if ms.blockedLocked(ew) {
-		if ms.blockedSince.IsZero() {
-			ms.blockedSince = time.Now()
-		}
-	} else {
-		ms.blockedSince = time.Time{}
 	}
 }
 
@@ -419,9 +395,6 @@ func (ms *mergeStage) pushRowsLocked(batch []stream.Tuple) bool {
 }
 
 func (ms *mergeStage) deliverLocked(ts ...stream.Tuple) {
-	if len(ts) > 0 {
-		ms.blockedSince = time.Time{}
-	}
 	for _, t := range ts {
 		ms.rt.count("exacml_merge_emissions_total",
 			"Global aggregate emissions produced by runtime merge stages.")
@@ -447,8 +420,8 @@ func (ms *mergeStage) overBoundLocked() bool {
 }
 
 // forceOneLocked releases the oldest pending output without waiting
-// for the frontier: the degraded path behind the buffer and lateness
-// bounds. Reports false when the stage failed.
+// for the frontier: the degraded path behind the buffer bound. Reports
+// false when the stage failed.
 func (ms *mergeStage) forceOneLocked() bool {
 	switch ms.mode {
 	case dsms.StagePartial:
@@ -484,72 +457,6 @@ func (ms *mergeStage) forceOneLocked() bool {
 	return true
 }
 
-// blockedLocked reports whether released output is being held back by
-// partition skew: in relay mode any buffered row qualifies (it would
-// have released if every empty partition's frontier had caught up); in
-// partial mode the next window must be sealed by at least one
-// partition but not by the slowest — an open window on a merely slow
-// stream is not skew and must wait for its tuples.
-func (ms *mergeStage) blockedLocked(ew []uint64) bool {
-	switch ms.mode {
-	case dsms.StagePartial:
-		minEW, maxEW := ew[0], ew[0]
-		for _, e := range ew[1:] {
-			if e < minEW {
-				minEW = e
-			}
-			if e > maxEW {
-				maxEW = e
-			}
-		}
-		end := uint64(ms.windowEnd(ms.nextK))
-		return maxEW >= end && minEW < end
-	case dsms.StageRelay:
-		for _, mp := range ms.parts {
-			if mp.pending() > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// latenessLoop force-releases blocked output once it ages past the
-// lateness bound. Runs only when Options.MergeLateness > 0.
-func (ms *mergeStage) latenessLoop() {
-	tick := ms.lateness / 4
-	if tick <= 0 {
-		tick = ms.lateness
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-ms.done:
-			return
-		case <-t.C:
-		}
-		ms.mu.Lock()
-		if ms.closed || ms.failed != nil {
-			ms.mu.Unlock()
-			return
-		}
-		// Re-run the normal advance first: the stamp frontier may have
-		// moved without any record arriving (publishes to other
-		// partitions raise G).
-		ms.advanceLocked()
-		if !ms.blockedSince.IsZero() && time.Since(ms.blockedSince) >= ms.lateness {
-			ms.rt.count("exacml_merge_forced_total",
-				"Merge-stage releases forced by the reorder-buffer bound or the lateness bound.")
-			if ms.forceOneLocked() {
-				ms.blockedSince = time.Time{}
-				ms.advanceLocked()
-			}
-		}
-		ms.mu.Unlock()
-	}
-}
-
 // failLocked poisons the stage: sources detach, outputs close, and
 // future subscribes report the error. A decode or merge error means
 // the record streams are corrupt; emitting more would be guessing.
@@ -575,7 +482,6 @@ func (ms *mergeStage) close() {
 }
 
 func (ms *mergeStage) teardownLocked() {
-	close(ms.done)
 	srcs := ms.srcs
 	ms.srcs = nil
 	outs := ms.outs

@@ -16,6 +16,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/runtime"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 )
 
 func mergeSchema() *stream.Schema {
@@ -487,4 +488,112 @@ func TestGlobalAggFailoverChaos(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gatedIngestBackend holds every ingest until its gate closes: the
+// partition's queue keeps accepting, but nothing reaches the engine, so
+// its watermark stands still while its assigned-position high moves.
+type gatedIngestBackend struct {
+	*runtime.LocalBackend
+	gate chan struct{}
+}
+
+func (b *gatedIngestBackend) IngestBatch(name string, ts []stream.Tuple, sp *telemetry.Span) error {
+	<-b.gate
+	return b.LocalBackend.IngestBatch(name, ts, sp)
+}
+
+// TestMergeBufferForcesReleaseAndCounts drives the merge stage's only
+// degraded path: partition 1 is held while partition 0 seals more
+// windows than Options.MergeBuffer allows pending, so the oldest are
+// released without the laggard. Every such release must be counted in
+// exacml_merge_forced_total — an emission short of its window's tuples
+// with no count behind it would be a silently wrong answer — and
+// emissions must keep flowing rather than wait on the held shard.
+func TestMergeBufferForcesReleaseAndCounts(t *testing.T) {
+	const size, bound, perPart0 = 4, 4, 48
+	gate := make(chan struct{})
+	backends := []runtime.ShardBackend{
+		runtime.NewLocalBackend(dsms.NewEngine("f0")),
+		&gatedIngestBackend{LocalBackend: runtime.NewLocalBackend(dsms.NewEngine("f1")), gate: gate},
+	}
+	reg := telemetry.NewRegistry()
+	rt := runtime.NewWithBackends("forced", runtime.Options{MergeBuffer: bound, Metrics: reg}, backends)
+	defer rt.Close()
+	if err := rt.CreatePartitionedStream("s", mergeSchema(), "key"); err != nil {
+		t.Fatal(err)
+	}
+	dep, err := rt.Deploy(dsms.NewQueryGraph("s", dsms.NewAggregateBox(
+		dsms.WindowSpec{Type: dsms.WindowTuple, Size: size, Step: size},
+		dsms.AggSpec{Attr: "i", Func: dsms.AggCount})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := rt.Subscribe(dep.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+
+	// One key per partition, found by where a probe tuple is offered.
+	mk := func(key string) stream.Tuple {
+		return stream.NewTuple(stream.StringValue(key), stream.IntValue(1), stream.DoubleValue(1), stream.StringValue("x"))
+	}
+	var keys [2]string
+	for i := 0; keys[0] == "" || keys[1] == ""; i++ {
+		key := fmt.Sprintf("k%02d", i)
+		before := rt.Stats().Shards[1].Offered
+		if _, err := rt.PublishBatch("s", []stream.Tuple{mk(key)}); err != nil {
+			t.Fatal(err)
+		}
+		keys[rt.Stats().Shards[1].Offered-before] = key
+	}
+
+	// Partition 1 holds one window's worth of its own tuples; partition
+	// 0 then runs far past the buffer bound.
+	for i := 0; i < perPart0; i++ {
+		batch := []stream.Tuple{mk(keys[0])}
+		if i < size {
+			batch = append(batch, mk(keys[1]))
+		}
+		if n, err := rt.PublishBatch("s", batch); err != nil || n != len(batch) {
+			t.Fatalf("publish %d: n=%d err=%v", i, n, err)
+		}
+	}
+	forced := func() float64 { return series(t, scrape(t, reg))["exacml_merge_forced_total"] }
+	var got []stream.Tuple
+	deadline := time.After(10 * time.Second)
+	for forced() < 1 || len(got) == 0 {
+		select {
+		case tu := <-sub.C:
+			got = append(got, tu)
+		case <-time.After(10 * time.Millisecond):
+		case <-deadline:
+			t.Fatalf("partition 1 held: %d emissions, forced_total %v — the stage is waiting on the laggard past its buffer bound", len(got), forced())
+		}
+	}
+
+	close(gate)
+	rt.Flush()
+	checkInvariant(t, rt)
+	for quiet := false; !quiet; {
+		select {
+		case tu := <-sub.C:
+			got = append(got, tu)
+		case <-time.After(100 * time.Millisecond):
+			quiet = true
+		}
+	}
+	// A window released whole counts `size` tuples; one released short
+	// went out through the forced path and must have been counted.
+	short := 0
+	for _, tu := range got {
+		if n, _ := tu.Values[0].AsFloat(); n != size {
+			short++
+		}
+	}
+	if f := forced(); float64(short) > f {
+		t.Errorf("%d of %d emissions are short of their window but only %v forced releases were counted", short, len(got), f)
+	}
+	t.Logf("%d emissions, %d short, forced_total %v", len(got), short, forced())
 }

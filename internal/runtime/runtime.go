@@ -169,8 +169,9 @@ type Options struct {
 	// the owner's backend goes down, the most caught-up healthy
 	// follower is promoted: the retained log tail is flushed to it,
 	// publishes are rerouted, and standby query parts deployed on it
-	// take over with warm window state. Partitioned streams are not
-	// replicated (every shard already holds a partition).
+	// take over with warm window state. A partitioned stream replicates
+	// per partition (sub-routes "name@p"); over one, only windowed
+	// aggregates deploy so far (see deploy).
 	Replication int
 	// ReplicationLog bounds the retained replication log per stream in
 	// tuples (default DefaultReplicationLog). A follower that falls
@@ -183,13 +184,10 @@ type Options struct {
 	// far ahead of the slowest, the oldest pending window is
 	// force-released without the laggard's contribution, counted in
 	// exacml_merge_forced_total; bit-exact global answers are only
-	// guaranteed while the bound is never hit.
-	MergeBuffer int
-	// MergeLateness bounds how long the merge stage waits on a lagging
-	// partition before force-releasing the oldest pending window. The
-	// default 0 waits indefinitely — correctness first: a dead shard is
+	// guaranteed while the bound is never hit. It is the only skew
+	// bound: below it the stage waits indefinitely — a dead shard is
 	// handled by replication failover, not by timing out its windows.
-	MergeLateness time.Duration
+	MergeBuffer int
 	// OnShardDown, when non-nil, is invoked once per shard whose
 	// backend is declared down, with the shard index and terminal
 	// error (observability hook; called from a backend goroutine).
@@ -1348,7 +1346,7 @@ func (rt *Runtime) PublishBatchVerdict(streamName string, ts []stream.Tuple) (Pu
 		// shard watermark; the stamp lock makes the pair (G, A) consistent
 		// for frontier snapshots. A bucket the shard then refuses leaves
 		// its positions permanently unwatermarked — the merge stage stalls
-		// on such holes until its lateness bound (if any) forces release.
+		// on such holes until its buffer bound forces release.
 		r.stampA[si].Store(bucket[len(bucket)-1].Seq)
 		n, err := rt.shards[tgt].enqueue(sname, ad.cfg.Class, r.counters, repl, bucket, sp)
 		sp = nil

@@ -363,7 +363,8 @@ func (s *Server) handleGovernorStats(_ *protocol.Message, _ *protocol.Conn) (any
 // handleSubscribe hijacks the connection, mirroring the dsmsd server:
 // an acknowledging ".ok" frame is followed by MsgStreamTuple pushes
 // until the subscription or connection dies. This is how consumers
-// reach granted handles when the server runs an embedded runtime.
+// reach granted handles when the server has a runtime attached (every
+// exacmld does; a hand-built server.New without one refuses).
 func (s *Server) handleSubscribe(m *protocol.Message, conn *protocol.Conn) (any, error) {
 	if s.pub == nil {
 		return nil, fmt.Errorf("server: no ingest runtime attached")

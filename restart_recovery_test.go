@@ -39,10 +39,10 @@ type statszRecovery struct {
 }
 
 // TestRestartRecoverySmoke is the process-level crash drill: an
-// embedded exacmld with a state dir takes a granted query and a
-// governor demotion, is killed with SIGKILL, and a fresh process on the
-// same directory must come back ready with the stream catalog, the
-// deployed query, the audit chain and the demotion all intact.
+// exacmld on in-process shards with a state dir takes a granted query
+// and a governor demotion, is killed with SIGKILL, and a fresh process
+// on the same directory must come back ready with the stream catalog,
+// the deployed query, the audit chain and the demotion all intact.
 func TestRestartRecoverySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -61,7 +61,7 @@ func TestRestartRecoverySmoke(t *testing.T) {
 	startServer := func() *exec.Cmd {
 		cmd := exec.Command(filepath.Join(bin, "exacmld"),
 			"-addr", serverAddr,
-			"-embedded",
+			"-shards", "4",
 			"-state-dir", stateDir,
 			"-checkpoint-interval", "100ms",
 			"-ops-bind", opsAddr,
