@@ -4,6 +4,12 @@
 // synthetic data into them. With -bare it registers nothing — the
 // shape a remote shard of an exacmld runtime wants, since the runtime
 // creates streams over the wire itself (exacmld -shard-addrs).
+//
+// A dsmsd is a shard of the exacmld in front of it: admission happens
+// there, and the dsmsd validates and ingests every batch it receives.
+// Its port is a trusted internal port (any peer can deploy, subscribe
+// or drop a stream without reaching the PDP), so bind -addr to a
+// private interface.
 package main
 
 import (
@@ -28,7 +34,6 @@ func main() {
 	interval := flag.Duration("interval", time.Second, "synthetic feed interval")
 	simnet := flag.Bool("simnet", false, "simulate 100 Mbps intranet latency per request")
 	bare := flag.Bool("bare", false, "register no built-in streams (remote shard of an exacmld runtime)")
-	trust := flag.Bool("trust-prevalidated", false, "skip schema re-validation for batches a trusted runtime marked prevalidated")
 	opsBind := flag.String("ops-bind", "", "ops HTTP listener (/metrics, /healthz, /readyz, /statsz, /debug/pprof); empty disables")
 	traceSample := flag.Int("trace-sample", 1024, "trace sampling period in ingested tuples, rounded up to a power of two")
 	flag.Parse()
@@ -53,7 +58,6 @@ func main() {
 		profile = netsim.Intranet100Mbps(1)
 	}
 	srv := dsmsd.NewServer(engine, profile)
-	srv.TrustPrevalidated = *trust
 	if *opsBind != "" {
 		reg := telemetry.NewRegistry()
 		srv.EnableTelemetry(reg, *traceSample)

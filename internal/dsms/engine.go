@@ -118,6 +118,11 @@ type inputStream struct {
 	seq    uint64
 	gone   bool // set when the stream is dropped; fails in-flight seals
 
+	// applied is the stream's replication position (see Replicate);
+	// replMu serializes its writers.
+	replMu  sync.Mutex
+	applied atomic.Uint64
+
 	// pool recycles the stream's columnar batches: a batch returns here
 	// when the last query releases it, so the steady state allocates no
 	// batch storage. Oversized batches are dropped instead of pooled to
@@ -755,6 +760,11 @@ func (e *Engine) ingestBatch(streamName string, ts []stream.Tuple, prevalidated 
 		sp.Finish()
 		return err
 	}
+	return e.ingestInto(is, ts, prevalidated, sp, traced)
+}
+
+// ingestInto is ingestBatch against an already-resolved stream.
+func (e *Engine) ingestInto(is *inputStream, ts []stream.Tuple, prevalidated bool, sp *telemetry.Span, traced bool) error {
 	if tel := e.tel.Load(); tel != nil {
 		// One atomic add per batch: the offered-tuples counter is also
 		// the sampling clock, so tracing costs no extra atomics until a

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dsms"
 	"repro/internal/dsmsd"
+	"repro/internal/metrics"
 	"repro/internal/runtime"
 	"repro/internal/stream"
 )
@@ -25,51 +26,55 @@ func convBatch(n int) []stream.Tuple {
 	return out
 }
 
-// TestRemoteShardReconfigureConverges runs a sharded runtime whose only
-// shard is a live dsmsd process and verifies the admission state
-// converges onto it: registration declares the initial class/quota,
-// Runtime.Reconfigure pushes the demoted state, direct publishers
-// bypassing the runtime are metered by the dsmsd itself, and the
-// runtime's own (already metered, prevalidated) traffic is not metered
-// twice.
-func TestRemoteShardReconfigureConverges(t *testing.T) {
+// remoteShardRuntime is the paper's shape: a stock dsmsd (started the
+// way cmd/dsmsd starts it) behind a runtime with one remote shard.
+func remoteShardRuntime(t *testing.T) (*dsms.Engine, string, *runtime.Runtime) {
+	t.Helper()
 	eng := dsms.NewEngine("remote")
 	t.Cleanup(eng.Close)
 	srv := dsmsd.NewServer(eng, nil)
-	srv.TrustPrevalidated = true
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-
 	rt := runtime.New("conv", runtime.Options{
 		Backends: []runtime.BackendSpec{{Addr: addr, Remote: runtime.RemoteOptions{
 			HealthInterval: -1, CallTimeout: 5 * time.Second,
 		}}},
 	})
-	defer rt.Close()
+	t.Cleanup(rt.Close)
+	return eng, addr, rt
+}
 
+// streamRow returns a stream's Stats row after asserting the accounting
+// invariant on it.
+func streamRow(t *testing.T, rt *runtime.Runtime, name string) metrics.StreamStat {
+	t.Helper()
+	for _, row := range rt.Stats().Streams {
+		if row.Stream != name {
+			continue
+		}
+		if row.Offered != row.Ingested+row.Dropped+row.Errors {
+			t.Fatalf("invariant: %+v", row)
+		}
+		return row
+	}
+	t.Fatalf("no stats row for stream %q", name)
+	return metrics.StreamStat{}
+}
+
+// TestRemoteShardReconfigureConverges: on a runtime whose only shard is
+// a live dsmsd, Runtime.Reconfigure is the whole demotion. The front
+// meters the runtime's traffic once, to the demoted quota, and every
+// tuple it accepts lands in the dsmsd's engine.
+func TestRemoteShardReconfigureConverges(t *testing.T) {
+	eng, _, rt := remoteShardRuntime(t)
 	if err := rt.CreateStream("s", convSchema(),
 		runtime.WithClass(runtime.Critical), runtime.WithQuota(500, 50)); err != nil {
 		t.Fatal(err)
 	}
 
-	// Registration already declared the admission state remotely.
-	probe, err := dsmsd.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = probe.Close() })
-	cfg, err := probe.Admission("s")
-	if err != nil || cfg == nil {
-		t.Fatalf("Admission after create = %+v, %v", cfg, err)
-	}
-	if cfg.Class != "critical" || cfg.Rate != 500 || cfg.Burst != 50 {
-		t.Fatalf("declared admission = %+v, want critical 500/s:50", cfg)
-	}
-
-	// Demote through the runtime; the dsmsd must converge.
 	old, err := rt.Reconfigure("s", runtime.StreamConfig{Class: runtime.BestEffort, Rate: 25, Burst: 10})
 	if err != nil {
 		t.Fatalf("Reconfigure: %v", err)
@@ -77,53 +82,65 @@ func TestRemoteShardReconfigureConverges(t *testing.T) {
 	if old.Class != runtime.Critical || old.Rate != 500 {
 		t.Fatalf("previous config = %+v", old)
 	}
-	cfg, err = probe.Admission("s")
-	if err != nil || cfg == nil || cfg.Class != "besteffort" || cfg.Rate != 25 || cfg.Burst != 10 {
-		t.Fatalf("converged admission = %+v, %v; want besteffort 25/s:10", cfg, err)
+	if cfg, err := rt.StreamAdmission("s"); err != nil || cfg.Class != runtime.BestEffort || cfg.Rate != 25 || cfg.Burst != 10 {
+		t.Fatalf("admission after demotion = %+v, %v; want besteffort 25/s:10", cfg, err)
 	}
 
-	// A direct publisher (bypassing the runtime) is metered to the
-	// demoted rate by the dsmsd itself.
-	v, err := probe.IngestBatchVerdict("s", convBatch(50))
-	if err != nil {
-		t.Fatalf("direct ingest: %v", err)
-	}
-	if v.Accepted > 12 || v.Shed < 38 {
-		t.Fatalf("direct verdict = %+v, want ~10 of 50 admitted under the demoted quota", v)
-	}
-
-	// The runtime's own path meters once, at the front: whatever its
-	// bucket grants is ingested remotely without a second shed.
 	rv, err := rt.PublishBatchVerdict("s", convBatch(30))
 	if err != nil {
 		t.Fatalf("runtime publish: %v", err)
 	}
-	if rv.Shed == 0 {
-		t.Fatalf("front quota did not meter: %+v", rv)
+	if rv.Shed == 0 || rv.Accepted > 12 {
+		t.Fatalf("front verdict = %+v, want ~10 of 30 admitted under the demoted quota", rv)
 	}
 	rt.Flush()
-	st := rt.Stats()
-	for _, row := range st.Streams {
-		if row.Stream != "s" {
-			continue
-		}
-		if row.Offered != row.Ingested+row.Dropped+row.Errors {
-			t.Fatalf("invariant: %+v", row)
-		}
-		if row.Errors != 0 {
-			t.Fatalf("remote shard double-metered the runtime's batches: %+v", row)
-		}
-		if row.Ingested != uint64(rv.Accepted) {
-			t.Fatalf("ingested %d != accepted %d: prevalidated batches must not be re-shed", row.Ingested, rv.Accepted)
-		}
-		if row.Reconfigured != 1 {
-			t.Fatalf("Reconfigured = %d, want 1", row.Reconfigured)
-		}
+	row := streamRow(t, rt, "s")
+	if row.Errors != 0 || row.Ingested != uint64(rv.Accepted) || row.Reconfigured != 1 {
+		t.Fatalf("stream row = %+v, want %d ingested, no errors, one reconfigure", row, rv.Accepted)
+	}
+	if seq, err := eng.StreamSeq("s"); err != nil || seq != row.Ingested {
+		t.Fatalf("dsmsd sealed %d tuples (%v), runtime ingested %d: accepted tuples must all land", seq, err, row.Ingested)
 	}
 
-	// Reconfiguring an unregistered stream still fails cleanly.
 	if _, err := rt.Reconfigure("ghost", runtime.StreamConfig{}); err == nil {
 		t.Fatal("reconfigure of unknown stream must fail")
+	}
+}
+
+// TestRemoteShardNoSilentShed: a direct publisher that drains a quota's
+// worth of tuples into the dsmsd must not cost the runtime's own
+// traffic anything. The runtime is the only admission point, so every
+// tuple it reports ingested is in the dsmsd's engine, and the
+// accounting invariant holds with nothing hidden.
+func TestRemoteShardNoSilentShed(t *testing.T) {
+	eng, addr, rt := remoteShardRuntime(t)
+	if err := rt.CreateStream("s", convSchema(), runtime.WithQuota(1, 10)); err != nil {
+		t.Fatal(err)
+	}
+	direct, err := dsmsd.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = direct.Close() })
+	if err := direct.IngestBatchPrevalidated("s", convBatch(10)); err != nil {
+		t.Fatalf("direct batch: %v", err)
+	}
+
+	rv, err := rt.PublishBatchVerdict("s", convBatch(10))
+	if err != nil {
+		t.Fatalf("runtime publish: %v", err)
+	}
+	rt.Flush()
+	row := streamRow(t, rt, "s")
+	if row.Ingested != uint64(rv.Accepted) || rv.Accepted == 0 {
+		t.Fatalf("stream row = %+v, verdict %+v", row, rv)
+	}
+	seq, err := eng.StreamSeq("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != 10+row.Ingested {
+		t.Fatalf("dsmsd sealed %d tuples, want 10 direct + %d runtime-ingested: the dsmsd shed admitted tuples silently", seq, row.Ingested)
 	}
 }
 

@@ -3,21 +3,25 @@
 // paper's data server talks to — and provides the matching client,
 // which satisfies xacmlplus.StreamEngine so the PEP can use a remote
 // engine exactly like a local one.
+//
+// A dsmsd is a shard, not a front door: its verbs are the wire form of
+// runtime.ShardBackend, and admission (quotas, classes, governor
+// demotions) happens only in the runtime in front of it. The port is a
+// trusted internal port — any peer can deploy, subscribe or drop a
+// stream without reaching the PDP — so bind it to a private interface.
+// Every ingested batch is still validated against its stream's schema.
 package dsmsd
 
 import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/dsms"
 	"repro/internal/netsim"
 	"repro/internal/protocol"
-	"repro/internal/ratelimit"
 	"repro/internal/stream"
 	"repro/internal/streamql"
 	"repro/internal/telemetry"
@@ -30,15 +34,12 @@ const (
 	MsgSchema       = "dsms.schema"
 	MsgDeploy       = "dsms.deploy"
 	MsgWithdraw     = "dsms.withdraw"
-	MsgIngest       = "dsms.ingest"
 	MsgIngestBatch  = "dsms.ingest_batch"
 	MsgFlush        = "dsms.flush"
 	MsgQueryCount   = "dsms.query_count"
 	MsgPing         = "dsms.ping"
 	MsgSubscribe    = "dsms.subscribe"
 	MsgTuple        = "dsms.tuple"
-	MsgReconfigure  = "dsms.reconfigure"
-	MsgAdmission    = "dsms.admission"
 	// Replication / failover verbs (replicated shard topology): a
 	// fronting runtime ships a primary stream's accepted tuples to
 	// follower dsmsds with MsgReplicate, reads back the follower's
@@ -62,6 +63,8 @@ func coded(err error) error {
 		return protocol.WithCode(protocol.CodeAlreadyExists, err)
 	case errors.Is(err, dsms.ErrUnknownStream), errors.Is(err, dsms.ErrUnknownQuery):
 		return protocol.WithCode(protocol.CodeNotFound, err)
+	case errors.Is(err, dsms.ErrReplicaGap):
+		return protocol.WithCode(protocol.CodeReplicaGap, err)
 	}
 	return err
 }
@@ -111,31 +114,12 @@ type WithdrawReq struct {
 	IDOrHandle string `json:"id_or_handle"`
 }
 
-// IngestReq appends a tuple to a stream.
-type IngestReq struct {
-	Stream string       `json:"stream"`
-	Tuple  stream.Tuple `json:"tuple"`
-}
-
 // IngestBatchReq appends a batch of tuples to a stream in one round
-// trip; the engine admits the batch under a single pass through its
-// lock. Prevalidated marks batches an upstream runtime already checked
-// against the stream schema, skipping the engine's conformance walk.
+// trip; the engine validates the batch against the stream schema and
+// admits it under a single pass through its lock.
 type IngestBatchReq struct {
-	Stream       string         `json:"stream"`
-	Tuples       []stream.Tuple `json:"tuples"`
-	Prevalidated bool           `json:"prevalidated,omitempty"`
-}
-
-// IngestBatchResp reports the admission outcome of one wire batch:
-// Offered tuples arrived, Accepted reached the engine, Shed were
-// refused by the stream's admission quota (see StreamAdmission) before
-// touching it. Older clients that decode the response into struct{}
-// simply ignore the counts.
-type IngestBatchResp struct {
-	Offered  int `json:"offered"`
-	Accepted int `json:"accepted"`
-	Shed     int `json:"shed,omitempty"`
+	Stream string         `json:"stream"`
+	Tuples []stream.Tuple `json:"tuples"`
 }
 
 // QueryCountResp reports the number of running continuous queries.
@@ -143,58 +127,14 @@ type QueryCountResp struct {
 	Count int `json:"count"`
 }
 
-// StreamAdmission is the admission configuration a fronting runtime
-// declares for one stream on this dsmsd: the priority class the stream
-// currently holds and its token-bucket quota (Rate == 0 means
-// unlimited). The dsmsd enforces the quota on *direct* ingest, so a
-// governor demotion converges onto remote shards: a publisher that
-// bypasses the data server and feeds the dsmsd directly is metered to
-// the same tightened rate. Batches a fronting runtime marked
-// Prevalidated are exempt — they were already metered at the
-// runtime's admission layer — but only when the server was started
-// with TrustPrevalidated, the same gate the schema-revalidation skip
-// uses: the flag comes from the network, so honouring it from
-// untrusted peers would let any publisher opt out of its quota. On an
-// untrusted server fronted by a runtime, declared quotas therefore
-// meter the runtime's own traffic a second time (bounded transient
-// over-shedding of at most one burst); pair runtime-fronted dsmsds
-// with -trust-prevalidated, as the operations guide recommends.
-type StreamAdmission struct {
-	Stream string  `json:"stream"`
-	Class  string  `json:"class"`
-	Rate   float64 `json:"rate"`
-	Burst  int     `json:"burst"`
-}
-
-// ReconfigureReq installs (or replaces) a stream's admission
-// configuration; the stream must be registered. A Rate of 0 clears the
-// quota.
-type ReconfigureReq struct {
-	Config StreamAdmission `json:"config"`
-}
-
-// AdmissionReq asks for a stream's stored admission configuration.
-type AdmissionReq struct {
-	Stream string `json:"stream"`
-}
-
-// AdmissionResp carries the stored configuration, or nil when none was
-// ever declared for the stream.
-type AdmissionResp struct {
-	Config *StreamAdmission `json:"config,omitempty"`
-}
-
 // ReplicateReq ships a contiguous run of a replicated stream's tuples
-// to this follower. Base is the absolute replication position of the
-// tuple *before* Tuples[0] (i.e. how many tuples of the stream the
-// shipper believes this follower has already applied), so a retried
-// batch after a lost ack is deduplicated by trimming the
-// already-applied prefix instead of double-ingesting it. Reset declares
-// that the tuples between this follower's applied position and Base
-// were trimmed from the shipper's bounded log and are permanently lost
-// (the shipper counts them as the follower's gap): the server jumps its
-// applied position forward to Base instead of refusing with
-// replica_gap. Reset never moves the position backward.
+// to this follower; the server applies it with dsms.Engine.Replicate.
+// Base is the absolute replication position of the tuple *before*
+// Tuples[0], so a retried batch after a lost ack is deduplicated
+// instead of double-ingested. Reset declares that the tuples between
+// this follower's applied position and Base were trimmed from the
+// shipper's bounded log and are permanently lost: the position jumps
+// forward to Base instead of the batch being refused with replica_gap.
 type ReplicateReq struct {
 	Stream string         `json:"stream"`
 	Base   uint64         `json:"base"`
@@ -214,7 +154,8 @@ type ReplicaStatusReq struct {
 	Stream string `json:"stream"`
 }
 
-// ReplicaStatusResp reports it (0 for a stream never replicated to).
+// ReplicaStatusResp reports it (0 for a stream never replicated to;
+// not_found for an unknown stream).
 type ReplicaStatusResp struct {
 	Acked uint64 `json:"acked"`
 }
@@ -260,12 +201,6 @@ type SubscribeReq struct {
 type Server struct {
 	Engine *dsms.Engine
 	srv    *protocol.Server
-	// TrustPrevalidated honours the client's IngestBatchReq.Prevalidated
-	// flag, skipping the engine's schema conformance walk. Leave false
-	// (the default: every wire batch is validated) unless every peer is
-	// a trusted runtime that already validated — the flag comes from the
-	// network, so honouring it lets any client bypass validation.
-	TrustPrevalidated bool
 	// ConnectDelay simulates the paper's observation that establishing
 	// the initial connection to StreamBase takes much longer than
 	// subsequent queries; applied once per new deploy-capable client
@@ -273,32 +208,12 @@ type Server struct {
 	ConnectDelay time.Duration
 	firstDeploys atomic.Int64
 	boundAddr    string
-
-	// admMu guards adm, the per-stream admission configurations
-	// declared over MsgReconfigure (keyed by lowercased stream name).
-	admMu sync.Mutex
-	adm   map[string]*admEntry
-
-	// replMu guards repl, the per-stream applied replication positions
-	// (keyed by lowercased stream name) MsgReplicate batches are
-	// deduplicated against.
-	replMu sync.Mutex
-	repl   map[string]uint64
-}
-
-// admEntry pairs a declared admission configuration with the live
-// token bucket enforcing its quota on direct ingest (the same
-// ratelimit.Bucket the fronting runtime meters with, so the two layers
-// cannot diverge on refill or burst semantics).
-type admEntry struct {
-	cfg    StreamAdmission
-	bucket *ratelimit.Bucket
 }
 
 // NewServer builds the service around an engine. profile, when non-nil,
 // injects simulated network latency on every request/response pair.
 func NewServer(engine *dsms.Engine, profile *netsim.Profile) *Server {
-	s := &Server{Engine: engine, srv: protocol.NewServer(), adm: map[string]*admEntry{}, repl: map[string]uint64{}}
+	s := &Server{Engine: engine, srv: protocol.NewServer()}
 	if profile != nil {
 		s.srv.Delay = profile.RoundTrip
 	}
@@ -307,14 +222,11 @@ func NewServer(engine *dsms.Engine, profile *netsim.Profile) *Server {
 	s.srv.Handle(MsgSchema, s.handleSchema)
 	s.srv.Handle(MsgDeploy, s.handleDeploy)
 	s.srv.Handle(MsgWithdraw, s.handleWithdraw)
-	s.srv.Handle(MsgIngest, s.handleIngest)
 	s.srv.Handle(MsgIngestBatch, s.handleIngestBatch)
 	s.srv.Handle(MsgFlush, s.handleFlush)
 	s.srv.Handle(MsgQueryCount, s.handleQueryCount)
 	s.srv.Handle(MsgPing, s.handlePing)
 	s.srv.Handle(MsgSubscribe, s.handleSubscribe)
-	s.srv.Handle(MsgReconfigure, s.handleReconfigure)
-	s.srv.Handle(MsgAdmission, s.handleAdmission)
 	s.srv.Handle(MsgReplicate, s.handleReplicate)
 	s.srv.Handle(MsgMigrate, s.handleMigrate)
 	s.srv.Handle(MsgReplicaStatus, s.handleReplicaStatus)
@@ -361,19 +273,7 @@ func (s *Server) handleDropStream(m *protocol.Message, _ *protocol.Conn) (any, e
 	if err != nil {
 		return nil, err
 	}
-	if err := s.Engine.DropStream(req.Name); err != nil {
-		return nil, coded(err)
-	}
-	// The stream is gone; a stale admission entry must not meter a
-	// future stream re-created under the same name, and a stale
-	// replication position must not trim batches bound for it.
-	s.admMu.Lock()
-	delete(s.adm, strings.ToLower(req.Name))
-	s.admMu.Unlock()
-	s.replMu.Lock()
-	delete(s.repl, strings.ToLower(req.Name))
-	s.replMu.Unlock()
-	return struct{}{}, nil
+	return struct{}{}, coded(s.Engine.DropStream(req.Name))
 }
 
 func (s *Server) handleSchema(m *protocol.Message, _ *protocol.Conn) (any, error) {
@@ -401,13 +301,27 @@ func (s *Server) handleDeploy(m *protocol.Message, _ *protocol.Conn) (any, error
 			time.Sleep(d / time.Duration(n))
 		}
 	}
-	c, err := streamql.CompileString(req.Script)
+	g, err := s.compile(req.Script, req.Stage)
+	if err != nil {
+		return nil, err
+	}
+	dep, err := s.Engine.Deploy(g)
+	if err != nil {
+		return nil, coded(err)
+	}
+	return DeployResp{QueryID: dep.ID, Handle: dep.Handle, OutputSchema: dep.OutputSchema}, nil
+}
+
+// compile turns a deploy or migrate script into the graph to run: the
+// input declaration that PEP-generated scripts embed is checked against
+// the registered stream, and stage, when set, marks the graph as one
+// shard's staged part.
+func (s *Server) compile(script string, stage *dsms.StageSpec) (*dsms.QueryGraph, error) {
+	c, err := streamql.CompileString(script)
 	if err != nil {
 		return nil, err
 	}
 	if c.Schema != nil {
-		// Scripts generated by the PEP embed the input declaration;
-		// verify it against the registered stream.
 		actual, err := s.Engine.StreamSchema(c.Input)
 		if err != nil {
 			return nil, coded(err)
@@ -416,14 +330,10 @@ func (s *Server) handleDeploy(m *protocol.Message, _ *protocol.Conn) (any, error
 			return nil, fmt.Errorf("dsmsd: script schema for %q does not match registered stream", c.Input)
 		}
 	}
-	if req.Stage != nil {
-		c.Graph.Stage = req.Stage.Clone()
+	if stage != nil {
+		c.Graph.Stage = stage.Clone()
 	}
-	dep, err := s.Engine.Deploy(c.Graph)
-	if err != nil {
-		return nil, coded(err)
-	}
-	return DeployResp{QueryID: dep.ID, Handle: dep.Handle, OutputSchema: dep.OutputSchema}, nil
+	return c.Graph, nil
 }
 
 func (s *Server) handleWithdraw(m *protocol.Message, _ *protocol.Conn) (any, error) {
@@ -434,166 +344,23 @@ func (s *Server) handleWithdraw(m *protocol.Message, _ *protocol.Conn) (any, err
 	return struct{}{}, coded(s.Engine.Withdraw(req.IDOrHandle))
 }
 
-// admit runs n tuples of a direct (non-prevalidated) ingest through the
-// stream's declared admission quota, returning how many may proceed.
-func (s *Server) admit(streamName string, n int) int {
-	s.admMu.Lock()
-	e := s.adm[strings.ToLower(streamName)]
-	s.admMu.Unlock()
-	if e == nil || e.bucket == nil {
-		return n
-	}
-	return e.bucket.Take(n)
-}
-
-func (s *Server) handleIngest(m *protocol.Message, _ *protocol.Conn) (any, error) {
-	req, err := protocol.Decode[IngestReq](m)
-	if err != nil {
-		return nil, err
-	}
-	if s.admit(req.Stream, 1) == 0 {
-		return nil, protocol.WithCode(protocol.CodeQuotaExceeded,
-			fmt.Errorf("dsmsd: stream %q: admission quota exceeded", req.Stream))
-	}
-	return struct{}{}, coded(s.Engine.Ingest(req.Stream, req.Tuple))
-}
-
 func (s *Server) handleIngestBatch(m *protocol.Message, _ *protocol.Conn) (any, error) {
 	req, err := protocol.Decode[IngestBatchReq](m)
 	if err != nil {
 		return nil, err
 	}
-	n := len(req.Tuples)
-	grant := n
-	if !(req.Prevalidated && s.TrustPrevalidated) {
-		// Direct publishers pass the stream's declared quota; batches a
-		// *trusted* fronting runtime marked prevalidated were already
-		// metered at its admission layer (double-metering would shed
-		// twice). The exemption is gated on TrustPrevalidated exactly
-		// like the schema exemption below: the flag comes from the
-		// network, and honouring it on an untrusted port would let any
-		// publisher opt out of its quota.
-		grant = s.admit(req.Stream, n)
-	}
-	ts := req.Tuples[:grant]
-	if req.Prevalidated && s.TrustPrevalidated {
-		// The decoded batch is request-scoped, so hand it to the engine
-		// outright: a canonical batch reaches the query mailboxes with
-		// zero copying.
-		err = s.Engine.IngestBatchPrevalidated(req.Stream, ts)
-	} else if grant > 0 || n == 0 {
-		err = s.Engine.IngestBatch(req.Stream, ts)
-	} else {
-		// Fully shed batch: still verify the stream exists so a flooder
-		// probing an unknown stream sees not_found, not a quiet shed.
-		_, err = s.Engine.StreamSchema(req.Stream)
-	}
-	if err != nil {
-		return nil, coded(err)
-	}
-	return IngestBatchResp{Offered: n, Accepted: grant, Shed: n - grant}, nil
+	return struct{}{}, coded(s.Engine.IngestBatch(req.Stream, req.Tuples))
 }
 
-func (s *Server) handleReconfigure(m *protocol.Message, _ *protocol.Conn) (any, error) {
-	req, err := protocol.Decode[ReconfigureReq](m)
-	if err != nil {
-		return nil, err
-	}
-	cfg := req.Config
-	if cfg.Stream == "" {
-		return nil, protocol.WithCode(protocol.CodeBadRequest, fmt.Errorf("dsmsd: reconfigure needs a stream name"))
-	}
-	if !(cfg.Rate >= 0) || cfg.Burst < 0 { // the positive form rejects NaN
-		return nil, protocol.WithCode(protocol.CodeBadRequest,
-			fmt.Errorf("dsmsd: reconfigure %q: bad quota rate %v / burst %d", cfg.Stream, cfg.Rate, cfg.Burst))
-	}
-	if _, err := s.Engine.StreamSchema(cfg.Stream); err != nil {
-		return nil, coded(err)
-	}
-	s.admMu.Lock()
-	s.adm[strings.ToLower(cfg.Stream)] = &admEntry{cfg: cfg, bucket: ratelimit.New(cfg.Rate, cfg.Burst)}
-	s.admMu.Unlock()
-	return struct{}{}, nil
-}
-
-func (s *Server) handleAdmission(m *protocol.Message, _ *protocol.Conn) (any, error) {
-	req, err := protocol.Decode[AdmissionReq](m)
-	if err != nil {
-		return nil, err
-	}
-	s.admMu.Lock()
-	e := s.adm[strings.ToLower(req.Stream)]
-	s.admMu.Unlock()
-	if e == nil {
-		return AdmissionResp{}, nil
-	}
-	cfg := e.cfg
-	return AdmissionResp{Config: &cfg}, nil
-}
-
-// handleReplicate applies a shipped run of a replicated stream,
-// trimming any already-applied prefix (a shipper retry after a lost
-// ack) against the stored position. Replicated batches were already
-// validated and metered at the primary's admission layer, so the quota
-// exemption is gated on TrustPrevalidated exactly like ingest_batch;
-// on an untrusted server the batch is metered (and refused whole when
-// over quota — shedding a suffix would break the position contract).
 func (s *Server) handleReplicate(m *protocol.Message, _ *protocol.Conn) (any, error) {
 	req, err := protocol.Decode[ReplicateReq](m)
 	if err != nil {
 		return nil, err
 	}
-	key := strings.ToLower(req.Stream)
-	s.replMu.Lock()
-	applied := s.repl[key]
-	s.replMu.Unlock()
-	if req.Base > applied {
-		if !req.Reset {
-			// The shipper believes we hold tuples we never saw — this
-			// process restarted (or lost the stream) since the last ship.
-			// Accepting the batch would silently fork the stream's
-			// sequence lineage, so refuse; the shipper resyncs from
-			// ReplicaStatus and re-feeds from our real position (with
-			// Reset set when its log has trimmed past us).
-			return nil, protocol.WithCode(protocol.CodeReplicaGap,
-				fmt.Errorf("dsmsd: stream %q: replication base %d ahead of applied position %d",
-					req.Stream, req.Base, applied))
-		}
-		// Declared trim gap: the tuples between applied and Base no
-		// longer exist on the shipper (counted there as our gap), so
-		// jump forward and let the retained tail re-feed us.
-		applied = req.Base
+	acked, err := s.Engine.Replicate(req.Stream, req.Base, req.Reset, req.Tuples)
+	if err != nil {
+		return nil, coded(err)
 	}
-	ts := req.Tuples
-	if req.Base < applied {
-		skip := applied - req.Base
-		if skip >= uint64(len(ts)) {
-			ts = nil
-		} else {
-			ts = ts[skip:]
-		}
-	}
-	if len(ts) > 0 {
-		if !s.TrustPrevalidated && s.admit(req.Stream, len(ts)) < len(ts) {
-			return nil, protocol.WithCode(protocol.CodeQuotaExceeded,
-				fmt.Errorf("dsmsd: stream %q: replication refused by admission quota", req.Stream))
-		}
-		if s.TrustPrevalidated {
-			err = s.Engine.IngestBatchPrevalidated(req.Stream, ts)
-		} else {
-			err = s.Engine.IngestBatch(req.Stream, ts)
-		}
-		if err != nil {
-			return nil, coded(err)
-		}
-	}
-	end := req.Base + uint64(len(req.Tuples))
-	s.replMu.Lock()
-	if end > s.repl[key] {
-		s.repl[key] = end
-	}
-	acked := s.repl[key]
-	s.replMu.Unlock()
 	return ReplicateResp{Acked: acked}, nil
 }
 
@@ -602,9 +369,10 @@ func (s *Server) handleReplicaStatus(m *protocol.Message, _ *protocol.Conn) (any
 	if err != nil {
 		return nil, err
 	}
-	s.replMu.Lock()
-	acked := s.repl[strings.ToLower(req.Stream)]
-	s.replMu.Unlock()
+	acked, err := s.Engine.ReplicaStatus(req.Stream)
+	if err != nil {
+		return nil, coded(err)
+	}
 	return ReplicaStatusResp{Acked: acked}, nil
 }
 
@@ -627,44 +395,13 @@ func (s *Server) handleMigrate(m *protocol.Message, _ *protocol.Conn) (any, erro
 		return nil, protocol.WithCode(protocol.CodeBadRequest,
 			fmt.Errorf("dsmsd: migrate needs either an export id or a script"))
 	}
-	c, err := streamql.CompileString(req.Script)
+	g, err := s.compile(req.Script, req.Stage)
 	if err != nil {
 		return nil, err
 	}
-	if c.Schema != nil {
-		actual, err := s.Engine.StreamSchema(c.Input)
-		if err != nil {
-			return nil, coded(err)
-		}
-		if !actual.Equal(c.Schema) {
-			return nil, fmt.Errorf("dsmsd: migrate script schema for %q does not match registered stream", c.Input)
-		}
-	}
-	if req.Replace != "" {
-		// A standby part being promoted in place: its window state is
-		// superseded by the imported one. not_found is fine — the old
-		// part may have died with a previous process.
-		if err := s.Engine.Withdraw(req.Replace); err != nil && !errors.Is(err, dsms.ErrUnknownQuery) {
-			return nil, coded(err)
-		}
-	}
-	if req.State != nil && req.State.InputSeq > 0 {
-		if err := s.Engine.SetStreamSeq(c.Graph.Input, req.State.InputSeq); err != nil && !errors.Is(err, dsms.ErrSeqBehind) {
-			return nil, coded(err)
-		}
-	}
-	if req.Stage != nil {
-		c.Graph.Stage = req.Stage.Clone()
-	}
-	dep, err := s.Engine.Deploy(c.Graph)
+	dep, err := s.Engine.ImportQuery(g, req.Replace, req.State)
 	if err != nil {
 		return nil, coded(err)
-	}
-	if req.State != nil {
-		if err := s.Engine.ImportQueryState(dep.ID, req.State); err != nil {
-			_ = s.Engine.Withdraw(dep.ID)
-			return nil, coded(err)
-		}
 	}
 	return MigrateResp{QueryID: dep.ID, Handle: dep.Handle, OutputSchema: dep.OutputSchema}, nil
 }
@@ -822,54 +559,11 @@ func (c *Client) Withdraw(idOrHandle string) error {
 	return err
 }
 
-// Ingest appends a tuple to a remote stream.
-func (c *Client) Ingest(streamName string, t stream.Tuple) error {
-	_, err := c.rpc.Call(MsgIngest, IngestReq{Stream: streamName, Tuple: t})
-	return err
-}
-
-// IngestBatch appends a batch of tuples to a remote stream in one
-// round trip.
-func (c *Client) IngestBatch(streamName string, ts []stream.Tuple) error {
-	_, err := c.rpc.Call(MsgIngestBatch, IngestBatchReq{Stream: streamName, Tuples: ts})
-	return err
-}
-
-// IngestBatchVerdict appends a batch of tuples and reports the server's
-// admission outcome: tuples beyond the stream's declared quota are shed
-// server-side and counted in the verdict rather than failing the call.
-func (c *Client) IngestBatchVerdict(streamName string, ts []stream.Tuple) (IngestBatchResp, error) {
-	return protocol.CallDecode[IngestBatchResp](c.rpc, MsgIngestBatch,
-		IngestBatchReq{Stream: streamName, Tuples: ts})
-}
-
-// Reconfigure installs a stream's admission configuration on the
-// server: the class it currently holds and the token-bucket quota
-// enforced on direct (non-prevalidated) ingest. The sharded runtime
-// calls this whenever a stream's class or quota changes, so remote
-// shards converge on the same admission state the front holds.
-func (c *Client) Reconfigure(cfg StreamAdmission) error {
-	_, err := c.rpc.Call(MsgReconfigure, ReconfigureReq{Config: cfg})
-	return err
-}
-
-// Admission fetches a stream's stored admission configuration (nil when
-// none was declared).
-func (c *Client) Admission(streamName string) (*StreamAdmission, error) {
-	resp, err := protocol.CallDecode[AdmissionResp](c.rpc, MsgAdmission, AdmissionReq{Stream: streamName})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Config, nil
-}
-
-// IngestBatchPrevalidated appends a batch the caller has already
-// validated against the stream schema (the sharded runtime's publish
-// path). The engine's conformance walk is skipped only when the server
-// was configured with TrustPrevalidated; otherwise the flag is a hint
-// and the batch is validated again.
+// IngestBatchPrevalidated appends a batch of tuples to a remote stream
+// in one round trip. The name is historical: the dsmsd validates every
+// batch against the stream schema, whoever sends it.
 func (c *Client) IngestBatchPrevalidated(streamName string, ts []stream.Tuple) error {
-	_, err := c.rpc.Call(MsgIngestBatch, IngestBatchReq{Stream: streamName, Tuples: ts, Prevalidated: true})
+	_, err := c.rpc.Call(MsgIngestBatch, IngestBatchReq{Stream: streamName, Tuples: ts})
 	return err
 }
 

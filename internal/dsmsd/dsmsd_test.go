@@ -1,12 +1,14 @@
 package dsmsd
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dsms"
+	"repro/internal/protocol"
 	"repro/internal/stream"
 )
 
@@ -91,8 +93,8 @@ SELECT * FROM s WHERE a > 5 INTO output;`
 		t.Fatalf("Subscribe: %v", err)
 	}
 	for i := int64(0); i < 10; i++ {
-		if err := cli.Ingest("s", stream.NewTuple(stream.IntValue(i), stream.DoubleValue(0))); err != nil {
-			t.Fatalf("Ingest: %v", err)
+		if err := cli.IngestBatchPrevalidated("s", []stream.Tuple{stream.NewTuple(stream.IntValue(i), stream.DoubleValue(0))}); err != nil {
+			t.Fatalf("ingest: %v", err)
 		}
 	}
 	// 6,7,8,9 pass the filter.
@@ -158,11 +160,41 @@ func TestRemoteDeployErrors(t *testing.T) {
 		t.Error("unknown stream must fail")
 	}
 	// Bad ingest.
-	if err := cli.Ingest("nosuch", stream.NewTuple()); err == nil {
+	if err := cli.IngestBatchPrevalidated("nosuch", []stream.Tuple{stream.NewTuple()}); err == nil {
 		t.Error("ingest to unknown stream must fail")
 	}
 	// Bad subscribe.
 	if err := cli.Subscribe("bogus"); err == nil {
 		t.Error("subscribe to unknown handle must fail")
+	}
+}
+
+// TestErrorCodes pins the structured codes the server attaches:
+// already_exists on stream collisions, not_found on unknown streams
+// and queries — readable on the client through protocol.ErrorCode, with
+// the error text unchanged.
+func TestErrorCodes(t *testing.T) {
+	_, cli := startServer(t)
+	if err := cli.CreateStream("s", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	err := cli.CreateStream("s", testSchema())
+	if err == nil || protocol.ErrorCode(err) != protocol.CodeAlreadyExists {
+		t.Fatalf("duplicate create = %v (code %q), want code %q", err, protocol.ErrorCode(err), protocol.CodeAlreadyExists)
+	}
+	if _, err := cli.StreamSchema("ghost"); protocol.ErrorCode(err) != protocol.CodeNotFound {
+		t.Fatalf("unknown schema lookup = %v (code %q), want %q", err, protocol.ErrorCode(err), protocol.CodeNotFound)
+	}
+	if err := cli.DropStream("ghost"); protocol.ErrorCode(err) != protocol.CodeNotFound {
+		t.Fatalf("unknown drop = %v (code %q), want %q", err, protocol.ErrorCode(err), protocol.CodeNotFound)
+	}
+	if err := cli.Withdraw("q99999"); protocol.ErrorCode(err) != protocol.CodeNotFound {
+		t.Fatalf("unknown withdraw = %v (code %q), want %q", err, protocol.ErrorCode(err), protocol.CodeNotFound)
+	}
+	// The code does not disturb errors.Is-style text handling elsewhere:
+	// the message is exactly the engine's.
+	var ce *protocol.CodedError
+	if !errors.As(err, &ce) || ce.Error() == "" {
+		t.Fatalf("coded error lost its message: %v", err)
 	}
 }

@@ -50,7 +50,7 @@ func TestSubscriberDisconnectCleansUp(t *testing.T) {
 	deadline := time.After(5 * time.Second)
 	for {
 		for i := 0; i < 50; i++ {
-			if err := ctl.Ingest("s", stream.NewTuple(stream.IntValue(int64(i)), stream.DoubleValue(0))); err != nil {
+			if err := ctl.IngestBatchPrevalidated("s", []stream.Tuple{stream.NewTuple(stream.IntValue(int64(i)), stream.DoubleValue(0))}); err != nil {
 				t.Fatalf("Ingest after subscriber death: %v", err)
 			}
 		}
@@ -102,7 +102,7 @@ func TestWithdrawWhileSubscribed(t *testing.T) {
 	if err := subCli.Subscribe(handle); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctl.Ingest("s", stream.NewTuple(stream.IntValue(1), stream.DoubleValue(0))); err != nil {
+	if err := ctl.IngestBatchPrevalidated("s", []stream.Tuple{stream.NewTuple(stream.IntValue(1), stream.DoubleValue(0))}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -114,7 +114,7 @@ func TestWithdrawWhileSubscribed(t *testing.T) {
 		t.Fatalf("Withdraw: %v", err)
 	}
 	// Further ingests flow into the void; server must stay responsive.
-	if err := ctl.Ingest("s", stream.NewTuple(stream.IntValue(2), stream.DoubleValue(0))); err != nil {
+	if err := ctl.IngestBatchPrevalidated("s", []stream.Tuple{stream.NewTuple(stream.IntValue(2), stream.DoubleValue(0))}); err != nil {
 		t.Fatalf("Ingest after withdraw: %v", err)
 	}
 	if _, err := ctl.StreamSchema("s"); err != nil {

@@ -7,11 +7,10 @@ import (
 )
 
 // TestRemoteEngineOps covers the wire operations the sharded runtime's
-// RemoteBackend depends on: ping, prevalidated batch ingest, flush,
-// query count and stream drop.
+// RemoteBackend depends on: ping, batch ingest, flush, query count and
+// stream drop.
 func TestRemoteEngineOps(t *testing.T) {
 	srv, cli := startServer(t)
-	srv.TrustPrevalidated = true
 
 	if err := cli.Ping(); err != nil {
 		t.Fatalf("Ping: %v", err)
@@ -58,7 +57,7 @@ func TestRemoteEngineOps(t *testing.T) {
 			t.Errorf("filtered tuple = %v, want a == 2", got)
 		}
 	default:
-		t.Error("prevalidated batch never reached the filter query")
+		t.Error("batch never reached the filter query")
 	}
 
 	if err := cli.DropStream("s"); err != nil {

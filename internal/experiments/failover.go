@@ -101,7 +101,6 @@ func RunFailoverBlastRadius(o FailoverOptions) (FailoverResult, error) {
 		profile = netsim.Intranet100Mbps(o.NetworkSeed)
 	}
 	srv := dsmsd.NewServer(dsms.NewEngine("failover-primary"), profile)
-	srv.TrustPrevalidated = true
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		return FailoverResult{}, err
@@ -194,7 +193,6 @@ func RunFailoverBlastRadius(o FailoverOptions) (FailoverResult, error) {
 			eng := dsms.NewEngine("failover-reborn")
 			for time.Now().Before(deadline) {
 				s := dsmsd.NewServer(eng, nil)
-				s.TrustPrevalidated = true
 				if _, err := s.Listen(addr); err == nil {
 					srv2 = s
 					return

@@ -47,7 +47,7 @@ func TestLiveStreamEndToEnd(t *testing.T) {
 
 	// Feed the stream through the direct client connection.
 	for _, tu := range makeWeatherTuples(400) {
-		if err := env.DirectClient.Ingest(item.Resource, tu); err != nil {
+		if err := env.DirectClient.IngestBatchPrevalidated(item.Resource, []stream.Tuple{tu}); err != nil {
 			t.Fatal(err)
 		}
 	}

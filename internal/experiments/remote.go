@@ -138,9 +138,6 @@ func RunRemoteShards(o RemoteShardsOptions) (RemoteShardsResult, error) {
 	}()
 	for i := 0; i < o.RemoteShards; i++ {
 		srv := dsmsd.NewServer(dsms.NewEngine(fmt.Sprintf("remote-%d", i)), profile)
-		// The only peer is our own runtime, which validates at publish
-		// time; measure the trusted-link fast path.
-		srv.TrustPrevalidated = true
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			return RemoteShardsResult{}, err

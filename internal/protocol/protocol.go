@@ -41,8 +41,6 @@ const (
 	CodeAlreadyExists = "already_exists"
 	// CodeNotFound: the named stream/query/policy does not exist.
 	CodeNotFound = "not_found"
-	// CodeQuotaExceeded: the request was refused by an admission quota.
-	CodeQuotaExceeded = "quota_exceeded"
 	// CodeBadRequest: the request payload failed validation.
 	CodeBadRequest = "bad_request"
 	// CodeReplicaGap: a replication batch's base position is ahead of

@@ -3,11 +3,9 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/dsms"
-	"repro/internal/protocol"
 	"repro/internal/stream"
 	"repro/internal/streamql"
 	"repro/internal/telemetry"
@@ -54,19 +52,43 @@ type DeployRequest struct {
 	Stage  *dsms.StageSpec
 }
 
-// ShardBackend is the engine surface one shard slot of the runtime
-// needs: stream DDL, the batch ingest the shard worker ships, the
-// xacmlplus.StreamEngine deploy/withdraw surface (via
-// Deploy/Withdraw), subscriptions, and lifecycle. LocalBackend adapts
-// an in-process dsms.Engine; RemoteBackend fronts a dsmsd process over
-// the socket protocol, so a runtime can mix in-process and remote
-// shards in one topology.
+// graph returns the compiled graph to deploy, preferring req.Graph and
+// compiling the script only when no graph was provided, with req.Stage
+// applied.
+func (req DeployRequest) graph() (*dsms.QueryGraph, error) {
+	g := req.Graph
+	if g == nil {
+		if req.Script == "" {
+			return nil, fmt.Errorf("runtime: deploy needs a graph or a script")
+		}
+		c, err := streamql.CompileString(req.Script)
+		if err != nil {
+			return nil, err
+		}
+		g = c.Graph
+	}
+	if req.Stage != nil && g.Stage == nil {
+		// Clone before marking: the runtime reuses one request across
+		// shard deploys, and mutating the shared graph would leak the
+		// stage into parts that must not have it.
+		g = g.Clone()
+		g.Stage = req.Stage.Clone()
+	}
+	return g, nil
+}
+
+// ShardBackend is the whole shard protocol: everything one shard slot
+// of the runtime asks of its engine. LocalBackend adapts an in-process
+// dsms.Engine; RemoteBackend fronts a dsmsd process, mapping each
+// method onto a dsmsd verb, so a runtime can mix in-process and remote
+// shards in one topology. The two must behave the same on every method.
 type ShardBackend interface {
 	// Kind names the backend flavour for stats ("local", "remote(addr)").
 	Kind() string
 	// CreateStream registers an input stream.
 	CreateStream(name string, schema *stream.Schema) error
-	// DropStream removes a stream, withdrawing queries reading from it.
+	// DropStream removes a stream, withdrawing queries reading from it
+	// and clearing its replication position.
 	DropStream(name string) error
 	// StreamSchema returns a registered stream's schema.
 	StreamSchema(name string) (*stream.Schema, error)
@@ -94,63 +116,39 @@ type ShardBackend interface {
 	Flush() error
 	// Close releases the backend (engine shutdown / connection close).
 	Close() error
-}
-
-// replicaTarget is the optional ShardBackend surface a replicated
-// stream's follower exposes: Replicate applies a contiguous run of the
-// primary's accepted tuples (base is the absolute position of the tuple
-// before ts[0]; redeliveries are deduplicated against it so shipping is
-// retry-safe), and ReplicaStatus reads back the applied position for
-// lag accounting. reset declares that the tuples between the follower's
-// applied position and base were trimmed from the shipper's bounded log
-// and are permanently lost (counted shipper-side as the follower's
-// gap): the receiver jumps its applied position forward to base instead
-// of refusing the batch — without it, a follower that restarted empty
-// after a log trim could never be re-fed (every ship would bounce off
-// the base-ahead-of-applied check forever). reset never moves the
-// applied position backward. Both ShardBackend implementations provide
-// the surface; it stays optional so test fakes and future backends
-// without replication remain valid shards.
-type replicaTarget interface {
+	// Replicate applies a contiguous run of a replicated stream's
+	// accepted tuples on a follower and returns the applied position;
+	// see dsms.Engine.Replicate for the dedup, replica-gap and reset
+	// contract.
 	Replicate(streamName string, base uint64, reset bool, ts []stream.Tuple) (uint64, error)
+	// ReplicaStatus reads back a stream's applied replication position.
 	ReplicaStatus(streamName string) (uint64, error)
-}
-
-// stateMigrator is the optional ShardBackend surface live query
-// migration uses: ExportQueryState serializes a query's window state
-// (see dsms.QueryState), ImportQuery deploys a script and installs a
-// previously exported state into the fresh query — optionally
-// withdrawing replaceID (a standby part being promoted in place) first
-// — so the migrated query emits exactly what the original would have.
-type stateMigrator interface {
+	// ExportQueryState serializes a query's window state (see
+	// dsms.QueryState).
 	ExportQueryState(idOrHandle string) (*dsms.QueryState, error)
+	// ImportQuery deploys req and installs a previously exported state
+	// into the fresh query, optionally withdrawing replaceID (a standby
+	// part being promoted in place) first, so the migrated query emits
+	// exactly what the original would have; see dsms.Engine.ImportQuery.
 	ImportQuery(req DeployRequest, replaceID string, st *dsms.QueryState) (BackendDeployment, error)
 }
 
-// stateImporter is the optional ShardBackend surface durable window
-// checkpoints use: unlike stateMigrator.ImportQuery (which deploys a
-// fresh query around the state), ImportQueryState installs a recovered
-// state into an ALREADY-deployed part, and SetStreamSeq fast-forwards
-// the input stream's sequence counter to the checkpoint's position.
-// Only in-process backends provide it — a remote part's state lives in
-// its dsmsd process and is not this node's to checkpoint.
+// stateImporter is the in-process surface durable window checkpoints
+// use on top of ShardBackend: unlike ImportQuery (which deploys a fresh
+// query around the state), ImportQueryState installs a recovered state
+// into an ALREADY-deployed part, and SetStreamSeq fast-forwards the
+// input stream's sequence counter to the checkpoint's position. Only
+// in-process backends provide it — a remote part's state lives in its
+// dsmsd process and is not this node's to checkpoint.
 type stateImporter interface {
-	ExportQueryState(idOrHandle string) (*dsms.QueryState, error)
 	ImportQueryState(idOrHandle string, st *dsms.QueryState) error
 	SetStreamSeq(name string, seq uint64) error
 }
 
 // LocalBackend adapts an in-process dsms.Engine to the ShardBackend
-// interface with zero behaviour change relative to the pre-interface
-// runtime.
+// interface.
 type LocalBackend struct {
 	eng *dsms.Engine
-
-	// replMu guards repl, the per-stream applied replication positions
-	// (same contract as the dsmsd server's): shipped runs are
-	// deduplicated against them so Replicate is retry-safe.
-	replMu sync.Mutex
-	repl   map[string]uint64
 }
 
 // NewLocalBackend wraps an engine.
@@ -163,9 +161,17 @@ func (b *LocalBackend) Engine() *dsms.Engine { return b.eng }
 // Kind implements ShardBackend.
 func (b *LocalBackend) Kind() string { return "local" }
 
-// CreateStream implements ShardBackend.
+// CreateStream implements ShardBackend. Like RemoteBackend, it adopts
+// a stream that already exists with an equal schema and refuses one
+// with a different schema.
 func (b *LocalBackend) CreateStream(name string, schema *stream.Schema) error {
-	return b.eng.CreateStream(name, schema)
+	err := b.eng.CreateStream(name, schema)
+	if errors.Is(err, dsms.ErrStreamExists) {
+		if existing, serr := b.eng.StreamSchema(name); serr == nil && existing.Equal(schema) {
+			return nil
+		}
+	}
+	return err
 }
 
 // DropStream implements ShardBackend.
@@ -183,28 +189,16 @@ func (b *LocalBackend) IngestBatch(streamName string, ts []stream.Tuple, sp *tel
 	return b.eng.IngestBatchTraced(streamName, ts, sp)
 }
 
-// Deploy implements ShardBackend, preferring the compiled graph and
-// compiling the script only when no graph was provided.
+// Deploy implements ShardBackend.
 func (b *LocalBackend) Deploy(req DeployRequest) (BackendDeployment, error) {
-	g := req.Graph
-	if g == nil {
-		if req.Script == "" {
-			return BackendDeployment{}, fmt.Errorf("runtime: deploy needs a graph or a script")
-		}
-		c, err := streamql.CompileString(req.Script)
-		if err != nil {
-			return BackendDeployment{}, err
-		}
-		g = c.Graph
+	g, err := req.graph()
+	if err != nil {
+		return BackendDeployment{}, err
 	}
-	if req.Stage != nil && g.Stage == nil {
-		// Clone before marking: the runtime reuses one request across
-		// shard deploys, and mutating the shared graph would leak the
-		// stage into parts that must not have it.
-		g = g.Clone()
-		g.Stage = req.Stage.Clone()
-	}
-	d, err := b.eng.Deploy(g)
+	return backendDeployment(b.eng.Deploy(g))
+}
+
+func backendDeployment(d dsms.Deployment, err error) (BackendDeployment, error) {
 	if err != nil {
 		return BackendDeployment{}, err
 	}
@@ -214,95 +208,28 @@ func (b *LocalBackend) Deploy(req DeployRequest) (BackendDeployment, error) {
 // Withdraw implements ShardBackend.
 func (b *LocalBackend) Withdraw(idOrHandle string) error { return b.eng.Withdraw(idOrHandle) }
 
-// Replicate implements replicaTarget: a shipped run of a replicated
-// stream is applied to the in-process engine after trimming any
-// already-applied prefix (a shipper retry after an error) against the
-// stored position.
+// Replicate implements ShardBackend.
 func (b *LocalBackend) Replicate(streamName string, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
-	key := strings.ToLower(streamName)
-	b.replMu.Lock()
-	if b.repl == nil {
-		b.repl = map[string]uint64{}
-	}
-	applied := b.repl[key]
-	b.replMu.Unlock()
-	if base > applied {
-		if !reset {
-			// Same contract as dsmsd's handleReplicate: a base ahead of
-			// the applied position means this backend lost replica state,
-			// and applying the batch would fork the stream's sequence
-			// lineage.
-			return applied, protocol.WithCode(protocol.CodeReplicaGap,
-				fmt.Errorf("runtime: stream %q: replication base %d ahead of applied position %d",
-					streamName, base, applied))
-		}
-		// The shipper declares [applied, base) permanently trimmed from
-		// its log: accept the forward jump (the gap is counted on the
-		// shipper side) so the retained tail can re-feed this follower.
-		applied = base
-	}
-	fresh := ts
-	if base < applied {
-		skip := applied - base
-		if skip >= uint64(len(ts)) {
-			fresh = nil
-		} else {
-			fresh = ts[skip:]
-		}
-	}
-	if len(fresh) > 0 {
-		if err := b.eng.IngestBatchPrevalidated(streamName, fresh); err != nil {
-			return applied, err
-		}
-	}
-	end := base + uint64(len(ts))
-	b.replMu.Lock()
-	if end > b.repl[key] {
-		b.repl[key] = end
-	}
-	acked := b.repl[key]
-	b.replMu.Unlock()
-	return acked, nil
+	return b.eng.Replicate(streamName, base, reset, ts)
 }
 
-// ReplicaStatus implements replicaTarget.
+// ReplicaStatus implements ShardBackend.
 func (b *LocalBackend) ReplicaStatus(streamName string) (uint64, error) {
-	b.replMu.Lock()
-	acked := b.repl[strings.ToLower(streamName)]
-	b.replMu.Unlock()
-	return acked, nil
+	return b.eng.ReplicaStatus(streamName)
 }
 
-// ExportQueryState implements stateMigrator.
+// ExportQueryState implements ShardBackend.
 func (b *LocalBackend) ExportQueryState(idOrHandle string) (*dsms.QueryState, error) {
 	return b.eng.ExportQueryState(idOrHandle)
 }
 
-// ImportQuery implements stateMigrator: deploy and install state in
-// one step against the in-process engine, mirroring the dsms.migrate
-// verb's import mode.
+// ImportQuery implements ShardBackend.
 func (b *LocalBackend) ImportQuery(req DeployRequest, replaceID string, st *dsms.QueryState) (BackendDeployment, error) {
-	if replaceID != "" {
-		if err := b.eng.Withdraw(replaceID); err != nil && !errors.Is(err, dsms.ErrUnknownQuery) {
-			return BackendDeployment{}, err
-		}
-	}
-	if st != nil && st.InputSeq > 0 && st.Input != "" {
-		if err := b.eng.SetStreamSeq(st.Input, st.InputSeq); err != nil && !errors.Is(err, dsms.ErrSeqBehind) {
-			return BackendDeployment{}, err
-		}
-	}
-	d, err := b.Deploy(req)
+	g, err := req.graph()
 	if err != nil {
 		return BackendDeployment{}, err
 	}
-	if st != nil {
-		if err := b.eng.ImportQueryState(d.ID, st); err != nil {
-			_ = b.eng.Withdraw(d.ID)
-			return BackendDeployment{}, err
-		}
-	}
-	return d, nil
+	return backendDeployment(b.eng.ImportQuery(g, replaceID, st))
 }
 
 // ImportQueryState implements stateImporter against the in-process
@@ -360,7 +287,5 @@ func (s *localSub) Close() {
 
 var (
 	_ ShardBackend  = (*LocalBackend)(nil)
-	_ replicaTarget = (*LocalBackend)(nil)
-	_ stateMigrator = (*LocalBackend)(nil)
 	_ stateImporter = (*LocalBackend)(nil)
 )

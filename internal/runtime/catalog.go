@@ -203,14 +203,13 @@ func (rt *Runtime) ExportQueryCheckpoint(idOrHandle string) ([]QueryCheckpoint, 
 		if s.failedErr() != nil {
 			continue
 		}
-		imp, ok := s.be.(stateImporter)
-		if !ok {
+		if _, ok := s.be.(stateImporter); !ok {
 			// A remote part's state lives (and survives) in its dsmsd
 			// process; there is nothing to checkpoint here.
 			continue
 		}
 		_ = s.be.Flush()
-		st, err := imp.ExportQueryState(p.ID)
+		st, err := s.be.ExportQueryState(p.ID)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: export %s part %d: %w", d.ID, i, err)
 		}

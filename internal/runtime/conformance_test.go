@@ -1,0 +1,255 @@
+package runtime_test
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/dsms"
+	"repro/internal/protocol"
+	"repro/internal/runtime"
+	"repro/internal/stream"
+)
+
+// conformant is one ShardBackend flavour under the conformance table:
+// the backend, the engine that ends up holding its state (read directly
+// to check what really landed), and how the flavour reports a
+// replica-gap refusal and an unknown stream or query.
+type conformant struct {
+	be       runtime.ShardBackend
+	eng      *dsms.Engine
+	gap      func(error) bool
+	notFound func(error) bool
+}
+
+// opener builds a fresh backend of one flavour.
+type opener func(t *testing.T, name string) conformant
+
+func openLocal(t *testing.T, name string) conformant {
+	t.Helper()
+	eng := dsms.NewEngine(name)
+	t.Cleanup(eng.Close)
+	return conformant{
+		be:  runtime.NewLocalBackend(eng),
+		eng: eng,
+		gap: func(err error) bool { return errors.Is(err, dsms.ErrReplicaGap) },
+		notFound: func(err error) bool {
+			return errors.Is(err, dsms.ErrUnknownStream) || errors.Is(err, dsms.ErrUnknownQuery)
+		},
+	}
+}
+
+func openRemote(t *testing.T, name string) conformant {
+	t.Helper()
+	srv, addr := startDSMSD(t, name, nil)
+	t.Cleanup(srv.Engine.Close)
+	t.Cleanup(srv.Close)
+	be := runtime.NewRemoteBackend(addr, runtime.RemoteOptions{HealthInterval: -1, CallTimeout: 5 * time.Second})
+	t.Cleanup(func() { _ = be.Close() })
+	return conformant{
+		be:       be,
+		eng:      srv.Engine,
+		gap:      func(err error) bool { return protocol.ErrorCode(err) == protocol.CodeReplicaGap },
+		notFound: func(err error) bool { return protocol.ErrorCode(err) == protocol.CodeNotFound },
+	}
+}
+
+// tuples mints n tuples with fixed arrival times, so two engines fed
+// the same run seal identical tuples.
+func tuples(from, n int) []stream.Tuple {
+	out := make([]stream.Tuple, n)
+	for i := range out {
+		tu := mkTuple(float64(from+i), int64(1000+from+i))
+		tu.ArrivalMillis = int64(5000 + from + i)
+		out[i] = tu
+	}
+	return out
+}
+
+func (c conformant) seq(t *testing.T, name string) uint64 {
+	t.Helper()
+	seq, err := c.eng.StreamSeq(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
+}
+
+func (c conformant) replicate(t *testing.T, base uint64, reset bool, ts []stream.Tuple, want uint64) {
+	t.Helper()
+	if acked, err := c.be.Replicate("s", base, reset, ts); err != nil || acked != want {
+		t.Fatalf("Replicate(base %d, reset %v, %d tuples) = %d, %v; want %d", base, reset, len(ts), acked, err, want)
+	}
+}
+
+const conformScript = "CREATE INPUT STREAM s (a double, t timestamp); CREATE OUTPUT STREAM o; " +
+	"CREATE WINDOW w (SIZE 4 ADVANCE 4 TUPLES); SELECT sum(a) AS total FROM s[w] INTO o;"
+
+// TestShardBackendConformance runs one table of ShardBackend behaviours
+// against LocalBackend and against RemoteBackend over a dsmsd. The two
+// are one protocol: a row that passes on one flavour and fails on the
+// other is a bug in one of them.
+func TestShardBackendConformance(t *testing.T) {
+	flavours := []struct {
+		name        string
+		open, other opener
+	}{
+		{"local", openLocal, openRemote},
+		{"remote", openRemote, openLocal},
+	}
+	rows := []struct {
+		name string
+		run  func(t *testing.T, c conformant, other opener)
+	}{
+		{"replicate dedups a retried run", func(t *testing.T, c conformant, _ opener) {
+			c.replicate(t, 0, false, tuples(0, 10), 10)
+			c.replicate(t, 0, false, tuples(0, 10), 10)
+			c.replicate(t, 5, false, tuples(5, 10), 15)
+			if got := c.seq(t, "s"); got != 15 {
+				t.Fatalf("engine sealed %d tuples, want 15 (a retried prefix was ingested twice)", got)
+			}
+		}},
+		{"base ahead of applied is a replica gap", func(t *testing.T, c conformant, _ opener) {
+			c.replicate(t, 0, false, tuples(0, 5), 5)
+			if _, err := c.be.Replicate("s", 20, false, tuples(20, 5)); !c.gap(err) {
+				t.Fatalf("Replicate past the applied position = %v, want a replica gap", err)
+			}
+			if pos, err := c.be.ReplicaStatus("s"); err != nil || pos != 5 {
+				t.Fatalf("ReplicaStatus after a refused gap = %d, %v; want 5", pos, err)
+			}
+			if got := c.seq(t, "s"); got != 5 {
+				t.Fatalf("engine sealed %d tuples after a refused gap, want 5", got)
+			}
+		}},
+		{"reset jumps forward and never back", func(t *testing.T, c conformant, _ opener) {
+			c.replicate(t, 0, false, tuples(0, 10), 10)
+			c.replicate(t, 30, true, tuples(30, 5), 35)
+			c.replicate(t, 20, true, tuples(20, 5), 35)
+			if got := c.seq(t, "s"); got != 15 {
+				t.Fatalf("engine sealed %d tuples, want 15 (a backward reset re-applied tuples)", got)
+			}
+		}},
+		{"drop and recreate clears the position", func(t *testing.T, c conformant, _ opener) {
+			c.replicate(t, 0, false, tuples(0, 20), 20)
+			if err := c.be.DropStream("s"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.be.CreateStream("s", testSchema()); err != nil {
+				t.Fatal(err)
+			}
+			if pos, err := c.be.ReplicaStatus("s"); err != nil || pos != 0 {
+				t.Fatalf("ReplicaStatus of a re-created stream = %d, %v; want 0", pos, err)
+			}
+			c.replicate(t, 0, false, tuples(0, 5), 5)
+			if got := c.seq(t, "s"); got != 5 {
+				t.Fatalf("re-created stream sealed %d tuples, want 5 (its first tuples were skipped as already applied)", got)
+			}
+		}},
+		{"migrated state emits what an unmigrated query does", func(t *testing.T, src conformant, other opener) {
+			const cut, total = 6, 12
+			want := unmigratedEmissions(t, tuples(0, total))
+
+			req := runtime.DeployRequest{Script: conformScript}
+			d, err := src.be.Deploy(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := src.be.IngestBatch("s", tuples(0, cut), nil); err != nil {
+				t.Fatal(err)
+			}
+			st, err := src.be.ExportQueryState(d.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			dst := other(t, "conform-dst")
+			if err := dst.be.CreateStream("s", testSchema()); err != nil {
+				t.Fatal(err)
+			}
+			standby, err := dst.be.Deploy(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			moved, err := dst.be.ImportQuery(req, standby.ID, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := dst.be.QueryCount(); n != 1 {
+				t.Fatalf("target runs %d queries after replacing its standby, want 1", n)
+			}
+			sub, err := dst.be.Subscribe(moved.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			if err := dst.be.IngestBatch("s", tuples(cut, total-cut), nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.be.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			sameEmissions(t, collectEmissionsN(t, sub.Tuples(), len(want)-1), want[1:])
+		}},
+		{"equal schema is adopted, a different one refused", func(t *testing.T, c conformant, _ opener) {
+			if err := c.be.CreateStream("s", testSchema()); err != nil {
+				t.Fatalf("equal-schema CreateStream = %v, want adopted", err)
+			}
+			other := stream.MustSchema(stream.Field{Name: "z", Type: stream.TypeString})
+			if err := c.be.CreateStream("s", other); err == nil {
+				t.Fatal("CreateStream with a different schema must be refused")
+			}
+		}},
+		{"unknown stream and query are not_found", func(t *testing.T, c conformant, _ opener) {
+			for what, err := range map[string]error{
+				"StreamSchema":     func() error { _, err := c.be.StreamSchema("ghost"); return err }(),
+				"DropStream":       c.be.DropStream("ghost"),
+				"IngestBatch":      c.be.IngestBatch("ghost", tuples(0, 1), nil),
+				"Replicate":        func() error { _, err := c.be.Replicate("ghost", 0, false, tuples(0, 1)); return err }(),
+				"ReplicaStatus":    func() error { _, err := c.be.ReplicaStatus("ghost"); return err }(),
+				"Withdraw":         c.be.Withdraw("q99999"),
+				"Subscribe":        func() error { _, err := c.be.Subscribe("q99999"); return err }(),
+				"ExportQueryState": func() error { _, err := c.be.ExportQueryState("q99999"); return err }(),
+			} {
+				if !c.notFound(err) {
+					t.Errorf("%s of an unknown name = %v, want not_found", what, err)
+				}
+			}
+		}},
+	}
+	for _, f := range flavours {
+		t.Run(f.name, func(t *testing.T) {
+			for i, row := range rows {
+				t.Run(row.name, func(t *testing.T) {
+					c := f.open(t, fmt.Sprintf("conform-%d", i))
+					if err := c.be.CreateStream("s", testSchema()); err != nil {
+						t.Fatal(err)
+					}
+					row.run(t, c, f.other)
+				})
+			}
+		})
+	}
+}
+
+// unmigratedEmissions runs conformScript over input on one engine.
+func unmigratedEmissions(t *testing.T, input []stream.Tuple) []stream.Tuple {
+	t.Helper()
+	ref := openLocal(t, "conform-ref")
+	if err := ref.be.CreateStream("s", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ref.be.Deploy(runtime.DeployRequest{Script: conformScript})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := ref.be.Subscribe(d.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if err := ref.be.IngestBatch("s", input, nil); err != nil {
+		t.Fatal(err)
+	}
+	return collectEmissionsN(t, sub.Tuples(), len(input)/4)
+}

@@ -810,14 +810,6 @@ func (rt *Runtime) MigrateQuery(idOrHandle string, target int) error {
 	if rt.shards[src].failedErr() != nil || rt.shards[target].failedErr() != nil {
 		return fmt.Errorf("runtime: migration needs both shard %d and shard %d healthy", src, target)
 	}
-	exp, ok := rt.shards[src].be.(stateMigrator)
-	if !ok {
-		return fmt.Errorf("runtime: shard %d backend cannot export query state", src)
-	}
-	imp, ok := rt.shards[target].be.(stateMigrator)
-	if !ok {
-		return fmt.Errorf("runtime: shard %d backend cannot import query state", target)
-	}
 	// Quiesce the flow: pause the primary's drain (publishes keep
 	// queueing), fence its in-flight batch, ship the stable log tail,
 	// and flush both engines, so source and target have processed the
@@ -834,7 +826,7 @@ func (rt *Runtime) MigrateQuery(idOrHandle string, target int) error {
 	_ = rt.shards[src].be.Flush()
 	_ = rt.shards[target].be.Flush()
 
-	st, err := exp.ExportQueryState(parts[0].ID)
+	st, err := rt.shards[src].be.ExportQueryState(parts[0].ID)
 	if err != nil {
 		return fmt.Errorf("runtime: export from shard %d: %w", src, err)
 	}
@@ -844,7 +836,7 @@ func (rt *Runtime) MigrateQuery(idOrHandle string, target int) error {
 		replaceID = sd.ID
 	}
 	ds.mu.Unlock()
-	newPart, err := imp.ImportQuery(ds.req, replaceID, st)
+	newPart, err := rt.shards[target].be.ImportQuery(ds.req, replaceID, st)
 	if err != nil {
 		return fmt.Errorf("runtime: import on shard %d: %w", target, err)
 	}

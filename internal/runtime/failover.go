@@ -1,19 +1,15 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"strings"
-
-	"repro/internal/dsms"
-	"repro/internal/protocol"
 )
 
 // This file is the self-healing control plane for replicated streams:
 // failoverShard promotes a replicated stream's most caught-up healthy
 // follower when its primary's shard dies, and readoptShard rebuilds a
-// shard's streams, admission state, query parts and replication
-// membership when a restarted dsmsd answers the health probe again.
+// shard's streams, query parts and replication membership when a
+// restarted dsmsd answers the health probe again.
 // Both run on health-hook goroutines, never on the publish hot path.
 
 // failoverShard reacts to shard i entering fail-fast mode: every
@@ -215,21 +211,10 @@ func (rt *Runtime) promoteStagedParts(sub *route, fi int) {
 	}
 }
 
-// adopted reports whether a CreateStream error means the stream is
-// already there: an in-process engine's ErrStreamExists, or the
-// structured already_exists code a dsmsd attaches. (RemoteBackend
-// additionally verifies schema equality before surfacing the code, so
-// a schema-divergent survivor still fails the re-adoption.)
-func adopted(err error) bool {
-	return errors.Is(err, dsms.ErrStreamExists) ||
-		protocol.ErrorCode(err) == protocol.CodeAlreadyExists
-}
-
 // readoptShard rebuilds shard i's state after its backend came back
 // (typically a restarted dsmsd answering the health probe): streams it
 // hosts are re-created — with a surviving equal-schema stream adopted
-// in place — admission state is re-declared, lost query parts are
-// redeployed, replication membership is resumed, and finally the shard
+// in place — lost query parts are redeployed, replication membership is resumed, and finally the shard
 // leaves fail-fast mode. An error re-marks the backend down, so the
 // next probe tick retries the whole sequence.
 func (rt *Runtime) readoptShard(i int) error {
@@ -258,12 +243,10 @@ func (rt *Runtime) readoptShard(i int) error {
 		if r.keyIdx < 0 && r.shard != i && !r.hasReplica(i) {
 			continue
 		}
-		if err := be.CreateStream(r.name, r.schema); err != nil && !adopted(err) {
+		// Both backends adopt a surviving equal-schema stream, so an
+		// error here is a real failure (or a schema-divergent survivor).
+		if err := be.CreateStream(r.name, r.schema); err != nil {
 			return fmt.Errorf("runtime: readopt shard %d: stream %q: %w", i, r.name, err)
-		}
-		// Best effort: a dsmsd without the admission verb still serves.
-		if fw, ok := be.(admissionForwarder); ok {
-			_ = fw.ForwardAdmission(r.name, r.adm.Load().cfg)
 		}
 	}
 
@@ -357,17 +340,16 @@ func (rt *Runtime) readoptShard(i int) error {
 			// double-ingesting the flow and corrupting window state.
 			continue
 		}
-		tgt, isTarget := be.(replicaTarget)
 		switch {
 		case r.hasReplica(i):
 			if r.repl.hasFollower(i) {
 				r.repl.rejoin(i)
-			} else if isTarget {
-				r.repl.addFollower(i, tgt, r.repl.basePos())
+			} else {
+				r.repl.addFollower(i, be, r.repl.basePos())
 			}
-		case r.shard == i && r.failTo.Load() >= 0 && isTarget:
+		case r.shard == i && r.failTo.Load() >= 0:
 			if !r.repl.hasFollower(i) {
-				r.repl.addFollower(i, tgt, r.repl.basePos())
+				r.repl.addFollower(i, be, r.repl.basePos())
 			}
 		}
 	}

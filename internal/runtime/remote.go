@@ -60,8 +60,8 @@ type RemoteOptions struct {
 	// its down state and invokes OnReadopt on a fresh goroutine. The
 	// runtime wires this to re-create the shard's streams (idempotent
 	// against surviving dsmsd state via the already_exists adoption in
-	// CreateStream), re-apply admission configs, redeploy lost query
-	// parts and lift the shard's fail-fast mode. Returning an error
+	// CreateStream), redeploy lost query parts and lift the shard's
+	// fail-fast mode. Returning an error
 	// re-marks the backend down so the next probe tick retries the
 	// whole re-adoption.
 	OnReadopt func() error
@@ -403,22 +403,6 @@ func (b *RemoteBackend) CreateStream(name string, schema *stream.Schema) error {
 	return err
 }
 
-// ForwardAdmission implements the runtime's admissionForwarder: it
-// declares the stream's current class/quota on the dsmsd so direct
-// publishers hitting that process are metered to the same state the
-// fronting runtime enforces. Idempotent, so the redial-and-retry path
-// is safe.
-func (b *RemoteBackend) ForwardAdmission(name string, cfg StreamConfig) error {
-	return b.do(func(c *dsmsd.Client) error {
-		return c.Reconfigure(dsmsd.StreamAdmission{
-			Stream: name,
-			Class:  cfg.Class.String(),
-			Rate:   cfg.Rate,
-			Burst:  cfg.Burst,
-		})
-	})
-}
-
 // DropStream implements ShardBackend.
 func (b *RemoteBackend) DropStream(name string) error {
 	return b.doOnce(func(c *dsmsd.Client) error { return c.DropStream(name) })
@@ -472,7 +456,7 @@ func (b *RemoteBackend) Withdraw(idOrHandle string) error {
 	return b.doOnce(func(c *dsmsd.Client) error { return c.Withdraw(idOrHandle) })
 }
 
-// Replicate implements replicaTarget: it ships a contiguous run of a
+// Replicate implements ShardBackend: it ships a contiguous run of a
 // replicated stream to the follower dsmsd. Safe to retry (and so
 // routed through do): the server deduplicates against its stored
 // position using base, so a redelivery after a lost ack trims the
@@ -487,7 +471,7 @@ func (b *RemoteBackend) Replicate(streamName string, base uint64, reset bool, ts
 	return acked, err
 }
 
-// ReplicaStatus implements replicaTarget.
+// ReplicaStatus implements ShardBackend.
 func (b *RemoteBackend) ReplicaStatus(streamName string) (uint64, error) {
 	var acked uint64
 	err := b.do(func(c *dsmsd.Client) error {
@@ -498,7 +482,7 @@ func (b *RemoteBackend) ReplicaStatus(streamName string) (uint64, error) {
 	return acked, err
 }
 
-// ExportQueryState implements stateMigrator: it serializes a deployed
+// ExportQueryState implements ShardBackend: it serializes a deployed
 // query's window state off the dsmsd for migration (read-only, so
 // retried on connection death).
 func (b *RemoteBackend) ExportQueryState(idOrHandle string) (*dsms.QueryState, error) {
@@ -511,7 +495,7 @@ func (b *RemoteBackend) ExportQueryState(idOrHandle string) (*dsms.QueryState, e
 	return st, err
 }
 
-// ImportQuery implements stateMigrator: deploy req's script on the
+// ImportQuery implements ShardBackend: deploy req's script on the
 // dsmsd and install st into the fresh query, optionally withdrawing
 // replaceID (a standby part being promoted in place) first. At most
 // once: a duplicate would orphan a query.
@@ -672,8 +656,4 @@ func (s *remoteSub) Close() {
 	_ = s.rpc.Close()
 }
 
-var (
-	_ ShardBackend  = (*RemoteBackend)(nil)
-	_ replicaTarget = (*RemoteBackend)(nil)
-	_ stateMigrator = (*RemoteBackend)(nil)
-)
+var _ ShardBackend = (*RemoteBackend)(nil)

@@ -45,7 +45,7 @@ type ReplicaLag struct {
 // followerState tracks one follower of a replicated stream.
 type followerState struct {
 	shard  int
-	target replicaTarget
+	target ShardBackend
 
 	// shipMu serializes Replicate calls to this follower, so a
 	// promotion flush cannot interleave with an in-flight ship (the
@@ -99,7 +99,7 @@ func newReplicator(streamName string, maxLog int) *replicator {
 // addFollower registers a follower starting at the given absolute
 // position and starts its shipper. Re-adding an existing follower
 // rejoins it instead (see rejoin).
-func (r *replicator) addFollower(shard int, target replicaTarget, from uint64) {
+func (r *replicator) addFollower(shard int, target ShardBackend, from uint64) {
 	r.mu.Lock()
 	if f, ok := r.followers[shard]; ok {
 		f.paused = false

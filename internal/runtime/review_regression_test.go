@@ -137,6 +137,12 @@ func (b *restartableBackend) Replicate(name string, base uint64, reset bool, ts 
 func (b *restartableBackend) ReplicaStatus(name string) (uint64, error) {
 	return b.cur().ReplicaStatus(name)
 }
+func (b *restartableBackend) ExportQueryState(id string) (*dsms.QueryState, error) {
+	return b.cur().ExportQueryState(id)
+}
+func (b *restartableBackend) ImportQuery(req runtime.DeployRequest, replaceID string, st *dsms.QueryState) (runtime.BackendDeployment, error) {
+	return b.cur().ImportQuery(req, replaceID, st)
+}
 
 // TestTrimmedLogFollowerRestartResync: a follower restarts empty after
 // the bounded replication log has trimmed (base > 0). The receiver

@@ -24,8 +24,8 @@
 // The admission state is live: Reconfigure atomically swaps a stream's
 // class and quota without re-registering it — the lever the
 // accountability governor (internal/governor) pulls to demote abusive
-// subjects — and pushes the new state to remote dsmsd shards so
-// direct publishers are metered to the same configuration.
+// subjects. The runtime is the only admission point: a remote dsmsd
+// shard ingests whatever the runtime ships it.
 //
 // The PEP-facing surface (StreamSchema / DeployScript / Withdraw)
 // matches xacmlplus.StreamEngine, so the policy plane runs unchanged on
@@ -193,10 +193,10 @@ type Options struct {
 	// error (observability hook; called from a backend goroutine).
 	OnShardDown func(shard int, err error)
 	// Metrics, when non-nil, receives the runtime's metric families
-	// (shard and stream accounting, health events) and enables engine
-	// telemetry on every local shard; the publish-path tracer is built
-	// over it too. Nil (the default) keeps telemetry entirely off the
-	// hot path.
+	// (shard and stream accounting, health events) and, through New,
+	// enables engine telemetry on every local shard; the publish-path
+	// tracer is built over it too. Nil (the default) keeps telemetry
+	// entirely off the hot path.
 	Metrics *telemetry.Registry
 	// TraceSampleEvery is the publish-trace sampling period in batches
 	// (rounded up to a power of two; default DefaultTraceSampleEvery).
@@ -274,8 +274,7 @@ type route struct {
 	// tuple log and shippers, and failTo is the promoted primary shard
 	// after a failover (-1 while the original owner serves). fmu
 	// serializes promotion, so two concurrent shard failures cannot
-	// promote the same route twice, and the admission swap+forward pair
-	// of Reconfigure.
+	// promote the same route twice.
 	fmu      sync.Mutex
 	replicas []int
 	repl     *replicator
@@ -397,7 +396,14 @@ func New(name string, opts Options) *Runtime {
 			if opts.Shards > 1 {
 				en = fmt.Sprintf("%s-%d", name, i)
 			}
-			backends[i] = NewLocalBackend(dsms.NewEngine(en))
+			eng := dsms.NewEngine(en)
+			if opts.Metrics != nil {
+				// Local engines record seal/pipeline/push stages and their
+				// own counters on the shared registry; histogram families
+				// are idempotent, so all shards feed the same series.
+				eng.EnableTelemetry(opts.Metrics, opts.TraceSampleEvery)
+			}
+			backends[i] = NewLocalBackend(eng)
 			continue
 		}
 		ropts := spec.Remote
@@ -413,10 +419,10 @@ func New(name string, opts Options) *Runtime {
 				userDown(err)
 			}
 		}
-		// Chain the re-adoption hook: rebuild the shard's streams,
-		// admission state, query parts and replication membership, then
-		// run the caller's hook; an error from either re-marks the
-		// backend down so the next probe tick retries.
+		// Chain the re-adoption hook: rebuild the shard's streams, query
+		// parts and replication membership, then run the caller's hook;
+		// an error from either re-marks the backend down so the next
+		// probe tick retries.
 		userReadopt := ropts.OnReadopt
 		ropts.OnReadopt = func() error {
 			if err := rt.readoptShard(idx); err != nil {
@@ -471,14 +477,6 @@ func NewWithBackends(name string, opts Options, backends []ShardBackend) *Runtim
 	if opts.Metrics != nil {
 		rt.reg = opts.Metrics
 		rt.tracer = telemetry.NewPublishTracer(rt.reg, opts.TraceSampleEvery)
-		for _, be := range backends {
-			if lb, ok := be.(*LocalBackend); ok {
-				// Local engines record seal/pipeline/push stages and their
-				// own counters on the shared registry; histogram families
-				// are idempotent, so all shards feed the same series.
-				lb.Engine().EnableTelemetry(rt.reg, opts.TraceSampleEvery)
-			}
-		}
 		rt.reg.RegisterCollector(rt.collectStats)
 	}
 	return rt
@@ -573,10 +571,9 @@ func (rt *Runtime) count(name, help string, labels ...telemetry.Label) {
 
 // noteHealthEvent feeds a remote shard's health transition into the
 // metric registry and, for real transitions (not per-attempt dials),
-// the audit chain. Appending from a fresh goroutine is load-bearing:
-// the hook can fire with the backend's mutex held, and an audit
-// observer (the governor) may call back into Reconfigure, which needs
-// that same mutex to forward admission state.
+// the audit chain. The append runs on a fresh goroutine because the
+// hook can fire with the backend's mutex held and must be fast, while
+// an append writes the log and runs its observers (the governor).
 func (rt *Runtime) noteHealthEvent(shard int, event string, err error) {
 	rt.reg.Counter("exacml_shard_health_events_total",
 		"Remote shard connection-health transitions, by shard and event "+
@@ -751,9 +748,7 @@ func (rt *Runtime) CreateStream(name string, schema *stream.Schema, opts ...Stre
 	r.failTo.Store(-1)
 	r.adm.Store(newAdmissionState(cfg))
 	// Replication: materialize the stream on the next Replication-1
-	// shard slots and start the asynchronous shippers. Followers whose
-	// backend does not implement the replica surface are skipped (the
-	// stream still exists there for a promoted deploy to find).
+	// shard slots and start the asynchronous shippers.
 	if rt.opts.Replication > 1 {
 		for d := 1; d < rt.opts.Replication; d++ {
 			fi := (si + d) % len(rt.shards)
@@ -769,9 +764,7 @@ func (rt *Runtime) CreateStream(name string, schema *stream.Schema, opts ...Stre
 		}
 		r.repl = newReplicator(name, rt.opts.ReplicationLog)
 		for _, fi := range r.replicas {
-			if tgt, ok := rt.shards[fi].be.(replicaTarget); ok {
-				r.repl.addFollower(fi, tgt, 0)
-			}
+			r.repl.addFollower(fi, rt.shards[fi].be, 0)
 		}
 	}
 	if rt.commitStream(key, r) {
@@ -784,10 +777,6 @@ func (rt *Runtime) CreateStream(name string, schema *stream.Schema, opts ...Stre
 		_ = rt.shards[si].be.DropStream(name)
 		return errClosed
 	}
-	// Declare the initial admission state on backends that persist it
-	// out-of-process (best effort: a bare dsmsd without the verb still
-	// serves the stream).
-	rt.forwardAdmission(r, cfg, false)
 	rt.noteStreamCreated(name, schema, "", cfg)
 	return nil
 }
@@ -847,7 +836,6 @@ func (rt *Runtime) CreatePartitionedStream(name string, schema *stream.Schema, k
 		}
 		return errClosed
 	}
-	rt.forwardAdmission(r, cfg, false)
 	rt.noteStreamCreated(name, schema, keyField, cfg)
 	return nil
 }
@@ -912,9 +900,7 @@ func (rt *Runtime) createPartitionedReplicated(key string, r *route, cfg StreamC
 		}
 		sub.repl = newReplicator(sname, rt.opts.ReplicationLog)
 		for _, fi := range sub.replicas {
-			if tgt, ok := rt.shards[fi].be.(replicaTarget); ok {
-				sub.repl.addFollower(fi, tgt, 0)
-			}
+			sub.repl.addFollower(fi, rt.shards[fi].be, 0)
 		}
 		subs = append(subs, sub)
 	}
@@ -933,7 +919,6 @@ func (rt *Runtime) createPartitionedReplicated(key string, r *route, cfg StreamC
 		undo(subs)
 		return errClosed
 	}
-	rt.forwardAdmission(r, cfg, false)
 	return nil
 }
 
@@ -1063,21 +1048,18 @@ func (rt *Runtime) StreamAdmission(name string) (StreamConfig, error) {
 //	offered == ingested + dropped + errors
 //
 // intact across the transition; the stream's Stats row reports the new
-// class/quota and an incremented Reconfigured count. The new state is
-// pushed to remote shard backends hosting the stream so their
-// direct-ingest metering converges (see dsmsd.StreamAdmission); the
-// local swap always applies, and a forwarding failure is reported so
-// operators learn about the divergence.
+// class/quota and an incremented Reconfigured count. The runtime is the
+// only admission point, so the swap is the whole demotion: every shard,
+// local or remote, ingests only what the new state admits.
 func (rt *Runtime) Reconfigure(name string, cfg StreamConfig) (StreamConfig, error) {
 	return rt.reconfigure(name, cfg, true)
 }
 
 // ReconfigureEphemeral is Reconfigure minus the catalog record: the
-// swap is applied live (and forwarded to remote shards) but NOT
-// persisted as the stream's configured admission state. The governor
-// drives demotions and cooldown restores through it — a demotion is
-// re-derived from the audit chain on boot, so recording it in the
-// catalog would bake it in past its cooldown.
+// swap is applied live but NOT persisted as the stream's configured
+// admission state. The governor drives demotions and cooldown restores
+// through it — a demotion is re-derived from the audit chain on boot,
+// so recording it in the catalog would bake it in past its cooldown.
 func (rt *Runtime) ReconfigureEphemeral(name string, cfg StreamConfig) (StreamConfig, error) {
 	return rt.reconfigure(name, cfg, false)
 }
@@ -1091,90 +1073,12 @@ func (rt *Runtime) reconfigure(name string, cfg StreamConfig, durable bool) (Str
 	if err != nil {
 		return StreamConfig{}, err
 	}
-	// fmu serializes the swap+forward pair, so two racing Reconfigures
-	// cannot leave a remote shard on the config the local route lost.
-	r.fmu.Lock()
 	old := r.adm.Swap(newAdmissionState(norm))
 	r.reconfigures.Add(1)
-	ferr := rt.forwardAdmissionLocked(r, norm, true)
-	r.fmu.Unlock()
 	if durable {
-		// The local swap applied even when forwarding failed, so the
-		// catalog records it either way.
 		rt.noteStreamReconfigured(r.name, norm)
 	}
-	return old.cfg, ferr
-}
-
-// admissionForwarder is the optional ShardBackend surface Reconfigure
-// and stream registration use to push a stream's current class/quota
-// to backends that keep admission state out-of-process (RemoteBackend
-// forwards to its dsmsd, which meters direct publishers with it).
-type admissionForwarder interface {
-	ForwardAdmission(name string, cfg StreamConfig) error
-}
-
-// forwardAdmission declares a stream's admission state on every
-// forwarding-capable, healthy backend hosting it. With must set the
-// first failure is returned (explicit Reconfigure); registration-time
-// declaration is best effort, since a bare dsmsd without the verb is a
-// legitimate backend.
-func (rt *Runtime) forwardAdmission(r *route, cfg StreamConfig, must bool) error {
-	r.fmu.Lock()
-	defer r.fmu.Unlock()
-	return rt.forwardAdmissionLocked(r, cfg, must)
-}
-
-// forwardAdmissionLocked is forwardAdmission with r.fmu already held
-// (the caller needs the swap and the forwarding to be one serialized
-// step).
-func (rt *Runtime) forwardAdmissionLocked(r *route, cfg StreamConfig, must bool) error {
-	// A replicated partitioned route has no engine stream of its own
-	// name: the admission state is declared per sub-route instead, on
-	// each shard hosting that partition's stream.
-	if r.subs != nil {
-		var first error
-		for _, sub := range r.subs {
-			shards := append([]int{sub.shard}, sub.replicas...)
-			for _, i := range shards {
-				s := rt.shards[i]
-				fw, ok := s.be.(admissionForwarder)
-				if !ok || s.failedErr() != nil {
-					continue
-				}
-				if err := fw.ForwardAdmission(sub.name, cfg); err != nil && first == nil {
-					first = fmt.Errorf("runtime: shard %d: forward admission: %w", i, err)
-				}
-			}
-		}
-		if !must {
-			return nil
-		}
-		return first
-	}
-	var shards []int
-	if r.keyIdx < 0 {
-		shards = append(shards, r.shard)
-	} else {
-		for i := range rt.shards {
-			shards = append(shards, i)
-		}
-	}
-	var first error
-	for _, i := range shards {
-		s := rt.shards[i]
-		fw, ok := s.be.(admissionForwarder)
-		if !ok || s.failedErr() != nil {
-			continue
-		}
-		if err := fw.ForwardAdmission(r.name, cfg); err != nil && first == nil {
-			first = fmt.Errorf("runtime: shard %d: forward admission: %w", i, err)
-		}
-	}
-	if !must {
-		return nil
-	}
-	return first
+	return old.cfg, nil
 }
 
 // ShardForStream reports the shard slot a non-partitioned stream of
