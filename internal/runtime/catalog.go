@@ -123,8 +123,8 @@ func (rt *Runtime) DeploymentIDs() []string {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
 	out := make([]string, 0, len(rt.deps))
-	for id, d := range rt.deps {
-		if id == d.ID {
+	for id, ds := range rt.deps {
+		if id == ds.id {
 			out = append(out, id)
 		}
 	}
@@ -155,25 +155,19 @@ type QueryCheckpoint struct {
 // replication log (if any) is drained, and the engines flushed — so
 // the exported InputSeq exactly delimits the tuples the state covers.
 func (rt *Runtime) ExportQueryCheckpoint(idOrHandle string) ([]QueryCheckpoint, error) {
-	d, ok := rt.lookupDep(idOrHandle)
+	ds, ok := rt.lookupDep(idOrHandle)
 	if !ok {
 		return nil, fmt.Errorf("runtime: unknown query %q", idOrHandle)
 	}
-	ds := rt.depStateFor(d.ID)
-	if ds != nil && ds.staged != nil {
-		return nil, fmt.Errorf("%w: %s is a staged global aggregate", ErrNotCheckpointable, d.ID)
+	if ds.ms != nil {
+		return nil, fmt.Errorf("%w: %s is a staged global aggregate", ErrNotCheckpointable, ds.id)
 	}
-	r, err := rt.routeFor(d.Input)
-	if err != nil {
-		return nil, err
-	}
+	r := ds.r
 	if r.subs != nil {
-		return nil, fmt.Errorf("%w: %s reads a replicated partitioned stream", ErrNotCheckpointable, d.ID)
+		return nil, fmt.Errorf("%w: %s reads a replicated partitioned stream", ErrNotCheckpointable, ds.id)
 	}
-	rt.mu.RLock()
-	parts := append([]BackendDeployment(nil), d.Parts...)
-	shards := append([]int(nil), d.shards...)
-	rt.mu.RUnlock()
+	d := ds.view()
+	parts, shards := d.Parts, d.shards
 
 	var paused []*shard
 	if r.keyIdx < 0 {
@@ -230,14 +224,12 @@ func (rt *Runtime) ImportQueryCheckpoint(idOrHandle string, cp QueryCheckpoint) 
 	if cp.State == nil {
 		return fmt.Errorf("runtime: nil checkpoint state")
 	}
-	d, ok := rt.lookupDep(idOrHandle)
+	ds, ok := rt.lookupDep(idOrHandle)
 	if !ok {
 		return fmt.Errorf("runtime: unknown query %q", idOrHandle)
 	}
-	rt.mu.RLock()
-	parts := append([]BackendDeployment(nil), d.Parts...)
-	shards := append([]int(nil), d.shards...)
-	rt.mu.RUnlock()
+	d := ds.view()
+	parts, shards := d.Parts, d.shards
 	if cp.Part < 0 || cp.Part >= len(parts) {
 		return fmt.Errorf("runtime: checkpoint part %d out of range (query %s has %d)", cp.Part, d.ID, len(parts))
 	}

@@ -11,10 +11,9 @@ import (
 )
 
 // Deployment is a continuous query running on the runtime. For a
-// single-shard stream it wraps one backend deployment and reuses its
-// handle; for a partitioned stream the same query runs on every shard
-// and the runtime issues a synthetic handle whose subscription merges
-// all per-shard outputs.
+// single-shard stream it reuses its one backend part's handle; for a
+// partitioned stream the runtime issues a synthetic handle whose
+// subscription merges every partition's output.
 type Deployment struct {
 	// ID is the runtime-unique query identifier ("rqNNNNN").
 	ID string
@@ -24,66 +23,95 @@ type Deployment struct {
 	Input string
 	// OutputSchema is the schema of emitted tuples.
 	OutputSchema *stream.Schema
-	// Parts are the per-shard backend deployments (one entry for
-	// single-shard streams).
+	// Parts are the backend deployments currently serving each
+	// partition, in partition order (one entry for a single-shard
+	// stream); warm standbys are not listed.
 	Parts []BackendDeployment
 
 	shards []int
 }
 
 // Shards returns the shard indices hosting the deployment's parts,
-// parallel to Parts. For a replicated stream's query this is where the
-// active (primary) part currently runs — it changes on failover and
+// parallel to Parts. On a replicated stream this is where each
+// partition's primary part currently runs — it changes on failover and
 // MigrateQuery.
 func (d Deployment) Shards() []int { return append([]int(nil), d.shards...) }
 
-// depState is the runtime-side mutable state of one deployment, kept
-// out of the Deployment struct (which is copied by value to callers):
-// the deploy request for failover redeploys, the standby parts kept
-// warm on follower shards of a replicated route, and the live
-// subscriptions to re-attach when a part moves.
+// depState is one deployed query: its identity, and its table of
+// parts — every backend deployment that runs it, for every deployment
+// shape. Each partition (a single-shard stream is one) has
+// one primary part on the shard serving it and warm standbys on the
+// followers its replication feeds. ms is the merge stage of a staged
+// global aggregate, nil otherwise; subs are the live merged
+// subscriptions a promoted or re-adopted part is spliced into.
 type depState struct {
-	req   DeployRequest
-	input string
+	id, handle string
+	r          *route
+	out        *stream.Schema
+	ms         *mergeStage
 
-	mu      sync.Mutex
-	standby map[int]BackendDeployment
-	subs    map[*Subscription]struct{}
-	staged  *stagedDep
+	mu    sync.Mutex
+	parts []part
+	subs  map[*Subscription]struct{}
 }
 
-// stagedDep is the runtime state of a two-stage global aggregate over a
-// partitioned stream: one staged query part per partition (plus warm
-// standby parts on a replicated stream's followers) feeding a merge
-// stage that re-aggregates the per-partition records into the global
-// answer. parts is guarded by depState.mu.
-type stagedDep struct {
-	mode  dsms.StageMode
-	ms    *mergeStage
-	parts []stagedPart
+// part is one backend deployment of a query: partition p's copy on
+// shard, deployed from req. primary marks the part whose shard serves
+// the partition; live marks a part that feeds subscribers or the merge
+// stage — it was deployed with the query, or promoted. A part
+// re-adoption re-creates on a follower stays not-live until promoted:
+// its window state has a gap, so its output must not race the
+// primary's.
+type part struct {
+	p       int
+	shard   int
+	req     DeployRequest
+	dep     BackendDeployment
+	primary bool
+	live    bool
 }
 
-// stagedPart is one partition-stage deployment. primary marks the part
-// whose records currently drive the partition (standbys stay deployed
-// and warm but their record streams are redundant — the merge stage
-// dedups by content); attached marks whether its record stream is wired
-// into the merge stage.
-type stagedPart struct {
-	partition int
-	shard     int
-	req       DeployRequest
-	dep       BackendDeployment
-	primary   bool
-	attached  bool
-}
-
-func (ds *depState) addSub(s *Subscription) {
-	ds.mu.Lock()
-	if ds.subs == nil {
-		ds.subs = map[*Subscription]struct{}{}
+// find returns the index of partition p's part on shard i — on any
+// shard when i < 0 — or -1. Caller holds ds.mu.
+func (ds *depState) find(p, i int) int {
+	for k, pt := range ds.parts {
+		if pt.p == p && (i < 0 || pt.shard == i) {
+			return k
+		}
 	}
-	ds.subs[s] = struct{}{}
-	ds.mu.Unlock()
+	return -1
+}
+
+// partitionOf reports which partition of the query route r serves: 0
+// when r is its single-shard input stream, p when r is the input's
+// sub-route "name@p", -1 when r feeds the query nothing.
+func (ds *depState) partitionOf(r *route) int {
+	if ds.r == r {
+		return 0
+	}
+	for p, sub := range ds.r.subs {
+		if sub == r {
+			return p
+		}
+	}
+	return -1
+}
+
+// view is the caller-facing copy of the deployment: the primary parts
+// in partition order.
+func (ds *depState) view() Deployment {
+	d := Deployment{ID: ds.id, Handle: ds.handle, Input: ds.r.name, OutputSchema: ds.out}
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	for p := 0; p < ds.r.partitions(); p++ {
+		for _, pt := range ds.parts {
+			if pt.p == p && pt.primary {
+				d.Parts = append(d.Parts, pt.dep)
+				d.shards = append(d.shards, pt.shard)
+			}
+		}
+	}
+	return d
 }
 
 func (ds *depState) dropSub(s *Subscription) {
@@ -92,22 +120,18 @@ func (ds *depState) dropSub(s *Subscription) {
 	ds.mu.Unlock()
 }
 
-func (ds *depState) subList() []*Subscription {
-	ds.mu.Lock()
-	out := make([]*Subscription, 0, len(ds.subs))
-	for s := range ds.subs {
-		out = append(out, s)
+// depList snapshots the deployed queries, each once (rt.deps keys them
+// by id and by handle).
+func (rt *Runtime) depList() []*depState {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	out := make([]*depState, 0, len(rt.deps))
+	for id, ds := range rt.deps {
+		if id == ds.id {
+			out = append(out, ds)
+		}
 	}
-	ds.mu.Unlock()
 	return out
-}
-
-// depStateFor returns the mutable state of a deployment id, or nil.
-func (rt *Runtime) depStateFor(id string) *depState {
-	rt.depMu.Lock()
-	ds := rt.depSt[id]
-	rt.depMu.Unlock()
-	return ds
 }
 
 // Deploy validates a query graph against its input stream and starts
@@ -122,11 +146,26 @@ func (rt *Runtime) Deploy(g *dsms.QueryGraph) (Deployment, error) {
 	return rt.deploy(g.Input, DeployRequest{Graph: g}, "")
 }
 
-// deploy runs a query — carried as a graph, a script, or both — on the
-// input stream's shard(s). The runtime lock is NOT held across the
-// backend Deploy calls: a remote shard's deploy is a network RPC
-// (possibly a multi-second redial), and holding rt.mu there would
-// freeze routeFor — and with it every publish on every stream.
+// deploy places a query — carried as a graph, a script, or both — on
+// its input stream's shards, one partition at a time: a primary part on
+// the shard serving the partition and a best-effort warm standby on
+// each healthy follower. A standby consumes the replicated tuple flow,
+// so its window state tracks the primary's and a promotion needs no
+// state transfer; a graph-only request cannot cross the wire to a
+// remote follower, and a downed follower gets its standby at
+// re-adoption. The runtime lock is NOT held across the backend Deploy
+// calls: a remote shard's deploy is a network RPC (possibly a
+// multi-second redial), and holding rt.mu there would freeze routeFor —
+// and with it every publish on every stream.
+//
+// A windowed aggregate over a partitioned stream deploys in two stages:
+// its parts run the stage plan (the terminal aggregate folded to window
+// partials, or — when it cannot be split, e.g. time windows or a
+// preceding filter — a relay of the surviving rows), and a runtime
+// merge stage re-aggregates their record streams into the one global
+// emission sequence a single-shard deployment would produce. Every part
+// feeds the merge from the start: standby records are bit-identical to
+// the primary's and dedup by content, so a failover loses nothing.
 //
 // forceID, when non-empty, pins the runtime id instead of allocating
 // the next one (the durable restore path re-deploys catalog queries
@@ -140,102 +179,111 @@ func (rt *Runtime) deploy(input string, req DeployRequest, forceID string) (Depl
 	if r.internal {
 		return Deployment{}, fmt.Errorf("runtime: stream %q is an internal partition sub-route; deploy against its parent stream", input)
 	}
-	// A windowed aggregate over a partitioned stream deploys in two
-	// stages: per-partition stage queries plus a runtime merge stage
-	// that re-aggregates their records into one global answer.
-	// Non-aggregate queries keep the plain per-shard deployment (their
-	// merged subscription needs no cross-partition alignment).
+	ds := &depState{r: r}
+	var stage *dsms.StageSpec
 	if r.keyIdx >= 0 && req.Graph != nil && req.Graph.Stage == nil {
-		mode, staged, perr := dsms.PlanStage(req.Graph)
-		if perr != nil {
-			return Deployment{}, perr
-		}
-		if staged {
-			return rt.deployStaged(r, req, mode, forceID)
-		}
-	}
-	if r.subs != nil {
-		// A replicated partitioned stream lives on the shards as the
-		// sub-routes "name@p"; the plain per-shard deploy below targets
-		// "name", which no backend holds. Refuse before touching one.
-		return Deployment{}, fmt.Errorf("runtime: stream %q is partitioned with replication %d: non-aggregate queries over a replicated partitioned stream are not supported yet (windowed aggregates are)", r.name, rt.opts.Replication)
-	}
-	id, err := rt.assignDepID(forceID)
-	if err != nil {
-		return Deployment{}, err
-	}
-
-	undo := func(dep *Deployment) {
-		for j, p := range dep.Parts {
-			_ = rt.shards[dep.shards[j]].be.Withdraw(p.ID)
-		}
-	}
-	dep := Deployment{ID: id, Input: r.name}
-	if r.keyIdx < 0 {
-		si := r.primaryShard()
-		d, err := rt.shards[si].be.Deploy(req)
+		mode, staged, err := dsms.PlanStage(req.Graph)
 		if err != nil {
 			return Deployment{}, err
 		}
-		dep.Handle = d.Handle
-		dep.OutputSchema = d.OutputSchema
-		dep.Parts = []BackendDeployment{d}
-		dep.shards = []int{si}
-	} else {
-		dep.Handle = fmt.Sprintf("xrt://%s/streams/%s", rt.name, id)
-		for i, s := range rt.shards {
-			d, err := s.be.Deploy(req) // backends clone/compile per shard; reuse is safe
-			if err != nil {
-				undo(&dep)
-				return Deployment{}, fmt.Errorf("runtime: shard %d: %w", i, err)
+		if staged {
+			if ds.out, err = req.Graph.Validate(r.schema); err != nil {
+				return Deployment{}, err
 			}
-			dep.OutputSchema = d.OutputSchema
-			dep.Parts = append(dep.Parts, d)
-			dep.shards = append(dep.shards, i)
+			if ds.ms, err = newMergeStage(rt, r, mode, req.Graph); err != nil {
+				return Deployment{}, err
+			}
+			stage = &dsms.StageSpec{Mode: mode}
 		}
 	}
-	rt.mu.Lock()
-	if rt.closed {
-		// The runtime closed while the backends deployed; roll back.
-		rt.mu.Unlock()
-		undo(&dep)
-		return Deployment{}, errClosed
+	if ds.id, err = rt.assignDepID(forceID); err != nil {
+		return Deployment{}, err
 	}
-	if cur, ok := rt.routes[strings.ToLower(r.name)]; !ok || cur != r {
-		// The stream was dropped (and possibly re-created) while the
-		// backends deployed; committing now would register a query the
-		// drop already withdrew. Roll back instead.
-		rt.mu.Unlock()
-		undo(&dep)
-		return Deployment{}, fmt.Errorf("runtime: stream %q dropped during deploy", r.name)
-	}
-	rt.deps[id] = &dep
-	rt.deps[dep.Handle] = &dep
-	rt.mu.Unlock()
-	ds := &depState{req: req, input: r.name}
-	// Replicated routes keep a standby part warm on every healthy
-	// follower: it consumes the replicated tuple flow, so its window
-	// state tracks the primary's and a promotion needs no state
-	// transfer. Standby deploys are best effort (a graph-only request
-	// cannot cross the wire to a remote follower; a downed follower
-	// re-acquires its standby at re-adoption).
-	if r.keyIdx < 0 && r.repl != nil {
-		ds.standby = map[int]BackendDeployment{}
-		primary := dep.shards[0]
-		for _, fi := range r.replicas {
-			if fi == primary || rt.shards[fi].failedErr() != nil {
+
+	for p := 0; p < r.partitions(); p++ {
+		preq := partRequest(r, req, stage, p)
+		primary, followers := r.placement(p)
+		if ferr := rt.shards[primary].failedErr(); ferr != nil {
+			_ = rt.teardown(ds)
+			return Deployment{}, fmt.Errorf("runtime: shard %d down: %w", primary, ferr)
+		}
+		d, err := rt.shards[primary].be.Deploy(preq)
+		if err != nil {
+			_ = rt.teardown(ds)
+			return Deployment{}, fmt.Errorf("runtime: shard %d: %w", primary, err)
+		}
+		ds.parts = append(ds.parts, part{p: p, shard: primary, req: preq, dep: d, primary: true, live: true})
+		for _, fi := range followers {
+			if rt.shards[fi].failedErr() != nil {
 				continue
 			}
-			if sd, err := rt.shards[fi].be.Deploy(req); err == nil {
-				ds.standby[fi] = sd
+			if sd, err := rt.shards[fi].be.Deploy(preq); err == nil {
+				ds.parts = append(ds.parts, part{p: p, shard: fi, req: preq, dep: sd, live: true})
 			}
 		}
 	}
-	rt.depMu.Lock()
-	rt.depSt[id] = ds
-	rt.depMu.Unlock()
-	rt.noteQueryDeployed(id, dep.Handle, r.name, req.Script, req.Graph, r.schema)
-	return dep, nil
+	for k, pt := range ds.parts {
+		if err := rt.attachLocked(ds, pt); err != nil {
+			if pt.primary {
+				_ = rt.teardown(ds)
+				return Deployment{}, fmt.Errorf("runtime: subscribe partition %d (shard %d): %w", pt.p, pt.shard, err)
+			}
+			ds.parts[k].live = false // a promotion attaches it
+		}
+	}
+	if ds.out == nil {
+		ds.out = ds.parts[0].dep.OutputSchema
+	}
+	ds.handle = ds.parts[0].dep.Handle
+	if r.keyIdx >= 0 {
+		ds.handle = fmt.Sprintf("xrt://%s/streams/%s", rt.name, ds.id)
+	}
+
+	rt.mu.Lock()
+	if rt.closed || rt.routes[strings.ToLower(r.name)] != r {
+		// The runtime closed, or the stream was dropped (and possibly
+		// re-created), while the backends deployed: committing now would
+		// register a query nothing will ever withdraw. Roll back.
+		closed := rt.closed
+		rt.mu.Unlock()
+		_ = rt.teardown(ds)
+		if closed {
+			return Deployment{}, errClosed
+		}
+		return Deployment{}, fmt.Errorf("runtime: stream %q dropped during deploy", r.name)
+	}
+	rt.deps[ds.id] = ds
+	rt.deps[ds.handle] = ds
+	rt.mu.Unlock()
+	rt.noteQueryDeployed(ds.id, ds.handle, r.name, req.Script, req.Graph, r.schema)
+	return ds.view(), nil
+}
+
+// partRequest is the request partition p's parts deploy from. A staged
+// query's parts run the stage plan, and a replicated partitioned
+// stream's partition lives on the shards as the sub-stream "name@p";
+// either rewrites the graph, so the script form that crosses the wire
+// to remote shards is regenerated from it (StreamSQL has no stage
+// syntax: the stage spec rides beside the script).
+func partRequest(r *route, req DeployRequest, stage *dsms.StageSpec, p int) DeployRequest {
+	if stage == nil && r.subs == nil {
+		return req
+	}
+	g := req.Graph.Clone()
+	if stage != nil {
+		if stage.Mode == dsms.StageRelay {
+			g.Boxes = g.Boxes[:len(g.Boxes)-1]
+		}
+		g.Stage = stage.Clone()
+	}
+	if r.subs != nil {
+		g.Input = r.subs[p].name
+	}
+	script, err := streamql.GenerateString(g, r.schema)
+	if err != nil {
+		script = ""
+	}
+	return DeployRequest{Graph: g, Script: script, Stage: stage}
 }
 
 // assignDepID allocates the next runtime query id, or pins forceID
@@ -259,140 +307,70 @@ func (rt *Runtime) assignDepID(forceID string) (string, error) {
 	return forceID, nil
 }
 
-// deployStaged runs a windowed aggregate over a partitioned stream as
-// a two-stage plan: each partition gets a stage query (the graph with
-// its terminal aggregate folded to window partials, or — when the
-// aggregate cannot be split, e.g. time windows or a preceding filter —
-// a relay of the surviving rows), and a runtime-side merge stage
-// re-aggregates the per-partition record streams into the one global
-// emission sequence a single-shard deployment would produce. On a
-// replicated stream each partition's stage also deploys warm standby
-// parts on the healthy followers, attached to the merge up front:
-// their records are bit-identical to the primary's and dedup by
-// content, so a failover needs no re-subscription and loses nothing.
-func (rt *Runtime) deployStaged(r *route, req DeployRequest, mode dsms.StageMode, forceID string) (Deployment, error) {
-	g := req.Graph
-	outSchema, err := g.Validate(r.schema)
-	if err != nil {
-		return Deployment{}, err
+// attachLocked starts a part's output flowing: into the merge stage of
+// a staged query, or into every live subscription of any other. A
+// subscription that cannot reach the part keeps its other sources.
+// Caller holds ds.mu (or owns ds before it is registered).
+func (rt *Runtime) attachLocked(ds *depState, pt part) error {
+	be := rt.shards[pt.shard].be
+	if ds.ms != nil {
+		bs, err := be.Subscribe(pt.dep.ID)
+		if err != nil {
+			return err
+		}
+		ds.ms.attachSource(pt.p, bs)
+		return nil
 	}
-	agg := g.Boxes[len(g.Boxes)-1]
-	aggIn := r.schema
-	for _, b := range g.Boxes[:len(g.Boxes)-1] {
-		if aggIn, err = b.OutputSchema(aggIn); err != nil {
-			return Deployment{}, err
+	for sub := range ds.subs {
+		if bs, err := be.Subscribe(pt.dep.ID); err == nil {
+			sub.attach(bs, pt.p)
 		}
 	}
-	id, err := rt.assignDepID(forceID)
-	if err != nil {
-		return Deployment{}, err
-	}
+	return nil
+}
 
-	ms, err := newMergeStage(rt, r, mode, agg, aggIn)
-	if err != nil {
-		return Deployment{}, err
-	}
-	spec := &dsms.StageSpec{Mode: mode}
-	var parts []stagedPart
-	undo := func() {
-		ms.close()
-		for _, sp := range parts {
-			if rt.shards[sp.shard].failedErr() == nil {
-				_ = rt.shards[sp.shard].be.Withdraw(sp.dep.ID)
-			}
+// promoteLocked makes part k its partition's primary. A part that was
+// not live — just deployed, or re-created with a state gap — starts
+// feeding now; accepting its gap is the documented degraded mode:
+// windows already spanning it may come out short (or, staged, wait for
+// the MergeBuffer bound), later windows are exact again. Caller holds
+// ds.mu.
+func (rt *Runtime) promoteLocked(ds *depState, k int) {
+	for j := range ds.parts {
+		if ds.parts[j].p == ds.parts[k].p {
+			ds.parts[j].primary = j == k
 		}
 	}
-	for p := range rt.shards {
-		pg := g.Clone()
-		if mode == dsms.StageRelay {
-			pg.Boxes = pg.Boxes[:len(pg.Boxes)-1]
-		}
-		pg.Stage = spec.Clone()
-		if r.subs != nil {
-			pg.Input = r.subs[p].name
-		}
-		// The script form crosses the wire to remote shards; the stage
-		// spec rides beside it (StreamSQL has no stage syntax).
-		script, serr := streamql.GenerateString(pg, r.schema)
-		if serr != nil {
-			script = ""
-		}
-		partReq := DeployRequest{Graph: pg, Script: script, Stage: spec}
-		primary := p
-		var followers []int
-		if r.subs != nil {
-			sub := r.subs[p]
-			primary = sub.primaryShard()
-			for _, fi := range sub.replicas {
-				if fi != primary {
-					followers = append(followers, fi)
-				}
-			}
-		}
-		if ferr := rt.shards[primary].failedErr(); ferr != nil {
-			undo()
-			return Deployment{}, fmt.Errorf("runtime: partition %d: shard %d down: %w", p, primary, ferr)
-		}
-		d, derr := rt.shards[primary].be.Deploy(partReq)
-		if derr != nil {
-			undo()
-			return Deployment{}, fmt.Errorf("runtime: partition %d (shard %d): %w", p, primary, derr)
-		}
-		parts = append(parts, stagedPart{partition: p, shard: primary, req: partReq, dep: d, primary: true})
-		for _, fi := range followers {
-			if rt.shards[fi].failedErr() != nil {
-				continue
-			}
-			if sd, serr := rt.shards[fi].be.Deploy(partReq); serr == nil {
-				parts = append(parts, stagedPart{partition: p, shard: fi, req: partReq, dep: sd})
-			}
-		}
+	if !ds.parts[k].live {
+		ds.parts[k].live = true
+		_ = rt.attachLocked(ds, ds.parts[k])
 	}
-	for i := range parts {
-		sp := &parts[i]
-		bs, serr := rt.shards[sp.shard].be.Subscribe(sp.dep.ID)
-		if serr != nil {
-			if sp.primary {
-				undo()
-				return Deployment{}, fmt.Errorf("runtime: subscribe partition %d (shard %d): %w", sp.partition, sp.shard, serr)
-			}
+}
+
+// teardown ends a query everywhere: the merge stage closes (ending its
+// subscribers), then every part on a healthy shard is withdrawn, which
+// closes the engine subscriptions reading it. A down shard's parts died
+// with its process, and a conn error there would only make an
+// otherwise-complete withdraw look failed. The table is emptied, so a
+// racing promotion or re-adoption finds nothing to rebuild.
+func (rt *Runtime) teardown(ds *depState) error {
+	if ds.ms != nil {
+		ds.ms.close()
+	}
+	ds.mu.Lock()
+	parts := ds.parts
+	ds.parts = nil
+	ds.mu.Unlock()
+	var err error
+	for _, pt := range parts {
+		if rt.shards[pt.shard].failedErr() != nil {
 			continue
 		}
-		ms.attachSource(sp.partition, bs)
-		sp.attached = true
-	}
-	dep := Deployment{
-		ID:           id,
-		Handle:       fmt.Sprintf("xrt://%s/streams/%s", rt.name, id),
-		Input:        r.name,
-		OutputSchema: outSchema,
-	}
-	for i := range parts {
-		if parts[i].primary {
-			dep.Parts = append(dep.Parts, parts[i].dep)
-			dep.shards = append(dep.shards, parts[i].shard)
+		if werr := rt.shards[pt.shard].be.Withdraw(pt.dep.ID); werr != nil && err == nil {
+			err = werr
 		}
 	}
-	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		undo()
-		return Deployment{}, errClosed
-	}
-	if cur, ok := rt.routes[strings.ToLower(r.name)]; !ok || cur != r {
-		rt.mu.Unlock()
-		undo()
-		return Deployment{}, fmt.Errorf("runtime: stream %q dropped during deploy", r.name)
-	}
-	rt.deps[id] = &dep
-	rt.deps[dep.Handle] = &dep
-	rt.mu.Unlock()
-	ds := &depState{req: req, input: r.name, staged: &stagedDep{mode: mode, ms: ms, parts: parts}}
-	rt.depMu.Lock()
-	rt.depSt[id] = ds
-	rt.depMu.Unlock()
-	rt.noteQueryDeployed(id, dep.Handle, r.name, req.Script, req.Graph, r.schema)
-	return dep, nil
+	return err
 }
 
 // DeployScript compiles a StreamSQL script and deploys it, implementing
@@ -423,27 +401,31 @@ func (rt *Runtime) DeployScript(script string) (string, string, error) {
 }
 
 // lookupDep resolves a runtime id or handle to its deployment.
-func (rt *Runtime) lookupDep(idOrHandle string) (*Deployment, bool) {
+func (rt *Runtime) lookupDep(idOrHandle string) (*depState, bool) {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	d, ok := rt.deps[idOrHandle]
-	return d, ok
+	ds, ok := rt.deps[idOrHandle]
+	return ds, ok
 }
 
-// Query returns the deployment for a runtime id or handle. The copy
-// is taken under rt.mu: failover promotion rewrites Parts/shards in
-// place, so an unlocked dereference would race with it.
+// Query returns the deployment for a runtime id or handle.
 func (rt *Runtime) Query(idOrHandle string) (Deployment, bool) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	d, ok := rt.deps[idOrHandle]
+	ds, ok := rt.lookupDep(idOrHandle)
 	if !ok {
 		return Deployment{}, false
 	}
-	cp := *d
-	cp.Parts = append([]BackendDeployment(nil), d.Parts...)
-	cp.shards = append([]int(nil), d.shards...)
-	return cp, true
+	return ds.view(), true
+}
+
+// forgetLocked unregisters a query's id, handle and restored-handle
+// alias. Caller holds rt.mu.
+func (rt *Runtime) forgetLocked(ds *depState) {
+	delete(rt.deps, ds.id)
+	delete(rt.deps, ds.handle)
+	if al, ok := rt.aliases[ds.id]; ok {
+		delete(rt.deps, al)
+		delete(rt.aliases, ds.id)
+	}
 }
 
 // Withdraw stops a deployed query by runtime id or handle. Handles
@@ -451,19 +433,11 @@ func (rt *Runtime) Query(idOrHandle string) (Deployment, bool) {
 // withdraw-by-whatever-it-stored behaviour keeps working.
 func (rt *Runtime) Withdraw(idOrHandle string) error {
 	rt.mu.Lock()
-	d, ok := rt.deps[idOrHandle]
+	ds, ok := rt.deps[idOrHandle]
 	if ok {
-		delete(rt.deps, d.ID)
-		delete(rt.deps, d.Handle)
-		if al, aok := rt.aliases[d.ID]; aok {
-			delete(rt.deps, al)
-			delete(rt.aliases, d.ID)
-		}
+		rt.forgetLocked(ds)
 	}
 	rt.mu.Unlock()
-	if ok {
-		rt.noteQueryWithdrawn(d.ID)
-	}
 	if !ok {
 		for _, s := range rt.shards {
 			if err := s.be.Withdraw(idOrHandle); err == nil {
@@ -472,73 +446,29 @@ func (rt *Runtime) Withdraw(idOrHandle string) error {
 		}
 		return fmt.Errorf("runtime: unknown query %q", idOrHandle)
 	}
-	rt.depMu.Lock()
-	ds := rt.depSt[d.ID]
-	delete(rt.depSt, d.ID)
-	rt.depMu.Unlock()
-	if ds != nil && ds.staged != nil {
-		// Staged global aggregate: stop the merge stage (ends every
-		// subscriber), then withdraw all partition parts — primaries and
-		// warm standbys alike.
-		ds.staged.ms.close()
-		ds.mu.Lock()
-		parts := append([]stagedPart(nil), ds.staged.parts...)
-		ds.mu.Unlock()
-		var werr error
-		for _, sp := range parts {
-			if rt.shards[sp.shard].failedErr() != nil {
-				continue
-			}
-			if e := rt.shards[sp.shard].be.Withdraw(sp.dep.ID); e != nil && werr == nil {
-				werr = e
-			}
-		}
-		return werr
-	}
-	if ds != nil {
-		ds.mu.Lock()
-		standby := make(map[int]BackendDeployment, len(ds.standby))
-		for si, sd := range ds.standby {
-			standby[si] = sd
-		}
-		ds.mu.Unlock()
-		for si, sd := range standby {
-			if rt.shards[si].failedErr() == nil {
-				_ = rt.shards[si].be.Withdraw(sd.ID)
-			}
-		}
-	}
-	var err error
-	for i, p := range d.Parts {
-		if rt.shards[d.shards[i]].failedErr() != nil {
-			// The shard's backend is down: its queries died with the
-			// process, so there is nothing left to withdraw there and a
-			// conn error would only make an otherwise-complete withdraw
-			// look failed.
-			continue
-		}
-		if werr := rt.shards[d.shards[i]].be.Withdraw(p.ID); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	return err
+	rt.noteQueryWithdrawn(ds.id)
+	return rt.teardown(ds)
 }
 
-// Subscription delivers a runtime query's output tuples. For queries on
-// partitioned streams it merges the per-shard output streams into one
-// channel; per-key ordering is preserved (all tuples of a key flow
-// through one shard), global interleaving across keys is not.
+// Subscription delivers a runtime query's output tuples. A query with
+// one part and no replicas hands out its backend channel directly (a
+// re-adopted part cannot be spliced into it: the consumer sees the
+// close and re-subscribes). A staged global aggregate hands out one
+// output of its merge stage. Every other query gets a merged channel
+// fed by one forwarder per live part; per-key ordering is preserved
+// (all tuples of a key flow through one partition), global interleaving
+// across partitions is not.
 //
-// For queries on replicated streams the subscription attaches to the
-// primary part AND every standby part up front, merging them through a
-// monotonic sequence watermark: primary and standbys process the same
-// tuple flow and emit identical output sequences, so the watermark
-// delivers each emission exactly once, in order, regardless of which
-// replica it arrived from — and when the primary dies mid-stream, the
-// standby's copies of the in-flight emissions fill the hole instead of
-// the subscription restarting from an empty window. (The watermark
-// assumes an output's Seq strictly advances between emissions, which
-// holds whenever every emission covers at least one new input tuple.)
+// Where a partition has replicas, its primary and standby parts process
+// the same tuple flow and emit identical output sequences, so the
+// subscription keeps one Seq watermark per partition and delivers each
+// emission exactly once, in order, from whichever part it reaches first
+// — and when the primary dies mid-stream, the standby's copies of the
+// in-flight emissions fill the hole instead of the subscription
+// restarting from an empty window. Only live parts feed it (see part).
+// The watermark assumes a partition's output Seq strictly advances
+// between emissions, which holds whenever every emission covers at
+// least one new input tuple of that partition.
 //
 // That assumption does NOT hold for every output: a time-window
 // aggregate stamps each emission with the position of the window's
@@ -546,9 +476,8 @@ func (rt *Runtime) Withdraw(idOrHandle string) error {
 // repeating the Seq. Global aggregates over partitioned streams
 // therefore bypass the watermark entirely — their merge stage already
 // delivers one exactly-once sequence, and running it through Seq dedup
-// would silently swallow real emissions after a failover. Seq dedup is
-// applied only where strict advance is structural: replica merging of
-// a single-shard query's parts, which emit from one engine lineage.
+// would silently swallow real emissions after a failover. Without
+// replicas there is nothing to dedup and no watermark runs.
 // TestSubscriptionWatermarkAssumption pins both halves of this
 // contract.
 type Subscription struct {
@@ -564,11 +493,12 @@ type Subscription struct {
 	ended  bool // merged closed (all forwarders exited)
 	closed bool // Close called
 
-	// dedup state: sendMu serializes the watermark check with the
-	// delivery, so two replicas' forwarders cannot reorder emissions.
-	dedup   bool
+	// Replica dedup: lastSeq[p] is partition p's Seq watermark, nil when
+	// the query's partitions have no replicas. sendMu serializes each
+	// check with its delivery, so two replicas' forwarders cannot
+	// reorder emissions.
 	sendMu  sync.Mutex
-	lastSeq uint64
+	lastSeq []uint64
 }
 
 // Dropped sums the tuples discarded across the underlying
@@ -583,40 +513,40 @@ func (s *Subscription) Dropped() uint64 {
 	return n
 }
 
-// attach adds one backend subscription as a source and starts its
-// forwarder; it reports false when the subscription cannot accept new
-// sources — already closed, ended, or a plain single-part subscription
-// without a merge channel (those expose the backend channel directly,
-// so a replacement part cannot be spliced in; the consumer sees the
-// close and re-subscribes). The refused backend subscription is closed.
-func (s *Subscription) attach(bs BackendSubscription) bool {
+// attach adds one backend subscription, partition p's part output, as a
+// source and starts its forwarder. A subscription that is closed or
+// ended refuses it, and the backend subscription is closed.
+func (s *Subscription) attach(bs BackendSubscription, p int) {
 	s.mu.Lock()
-	if s.merged == nil || s.closed || s.ended {
+	if s.closed || s.ended {
 		s.mu.Unlock()
 		bs.Close()
-		return false
+		return
 	}
 	s.parts = append(s.parts, bs)
 	s.active++
 	s.mu.Unlock()
-	go s.forward(bs)
-	return true
+	var wm *uint64
+	if s.lastSeq != nil {
+		wm = &s.lastSeq[p]
+	}
+	go s.forward(bs, wm)
 }
 
-func (s *Subscription) forward(bs BackendSubscription) {
+// forward pumps one source into the merged channel, through the
+// partition's watermark wm when it has replicas (wm non-nil).
+func (s *Subscription) forward(bs BackendSubscription, wm *uint64) {
 	for t := range bs.Tuples() {
-		if s.dedup {
-			s.sendMu.Lock()
-			if t.Seq <= s.lastSeq {
-				s.sendMu.Unlock()
-				continue
-			}
-			s.lastSeq = t.Seq
+		if wm == nil {
 			s.merged <- t
-			s.sendMu.Unlock()
-		} else {
+			continue
+		}
+		s.sendMu.Lock()
+		if t.Seq > *wm {
+			*wm = t.Seq
 			s.merged <- t
 		}
+		s.sendMu.Unlock()
 	}
 	s.mu.Lock()
 	s.active--
@@ -666,13 +596,13 @@ func (s *Subscription) Close() {
 }
 
 // Subscribe attaches a consumer to a query's output by runtime id or
-// handle (handles issued directly by shard backends also resolve).
-// Queries on replicated streams are attached on the primary part and
-// every live standby, merged through the sequence watermark (see
-// Subscription); a later failover needs no re-subscription, because
-// the promoted standby's emissions are already flowing.
+// handle (handles issued directly by shard backends also resolve). A
+// merged subscription attaches every live part on a healthy shard up
+// front, and fails when some partition has none; a later failover or
+// re-adoption needs no re-subscription, because the runtime splices the
+// promoted part in.
 func (rt *Runtime) Subscribe(idOrHandle string) (*Subscription, error) {
-	d, ok := rt.lookupDep(idOrHandle)
+	ds, ok := rt.lookupDep(idOrHandle)
 	if !ok {
 		for _, s := range rt.shards {
 			if sub, err := s.be.Subscribe(idOrHandle); err == nil {
@@ -681,84 +611,53 @@ func (rt *Runtime) Subscribe(idOrHandle string) (*Subscription, error) {
 		}
 		return nil, fmt.Errorf("runtime: unknown query %q", idOrHandle)
 	}
-	rt.mu.RLock()
-	parts := d.Parts
-	shards := d.shards
-	rt.mu.RUnlock()
-	ds := rt.depStateFor(d.ID)
-	if ds != nil && ds.staged != nil {
-		// Staged global aggregate: the merge stage already produced the
-		// single globally ordered, exactly-once emission sequence, so the
-		// subscription wraps one output channel directly — deliberately
-		// WITHOUT the Seq watermark (see the Subscription doc: a
-		// time-window aggregate's provenance Seq can repeat across
-		// consecutive emissions, and deduping on it would swallow real
-		// windows).
-		mo, err := ds.staged.ms.newOutput()
+	if ds.ms != nil {
+		mo, err := ds.ms.newOutput()
 		if err != nil {
 			return nil, err
 		}
 		return &Subscription{C: mo.Tuples(), parts: []BackendSubscription{mo}}, nil
 	}
-	if ds == nil || ds.standby == nil {
-		if len(parts) == 1 {
-			sub, err := rt.shards[shards[0]].be.Subscribe(parts[0].ID)
-			if err != nil {
-				return nil, err
-			}
-			return &Subscription{C: sub.Tuples(), parts: []BackendSubscription{sub}}, nil
-		}
-		// Partitioned: merge every shard's output, no dedup (each shard
-		// emits its own keys). Registering the subscription lets a
-		// re-adopted shard's redeployed part be spliced back in.
-		out := make(chan stream.Tuple, dsms.DefaultSubscriptionBuffer)
-		sub := &Subscription{C: out, merged: out}
-		if ds != nil {
-			sub.detach = ds.dropSub
-		}
-		for i, p := range parts {
-			bs, err := rt.shards[shards[i]].be.Subscribe(p.ID)
-			if err != nil {
-				sub.Close()
-				return nil, err
-			}
-			sub.attach(bs)
-		}
-		if ds != nil {
-			ds.addSub(sub)
-		}
-		return sub, nil
-	}
-	// Replicated: dedup-merge the primary part and every standby.
+	replicated := ds.r.repl != nil || ds.r.subs != nil
+	// ds.mu is held from reading the table to registering the
+	// subscription, so a promotion cannot splice its part in between
+	// and miss this subscriber.
 	ds.mu.Lock()
-	standby := make(map[int]BackendDeployment, len(ds.standby))
-	for si, sd := range ds.standby {
-		standby[si] = sd
-	}
-	ds.mu.Unlock()
-	out := make(chan stream.Tuple, dsms.DefaultSubscriptionBuffer)
-	sub := &Subscription{C: out, merged: out, dedup: true, detach: ds.dropSub}
-	attached := 0
-	if rt.shards[shards[0]].failedErr() == nil {
-		if bs, err := rt.shards[shards[0]].be.Subscribe(parts[0].ID); err == nil {
-			sub.attach(bs)
-			attached++
+	defer ds.mu.Unlock()
+	if len(ds.parts) == 1 && !replicated {
+		pt := ds.parts[0]
+		bs, err := rt.shards[pt.shard].be.Subscribe(pt.dep.ID)
+		if err != nil {
+			return nil, err
 		}
+		return &Subscription{C: bs.Tuples(), parts: []BackendSubscription{bs}}, nil
 	}
-	for si, sd := range standby {
-		if rt.shards[si].failedErr() != nil {
+	out := make(chan stream.Tuple, dsms.DefaultSubscriptionBuffer)
+	sub := &Subscription{C: out, merged: out}
+	if replicated {
+		sub.lastSeq = make([]uint64, ds.r.partitions())
+	}
+	covered := make([]bool, ds.r.partitions())
+	for _, pt := range ds.parts {
+		if !pt.live || rt.shards[pt.shard].failedErr() != nil {
 			continue
 		}
-		if bs, err := rt.shards[si].be.Subscribe(sd.ID); err == nil {
-			sub.attach(bs)
-			attached++
+		if bs, err := rt.shards[pt.shard].be.Subscribe(pt.dep.ID); err == nil {
+			sub.attach(bs, pt.p)
+			covered[pt.p] = true
 		}
 	}
-	if attached == 0 {
-		sub.Close()
-		return nil, fmt.Errorf("runtime: no live part of query %q to subscribe to", d.ID)
+	for p, ok := range covered {
+		if !ok {
+			sub.Close()
+			return nil, fmt.Errorf("runtime: no live part of query %q partition %d to subscribe to", ds.id, p)
+		}
 	}
-	ds.addSub(sub)
+	sub.detach = ds.dropSub
+	if ds.subs == nil {
+		ds.subs = map[*Subscription]struct{}{}
+	}
+	ds.subs[sub] = struct{}{}
 	return sub, nil
 }
 
@@ -767,43 +666,46 @@ func (rt *Runtime) Subscribe(idOrHandle string) (*Subscription, error) {
 // shard drain is briefly paused, replication is flushed so the target
 // holds the identical tuple flow, the query's window state is exported
 // (dsms.QueryState — over the dsms.migrate verb for remote shards) and
-// imported into a fresh deployment on the target replacing its standby
-// part, live subscriptions are re-attached to the migrated part, and
-// the old primary part stays on as the standby for its shard. Emission
-// continuity is guaranteed by the subscription watermark: the migrated
-// part resumes the exact output sequence the standby was producing.
+// imported into a fresh part on the target replacing its standby, the
+// migrated part becomes the primary and live subscriptions are spliced
+// onto it, and the old primary part stays on as its shard's standby.
+// Emission continuity is guaranteed by the subscription watermark: the
+// migrated part resumes the exact output sequence the standby was
+// producing. Queries over partitioned streams are refused: their parts
+// fail over with their partitions.
 func (rt *Runtime) MigrateQuery(idOrHandle string, target int) error {
 	if target < 0 || target >= len(rt.shards) {
 		return fmt.Errorf("runtime: shard %d out of range", target)
 	}
-	d, ok := rt.lookupDep(idOrHandle)
+	ds, ok := rt.lookupDep(idOrHandle)
 	if !ok {
 		return fmt.Errorf("runtime: unknown query %q", idOrHandle)
 	}
-	ds := rt.depStateFor(d.ID)
-	if ds != nil && ds.staged != nil {
-		// A staged global aggregate has one part per partition (plus
-		// standbys) — "migrate the query" is ambiguous, and each part
-		// already fails over with its partition's replication. The
-		// dsms-level stage state is migrate-capable (QueryState carries
-		// it); only the multi-part orchestration is refused.
-		return fmt.Errorf("runtime: query %q is a staged global aggregate; its parts fail over with their partitions and cannot be migrated", d.ID)
+	r := ds.r
+	if r.keyIdx >= 0 {
+		return fmt.Errorf("runtime: query %q reads partitioned stream %q; its parts fail over with their partitions and cannot be migrated", ds.id, r.name)
 	}
-	if ds == nil || ds.standby == nil {
-		return fmt.Errorf("runtime: query %q is not on a replicated stream", d.ID)
-	}
-	r, err := rt.routeFor(ds.input)
-	if err != nil {
-		return err
+	if r.repl == nil {
+		return fmt.Errorf("runtime: query %q is not on a replicated stream", ds.id)
 	}
 	if !r.hasReplica(target) && target != r.shard {
-		return fmt.Errorf("runtime: shard %d is not a replica of stream %q", target, ds.input)
+		return fmt.Errorf("runtime: shard %d is not a replica of stream %q", target, r.name)
 	}
-	rt.mu.RLock()
-	parts := d.Parts
-	shards := d.shards
-	rt.mu.RUnlock()
-	src := shards[0]
+	ds.mu.Lock()
+	src, replaceID := -1, ""
+	var from part
+	for _, pt := range ds.parts {
+		if pt.primary {
+			src, from = pt.shard, pt
+		}
+		if pt.shard == target {
+			replaceID = pt.dep.ID
+		}
+	}
+	ds.mu.Unlock()
+	if src < 0 {
+		return fmt.Errorf("runtime: query %q withdrawn", ds.id)
+	}
 	if src == target {
 		return nil
 	}
@@ -826,39 +728,27 @@ func (rt *Runtime) MigrateQuery(idOrHandle string, target int) error {
 	_ = rt.shards[src].be.Flush()
 	_ = rt.shards[target].be.Flush()
 
-	st, err := rt.shards[src].be.ExportQueryState(parts[0].ID)
+	st, err := rt.shards[src].be.ExportQueryState(from.dep.ID)
 	if err != nil {
 		return fmt.Errorf("runtime: export from shard %d: %w", src, err)
 	}
-	ds.mu.Lock()
-	replaceID := ""
-	if sd, ok := ds.standby[target]; ok {
-		replaceID = sd.ID
-	}
-	ds.mu.Unlock()
-	newPart, err := rt.shards[target].be.ImportQuery(ds.req, replaceID, st)
+	moved, err := rt.shards[target].be.ImportQuery(from.req, replaceID, st)
 	if err != nil {
 		return fmt.Errorf("runtime: import on shard %d: %w", target, err)
 	}
-	// Swap roles: the migrated part is the new primary, the old primary
-	// part stays deployed as its shard's standby (its state is current,
-	// and the replicated flow keeps it warm).
-	rt.mu.Lock()
-	d.Parts = []BackendDeployment{newPart}
-	d.shards = []int{target}
-	rt.mu.Unlock()
+	// The import withdrew the target's standby, closing its channels:
+	// the migrated part goes in not-live, so promotion splices it into
+	// the live subscriptions. The old primary stays live as a standby
+	// (its state is current, and the replicated flow keeps it warm).
 	ds.mu.Lock()
-	delete(ds.standby, target)
-	ds.standby[src] = parts[0]
-	ds.mu.Unlock()
-	// Re-attach live subscriptions: the import withdrew the standby
-	// part, closing its channels, so the migrated part must be wired
-	// back in for emissions from the new primary to flow.
-	for _, sub := range ds.subList() {
-		if bs, err := rt.shards[target].be.Subscribe(newPart.ID); err == nil {
-			sub.attach(bs)
-		}
+	k := ds.find(0, target)
+	if k < 0 {
+		ds.parts = append(ds.parts, part{shard: target, req: from.req})
+		k = len(ds.parts) - 1
 	}
+	ds.parts[k].dep, ds.parts[k].live = moved, false
+	rt.promoteLocked(ds, k)
+	ds.mu.Unlock()
 	rt.count("exacml_query_migrations_total",
 		"Live query migrations between replica shards.")
 	return nil

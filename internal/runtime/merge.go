@@ -132,10 +132,18 @@ func (o *mergeOut) closeCh() {
 	o.once.Do(func() { close(o.ch) })
 }
 
-// newMergeStage builds the stage for a staged deployment: agg is the
-// query's terminal aggregate box, aggIn the schema feeding it (the
+// newMergeStage builds the stage for a staged deployment of g: its
+// terminal aggregate box re-runs here over the schema feeding it (the
 // input schema after every preceding box).
-func newMergeStage(rt *Runtime, r *route, mode dsms.StageMode, agg *dsms.Box, aggIn *stream.Schema) (*mergeStage, error) {
+func newMergeStage(rt *Runtime, r *route, mode dsms.StageMode, g *dsms.QueryGraph) (*mergeStage, error) {
+	agg := g.Boxes[len(g.Boxes)-1]
+	aggIn := r.schema
+	for _, b := range g.Boxes[:len(g.Boxes)-1] {
+		var err error
+		if aggIn, err = b.OutputSchema(aggIn); err != nil {
+			return nil, err
+		}
+	}
 	ms := &mergeStage{
 		rt:    rt,
 		r:     r,

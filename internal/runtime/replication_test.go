@@ -9,13 +9,11 @@ package runtime_test
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dsms"
-	"repro/internal/expr"
 	"repro/internal/netsim"
 	"repro/internal/runtime"
 	"repro/internal/stream"
@@ -465,58 +463,6 @@ func TestMigrateQueryRejectsBadTargets(t *testing.T) {
 			if err := rt.MigrateQuery(dep.ID, i); err == nil {
 				t.Errorf("migrating to non-replica shard %d succeeded", i)
 			}
-		}
-	}
-}
-
-// TestFilterOverReplicatedPartitionedStreamRefused: with Replication >= 2
-// a partitioned stream lives on the shards as the sub-routes "s@p", so
-// a plain per-shard deploy against "s" used to fail on the first
-// backend with a misleading `input stream "s": unknown stream`. The
-// deploy must instead say what is unsupported, name the stream and
-// touch no backend — and the same graph still deploys with
-// replication off.
-func TestFilterOverReplicatedPartitionedStreamRefused(t *testing.T) {
-	filter := func() *dsms.QueryGraph {
-		return dsms.NewQueryGraph("s", dsms.NewFilterBox(expr.MustParse("i != 13")))
-	}
-	rt := runtime.New("part-repl", runtime.Options{Shards: 2, Replication: 2})
-	defer rt.Close()
-	if err := rt.CreatePartitionedStream("s", mergeSchema(), "key"); err != nil {
-		t.Fatal(err)
-	}
-	_, err := rt.Deploy(filter())
-	if err == nil {
-		t.Fatal("filter over a replicated partitioned stream deployed")
-	}
-	for _, want := range []string{`"s"`, "non-aggregate", "replicated partitioned stream", "not supported"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
-		}
-	}
-	if strings.Contains(err.Error(), "unknown stream") {
-		t.Errorf("error still reads as a missing stream: %v", err)
-	}
-	for i := 0; i < rt.NumShards(); i++ {
-		if qc := rt.Backend(i).QueryCount(); qc != 0 {
-			t.Errorf("shard %d runs %d queries after the refused deploy", i, qc)
-		}
-	}
-	if qc := rt.QueryCount(); qc != 0 {
-		t.Errorf("runtime registered %d queries from the refused deploy", qc)
-	}
-
-	plain := runtime.New("part-plain", runtime.Options{Shards: 2, Replication: 1})
-	defer plain.Close()
-	if err := plain.CreatePartitionedStream("s", mergeSchema(), "key"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.Deploy(filter()); err != nil {
-		t.Fatalf("same graph with replication off: %v", err)
-	}
-	for i := 0; i < plain.NumShards(); i++ {
-		if qc := plain.Backend(i).QueryCount(); qc != 1 {
-			t.Errorf("replication off: shard %d runs %d queries, want 1", i, qc)
 		}
 	}
 }

@@ -170,8 +170,7 @@ type Options struct {
 	// follower is promoted: the retained log tail is flushed to it,
 	// publishes are rerouted, and standby query parts deployed on it
 	// take over with warm window state. A partitioned stream replicates
-	// per partition (sub-routes "name@p"); over one, only windowed
-	// aggregates deploy so far (see deploy).
+	// per partition (sub-routes "name@p").
 	Replication int
 	// ReplicationLog bounds the retained replication log per stream in
 	// tuples (default DefaultReplicationLog). A follower that falls
@@ -335,6 +334,39 @@ func (r *route) primaryShard() int {
 	return r.shard
 }
 
+// partitions is how many partitions a query over the route places
+// parts for: one per shard for a partitioned stream, one otherwise.
+func (r *route) partitions() int {
+	if r.keyIdx < 0 {
+		return 1
+	}
+	return len(r.stampA)
+}
+
+// placement names the shards that run partition p of a query over the
+// route: the shard currently serving the partition, and the followers
+// its replication feeds (the original owner among them once a promotion
+// has deposed it — re-adoption enlists it as a follower of its own
+// stream).
+func (r *route) placement(p int) (primary int, followers []int) {
+	if r.keyIdx >= 0 {
+		if r.subs == nil {
+			return p, nil
+		}
+		r = r.subs[p]
+	}
+	primary = r.primaryShard()
+	if r.repl == nil {
+		return primary, nil
+	}
+	for _, fi := range append([]int{r.shard}, r.replicas...) {
+		if fi != primary {
+			followers = append(followers, fi)
+		}
+	}
+	return primary, followers
+}
+
 // hasReplica reports whether shard i is one of the route's followers.
 func (r *route) hasReplica(i int) bool {
 	for _, fi := range r.replicas {
@@ -361,18 +393,11 @@ type Runtime struct {
 
 	mu      sync.RWMutex
 	routes  map[string]*route
-	pending map[string]bool        // stream names being registered (backend RPC in flight)
-	deps    map[string]*Deployment // keyed by runtime id and by handle
-	aliases map[string]string      // restored query id -> pre-restart handle alias in deps
+	pending map[string]bool      // stream names being registered (backend RPC in flight)
+	deps    map[string]*depState // keyed by runtime id and by handle
+	aliases map[string]string    // restored query id -> pre-restart handle alias in deps
 	nextDep int
 	closed  bool
-
-	// depMu guards depSt, the per-deployment replication bookkeeping
-	// (standby parts, live subscriptions) keyed by runtime query id.
-	// Separate from mu so failover can walk deployment state while a
-	// reader holds the route lock.
-	depMu sync.Mutex
-	depSt map[string]*depState
 }
 
 // New builds a runtime with opts.Shards engine shards (or one shard
@@ -467,9 +492,8 @@ func NewWithBackends(name string, opts Options, backends []ShardBackend) *Runtim
 		start:   time.Now(),
 		routes:  map[string]*route{},
 		pending: map[string]bool{},
-		deps:    map[string]*Deployment{},
+		deps:    map[string]*depState{},
 		aliases: map[string]string{},
-		depSt:   map[string]*depState{},
 	}
 	for i, be := range backends {
 		rt.shards[i] = newShard(i, be, opts.QueueSize, opts.BatchSize, opts.Policy, opts.BlockClass)
@@ -936,28 +960,25 @@ func (rt *Runtime) DropStream(name string) error {
 	for _, sub := range r.subs {
 		delete(rt.routes, strings.ToLower(sub.name))
 	}
-	var depIDs []string
-	for id, d := range rt.deps {
-		if strings.EqualFold(d.Input, name) {
-			if id == d.ID {
-				depIDs = append(depIDs, id)
-				delete(rt.aliases, id)
-			}
-			delete(rt.deps, id)
+	var gone []*depState
+	for id, ds := range rt.deps {
+		if ds.r == r && id == ds.id {
+			gone = append(gone, ds)
 		}
 	}
-	rt.mu.Unlock()
-	rt.depMu.Lock()
-	for _, id := range depIDs {
-		delete(rt.depSt, id)
+	for _, ds := range gone {
+		rt.forgetLocked(ds)
 	}
-	rt.depMu.Unlock()
+	rt.mu.Unlock()
 	// The control-plane removal is committed at this point regardless of
 	// how the backend drops below fare (mirroring the deps/routes maps).
 	rt.noteStreamDropped(r.name)
+	for _, ds := range gone {
+		_ = rt.teardown(ds)
+	}
 	// Downed shards are skipped throughout: their streams died with the
 	// process, and a conn error would make an otherwise-complete drop
-	// look failed (mirroring Withdraw).
+	// look failed (mirroring teardown).
 	var err error
 	if r.keyIdx < 0 {
 		if r.repl != nil {
@@ -1406,8 +1427,9 @@ func (rt *Runtime) QueryCount() int {
 	return n
 }
 
-// Close rejects further publishes, drains what is already queued, and
-// shuts every shard engine down.
+// Close rejects further publishes, ends every query (its subscriptions
+// close, and no shard keeps running it), drains what is already queued,
+// and shuts every shard engine down.
 func (rt *Runtime) Close() {
 	rt.mu.Lock()
 	if rt.closed {
@@ -1420,6 +1442,9 @@ func (rt *Runtime) Close() {
 		routes = append(routes, r)
 	}
 	rt.mu.Unlock()
+	for _, ds := range rt.depList() {
+		_ = rt.teardown(ds)
+	}
 	// Stop replication shippers before the backends close underneath
 	// them (a shipper racing a closing backend would just error-retry
 	// until stopped, but stopping first is quieter).

@@ -142,12 +142,16 @@ func (p *sqlParser) expectIdent() (string, error) {
 	return t.text, nil
 }
 
+// isSQLIdent accepts letters, digits and underscores, plus '@' after
+// the first character: a replicated partitioned stream's partition p
+// lives on the shards as the sub-stream "name@p", and the script that
+// deploys a query part there names it.
 func isSQLIdent(s string) bool {
 	if s == "" {
 		return false
 	}
 	for i, r := range s {
-		if r == '_' || unicode.IsLetter(r) || (i > 0 && unicode.IsDigit(r)) {
+		if r == '_' || unicode.IsLetter(r) || (i > 0 && (unicode.IsDigit(r) || r == '@')) {
 			continue
 		}
 		return false

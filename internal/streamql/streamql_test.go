@@ -169,6 +169,29 @@ func TestGenerateIdentityGraph(t *testing.T) {
 	}
 }
 
+// TestGeneratePartitionSubStream: a query part on a replicated
+// partitioned stream's partition reads the sub-stream "name@p", and a
+// remote shard deploys it from the generated script, so the script
+// must compile back to that input.
+func TestGeneratePartitionSubStream(t *testing.T) {
+	schema := stream.MustSchema(stream.Field{Name: "a", Type: stream.TypeInt})
+	g := dsms.NewQueryGraph("gps@1", dsms.NewFilterBox(expr.MustParse("a > 1")))
+	text, err := GenerateString(g, schema)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	c, err := CompileString(text)
+	if err != nil {
+		t.Fatalf("compile: %v\n%s", err, text)
+	}
+	if c.Input != "gps@1" {
+		t.Errorf("input = %q, want gps@1", c.Input)
+	}
+	if _, err := Parse("CREATE INPUT STREAM @s (a int);"); err == nil {
+		t.Error("an identifier may not start with '@'")
+	}
+}
+
 func TestGenerateWithoutSchema(t *testing.T) {
 	g := dsms.NewQueryGraph("s", dsms.NewFilterBox(expr.MustParse("a > 1")))
 	text, err := GenerateString(g, nil)
