@@ -333,7 +333,7 @@ func (rt *Runtime) attachLocked(ds *depState, pt part) error {
 // not live — just deployed, or re-created with a state gap — starts
 // feeding now; accepting its gap is the documented degraded mode:
 // windows already spanning it may come out short (or, staged, wait for
-// the MergeBuffer bound), later windows are exact again. Caller holds
+// the merge buffer bound), later windows are exact again. Caller holds
 // ds.mu.
 func (rt *Runtime) promoteLocked(ds *depState, k int) {
 	for j := range ds.parts {
@@ -461,25 +461,21 @@ func (rt *Runtime) Withdraw(idOrHandle string) error {
 //
 // Where a partition has replicas, its primary and standby parts process
 // the same tuple flow and emit identical output sequences, so the
-// subscription keeps one Seq watermark per partition and delivers each
+// subscription keeps one watermark per partition and delivers each
 // emission exactly once, in order, from whichever part it reaches first
 // — and when the primary dies mid-stream, the standby's copies of the
 // in-flight emissions fill the hole instead of the subscription
 // restarting from an empty window. Only live parts feed it (see part).
-// The watermark assumes a partition's output Seq strictly advances
-// between emissions, which holds whenever every emission covers at
-// least one new input tuple of that partition.
-//
-// That assumption does NOT hold for every output: a time-window
-// aggregate stamps each emission with the position of the window's
-// last tuple, and two consecutive windows can share that tuple,
-// repeating the Seq. Global aggregates over partitioned streams
-// therefore bypass the watermark entirely — their merge stage already
-// delivers one exactly-once sequence, and running it through Seq dedup
-// would silently swallow real emissions after a failover. Without
-// replicas there is nothing to dedup and no watermark runs.
-// TestSubscriptionWatermarkAssumption pins both halves of this
-// contract.
+// The watermark orders emissions by their mark: the Seq, then the
+// ordinal among the source's consecutive emissions sharing that Seq. A
+// Seq alone does not strictly advance — a time-window aggregate stamps
+// each emission with the position of the window's last tuple, and
+// consecutive windows can share that tuple — but the mark does, and
+// every replica computes the same marks, because it emits the same
+// sequence. Global aggregates over partitioned streams bypass the
+// watermark: their merge stage already delivers one exactly-once
+// sequence. Without replicas there is nothing to dedup and no watermark
+// runs. TestSubscriptionWatermarkAssumption pins this contract.
 type Subscription struct {
 	C <-chan stream.Tuple
 
@@ -493,12 +489,23 @@ type Subscription struct {
 	ended  bool // merged closed (all forwarders exited)
 	closed bool // Close called
 
-	// Replica dedup: lastSeq[p] is partition p's Seq watermark, nil when
-	// the query's partitions have no replicas. sendMu serializes each
-	// check with its delivery, so two replicas' forwarders cannot
-	// reorder emissions.
-	sendMu  sync.Mutex
-	lastSeq []uint64
+	// Replica dedup: marks[p] is partition p's watermark, nil when the
+	// query's partitions have no replicas. sendMu serializes each check
+	// with its delivery, so two replicas' forwarders cannot reorder
+	// emissions.
+	sendMu sync.Mutex
+	marks  []emitMark
+}
+
+// emitMark orders one source's emissions: its Seq, then its ordinal
+// (from 1) among the source's consecutive emissions with that Seq.
+type emitMark struct {
+	seq uint64
+	ord int
+}
+
+func (m emitMark) after(o emitMark) bool {
+	return m.seq > o.seq || m.seq == o.seq && m.ord > o.ord
 }
 
 // Dropped sums the tuples discarded across the underlying
@@ -526,24 +533,30 @@ func (s *Subscription) attach(bs BackendSubscription, p int) {
 	s.parts = append(s.parts, bs)
 	s.active++
 	s.mu.Unlock()
-	var wm *uint64
-	if s.lastSeq != nil {
-		wm = &s.lastSeq[p]
+	var wm *emitMark
+	if s.marks != nil {
+		wm = &s.marks[p]
 	}
 	go s.forward(bs, wm)
 }
 
 // forward pumps one source into the merged channel, through the
 // partition's watermark wm when it has replicas (wm non-nil).
-func (s *Subscription) forward(bs BackendSubscription, wm *uint64) {
+func (s *Subscription) forward(bs BackendSubscription, wm *emitMark) {
+	var m emitMark
 	for t := range bs.Tuples() {
 		if wm == nil {
 			s.merged <- t
 			continue
 		}
+		if t.Seq == m.seq {
+			m.ord++
+		} else {
+			m = emitMark{seq: t.Seq, ord: 1}
+		}
 		s.sendMu.Lock()
-		if t.Seq > *wm {
-			*wm = t.Seq
+		if m.after(*wm) {
+			*wm = m
 			s.merged <- t
 		}
 		s.sendMu.Unlock()
@@ -635,7 +648,7 @@ func (rt *Runtime) Subscribe(idOrHandle string) (*Subscription, error) {
 	out := make(chan stream.Tuple, dsms.DefaultSubscriptionBuffer)
 	sub := &Subscription{C: out, merged: out}
 	if replicated {
-		sub.lastSeq = make([]uint64, ds.r.partitions())
+		sub.marks = make([]emitMark, ds.r.partitions())
 	}
 	covered := make([]bool, ds.r.partitions())
 	for _, pt := range ds.parts {

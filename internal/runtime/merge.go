@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -9,99 +11,296 @@ import (
 	"repro/internal/stream"
 )
 
-// mergeStage is the runtime-side second stage of a global aggregate
-// over a partitioned stream: it consumes the per-partition record
-// streams (window partials or relayed rows, plus watermark records),
-// aligns them across partitions on the global position frontier, and
-// emits the single global answer a one-shard deployment of the same
-// query would have produced.
+// mergeAlg is the merge algebra of a global aggregate over a
+// partitioned stream: a single-threaded state machine with no locks,
+// goroutines or runtime behind it. Its input is a sequence of events —
+// a decoded record of one partition's stage output (a window partial,
+// a relayed row, or a watermark), or an observation (G, A[]) of the
+// route's stamp frontier — and step turns each into the global
+// emissions a one-shard deployment of the same query would produce.
 //
-// Alignment uses each partition's effective watermark
+// Every pending item (a partition's window partial, or a relayed row)
+// carries its settle position at: the window's end position k*Step+Size
+// in partial mode, the row's global position in relay mode. An item
+// settles once the frontier F = min_p EW_p reaches it, where
 //
 //	EW_p = max(W_p, G)  when W_p >= A_p,  else  W_p
 //
-// where W_p is the highest watermark decoded from partition p's record
-// stream, and (G, A_p) is a consistent snapshot of the route's stamp
-// frontier (G = highest global position stamped, A_p = highest position
-// assigned to partition p). W_p >= A_p proves partition p has processed
-// everything ever routed to it, so every position up to G is implicitly
-// settled for p even though its shard never saw those tuples. This is
-// what lets a window finalize when some partitions held none of its
-// tuples: their watermarks alone would never pass the window end.
+// is partition p's effective watermark: W_p is the highest watermark
+// decoded from p's records, and (G, A_p) the last frontier observation
+// (G = highest global position stamped, A_p = highest position routed
+// to p). W_p >= A_p proves p has processed everything routed to it up
+// to G, so every position up to G is settled for p even though its
+// shard never saw those tuples — that is what lets a window finalize
+// when some partitions held none of its tuples. The proof needs the
+// observation's A_p to cover every position up to its G that went to
+// p, which the publisher guarantees by storing each batch's A_p values
+// before its G (see route.stampFrontier).
 //
-// In partial mode, window k finalizes when min_p EW_p >= k*Step+Size;
-// partials are merged in partition order (float sums stay
-// deterministic) and finished into the emission. In relay mode, the
-// buffered rows release in global position order: the smallest buffered
-// position g releases once every partition whose buffer is empty has
-// EW_q >= g (non-empty buffers bound themselves by their own head);
-// released rows feed a real in-engine aggregate operator (AggDriver),
-// so emissions are bit-identical to single-shard by construction.
+// Items release in settle order, the smallest buffered head first: a
+// window merges every partition's partial for it in partition order
+// (float sums stay deterministic) and finishes into the emission; rows
+// feed a real in-engine aggregate operator (AggDriver), so emissions
+// are bit-identical to single-shard by construction. Once an item at a
+// position has released, records settling at or below it are
+// duplicates (a replica's copy, a re-sent snapshot) and are dropped.
 //
-// Skew between shards is bounded one way: Options.MergeBuffer caps the
-// per-partition backlog (beyond it the oldest pending window/row is
-// force-released, trading exactness for memory, and counted in
-// exacml_merge_forced_total). There is no time bound: below the buffer
-// bound the stage waits indefinitely — a dead shard is replication
-// failover's problem, not a reason to emit a wrong window.
+// Skew between shards is bounded one way: bound caps each partition's
+// pending items, and past it the smallest head is released without
+// waiting for the frontier — trading exactness for memory, and
+// reported to the caller as a forced release. There is no time bound.
+type mergeAlg struct {
+	pcod  *dsms.PartialCodec // partial mode
+	win   dsms.WindowSpec    // partial mode
+	rcod  *dsms.RelayCodec   // relay mode
+	drv   *dsms.AggDriver    // relay mode
+	bound int
+
+	parts []mergePart
+	g     uint64   // last observed G
+	a     []uint64 // last observed A_p, by partition
+	done  uint64   // settle position of the last released item
+
+	// Scratch reused across steps.
+	wins []*dsms.WindowPartial // one window's partials, by partition
+	rows []stream.Tuple        // rows released this step (relay mode)
+	emit []stream.Tuple        // emissions of this step
+}
+
+// mergePart is one partition's ingest state.
+type mergePart struct {
+	w    uint64      // highest watermark decoded from the partition's records
+	buf  []mergeItem // pending items in increasing settle position, from head
+	head int
+}
+
+// mergeItem is one pending record: a window partial (partial mode) or
+// a relayed row (relay mode), with the position it settles at.
+type mergeItem struct {
+	at   uint64
+	part *dsms.WindowPartial
+	row  stream.Tuple
+}
+
+// mergeEvent is one input of mergeAlg.step. A record event (p >= 0)
+// carries partition p's decoded record: a pending item, or, when
+// item.at is zero, a watermark W_p in pos. A frontier event (p < 0)
+// carries an observation of the stamp frontier: G in pos, A_p in a.
+type mergeEvent struct {
+	p    int
+	pos  uint64
+	a    []uint64
+	item mergeItem
+}
+
+func (mp *mergePart) pending() int { return len(mp.buf) - mp.head }
+
+func (mp *mergePart) pop() mergeItem {
+	it := mp.buf[mp.head]
+	mp.buf[mp.head] = mergeItem{}
+	mp.head++
+	if mp.head >= 256 && mp.head*2 >= len(mp.buf) {
+		mp.buf = append(mp.buf[:0:0], mp.buf[mp.head:]...)
+		mp.head = 0
+	}
+	return it
+}
+
+// put buffers it in settle order. An item already pending at the same
+// position is a replica's copy or an older cumulative snapshot of the
+// same window: partial snapshots keep the highest Count (Count is
+// monotone per partition, and equal-Count snapshots are bit-identical —
+// a standby replays the primary's exact batches), rows keep the first.
+func (mp *mergePart) put(it mergeItem) {
+	pend := mp.buf[mp.head:]
+	i, found := slices.BinarySearchFunc(pend, it.at, func(x mergeItem, at uint64) int { return cmp.Compare(x.at, at) })
+	switch {
+	case !found:
+		mp.buf = slices.Insert(mp.buf, mp.head+i, it)
+	case it.part != nil && it.part.Count > pend[i].part.Count:
+		pend[i] = it
+	}
+}
+
+// newMergeAlg builds the algebra for a staged query g over a stream of
+// schema in, split into partitions whose stamp frontier stood at
+// (g0, a0) when the stage was created. Positions stamped before then
+// never surface in its record streams, so each W_p starts at A_p:
+// otherwise a partition that stays silent after deploy would hold the
+// frontier at zero forever.
+func newMergeAlg(mode dsms.StageMode, q *dsms.QueryGraph, in *stream.Schema, bound int, g0 uint64, a0 []uint64) (*mergeAlg, error) {
+	agg := q.Boxes[len(q.Boxes)-1]
+	for _, b := range q.Boxes[:len(q.Boxes)-1] {
+		var err error
+		if in, err = b.OutputSchema(in); err != nil {
+			return nil, err
+		}
+	}
+	m := &mergeAlg{
+		bound: bound,
+		parts: make([]mergePart, len(a0)),
+		g:     g0,
+		a:     slices.Clone(a0),
+		wins:  make([]*dsms.WindowPartial, len(a0)),
+	}
+	for p := range m.parts {
+		m.parts[p].w = a0[p]
+	}
+	var err error
+	switch mode {
+	case dsms.StagePartial:
+		if m.pcod, err = dsms.NewPartialCodec(agg.Aggs, in); err != nil {
+			return nil, err
+		}
+		m.win = agg.Window
+	case dsms.StageRelay:
+		if m.rcod, err = dsms.NewRelayCodec(in); err != nil {
+			return nil, err
+		}
+		if m.drv, err = dsms.NewAggDriver(agg, in); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("runtime: unknown stage mode %q", mode)
+	}
+	return m, nil
+}
+
+// decode turns one record of partition p's stage output into an event.
+func (m *mergeAlg) decode(p int, t stream.Tuple) (mergeEvent, error) {
+	ev := mergeEvent{p: p}
+	if m.pcod != nil {
+		part, wm, isWM, err := m.pcod.Decode(t)
+		if err != nil || isWM {
+			ev.pos = wm
+			return ev, err
+		}
+		ev.item = mergeItem{at: uint64(part.Win*m.win.Step + m.win.Size), part: part}
+		return ev, nil
+	}
+	row, g, wm, isWM, err := m.rcod.Decode(t)
+	if err != nil || isWM {
+		ev.pos = wm
+		return ev, err
+	}
+	ev.item = mergeItem{at: g, row: row}
+	return ev, nil
+}
+
+// step applies one event and releases everything it settles, then
+// whatever the buffer bound forces. It returns the emissions (valid
+// until the next step), how many releases were forced, and the first
+// merge error; after an error the algebra must not be stepped again.
+func (m *mergeAlg) step(ev mergeEvent) (emit []stream.Tuple, forced int, err error) {
+	m.emit, m.rows = m.emit[:0], m.rows[:0]
+	if ev.p < 0 {
+		m.g = ev.pos
+		copy(m.a, ev.a)
+	} else if mp := &m.parts[ev.p]; ev.item.at == 0 {
+		mp.w = max(mp.w, ev.pos)
+	} else if ev.item.at > m.done {
+		mp.put(ev.item)
+	}
+	f := m.frontier()
+	for err == nil {
+		p, at, ok := m.head()
+		if !ok {
+			break
+		}
+		if at > f {
+			if !m.overBound() {
+				break
+			}
+			forced++
+		}
+		err = m.release(p, at)
+	}
+	if err == nil && len(m.rows) > 0 {
+		var outs []stream.Tuple
+		outs, err = m.drv.Push(m.rows)
+		m.emit = append(m.emit, outs...)
+	}
+	return m.emit, forced, err
+}
+
+// frontier is F = min_p EW_p under the last observation.
+func (m *mergeAlg) frontier() uint64 {
+	f := ^uint64(0)
+	for p := range m.parts {
+		e := m.parts[p].w
+		if e >= m.a[p] {
+			e = max(e, m.g)
+		}
+		f = min(f, e)
+	}
+	return f
+}
+
+// head finds the smallest pending settle position and a partition
+// holding it; ok is false when nothing is pending.
+func (m *mergeAlg) head() (p int, at uint64, ok bool) {
+	for q := range m.parts {
+		if mp := &m.parts[q]; mp.pending() > 0 {
+			if h := mp.buf[mp.head].at; !ok || h < at {
+				p, at, ok = q, h, true
+			}
+		}
+	}
+	return p, at, ok
+}
+
+// overBound reports whether some partition's backlog exceeds the bound.
+func (m *mergeAlg) overBound() bool {
+	for p := range m.parts {
+		if m.parts[p].pending() > m.bound {
+			return true
+		}
+	}
+	return false
+}
+
+// release emits the head item settling at `at`, held by partition p:
+// the row joins this step's driver batch, or the window merges every
+// partition's partial for it, in partition order.
+func (m *mergeAlg) release(p int, at uint64) error {
+	m.done = at
+	if m.drv != nil {
+		m.rows = append(m.rows, m.parts[p].pop().row)
+		return nil
+	}
+	for q := range m.parts {
+		m.wins[q] = nil
+		if mp := &m.parts[q]; mp.pending() > 0 && mp.buf[mp.head].at == at {
+			m.wins[q] = mp.pop().part
+		}
+	}
+	w, err := m.pcod.Merge(m.wins)
+	if err != nil {
+		return err
+	}
+	t, err := m.pcod.Finish(w)
+	if err != nil {
+		return err
+	}
+	m.emit = append(m.emit, t)
+	return nil
+}
+
+// mergeStage runs a mergeAlg for a staged deployment: per-source pumps
+// decode the parts' record streams into events, each followed by an
+// observation of the route's stamp frontier, and ms.mu serializes the
+// steps, so emissions leave in one order. Deliveries never block.
 type mergeStage struct {
 	rt *Runtime
 	r  *route // parent partitioned route (stamp-frontier source)
 
-	mode dsms.StageMode
-	pcod *dsms.PartialCodec // partial mode
-	win  dsms.WindowSpec    // partial mode
-	rcod *dsms.RelayCodec   // relay mode
-	drv  *dsms.AggDriver    // relay mode
-
-	outSchema *stream.Schema
-	bound     int
-
 	mu     sync.Mutex
-	parts  []*mergePart
-	nextK  int64 // partial mode: next window index to finalize
+	alg    *mergeAlg
+	obs    []uint64 // frontier observation scratch
 	outs   map[*mergeOut]struct{}
 	srcs   []BackendSubscription
 	closed bool
 	failed error
-}
-
-// mergePart is the per-partition ingest state.
-type mergePart struct {
-	w uint64 // highest watermark decoded from this partition's records
-
-	// partial mode: open window partials by window index. Partial
-	// records are cumulative snapshots (one per open window per
-	// processed batch), so the highest-Count record per index wins —
-	// Count is monotone per partition, and primary and standby sources
-	// compute bit-identical snapshots from the same g-stamped flow, so
-	// equal-Count duplicates carry the same content. Window indices
-	// below nextK are already merged and their records are dropped.
-	wins map[int64]*dsms.WindowPartial
-
-	// relay mode: buffered rows in strictly increasing global position,
-	// consumed from head. lastG is the dedup floor: every source emits
-	// the full surviving-row sequence in increasing position order, so
-	// appending only rows above the floor both dedups replica copies
-	// and keeps the buffer sorted.
-	rows  []stream.Tuple
-	head  int
-	lastG uint64
-}
-
-func (mp *mergePart) pending() int { return len(mp.rows) - mp.head }
-
-func (mp *mergePart) headRow() *stream.Tuple { return &mp.rows[mp.head] }
-
-func (mp *mergePart) pop() stream.Tuple {
-	t := mp.rows[mp.head]
-	mp.rows[mp.head] = stream.Tuple{}
-	mp.head++
-	if mp.head >= 256 && mp.head*2 >= len(mp.rows) {
-		mp.rows = append(mp.rows[:0:0], mp.rows[mp.head:]...)
-		mp.head = 0
-	}
-	return t
 }
 
 // mergeOut is one subscriber's view of the merged output; it satisfies
@@ -132,72 +331,28 @@ func (o *mergeOut) closeCh() {
 	o.once.Do(func() { close(o.ch) })
 }
 
-// newMergeStage builds the stage for a staged deployment of g: its
-// terminal aggregate box re-runs here over the schema feeding it (the
-// input schema after every preceding box).
+// newMergeStage builds the stage for a staged deployment of g over
+// route r, its algebra bounded by DefaultMergeBuffer.
 func newMergeStage(rt *Runtime, r *route, mode dsms.StageMode, g *dsms.QueryGraph) (*mergeStage, error) {
-	agg := g.Boxes[len(g.Boxes)-1]
-	aggIn := r.schema
-	for _, b := range g.Boxes[:len(g.Boxes)-1] {
-		var err error
-		if aggIn, err = b.OutputSchema(aggIn); err != nil {
-			return nil, err
-		}
-	}
 	ms := &mergeStage{
-		rt:    rt,
-		r:     r,
-		mode:  mode,
-		bound: rt.opts.MergeBuffer,
-		parts: make([]*mergePart, len(rt.shards)),
-		outs:  map[*mergeOut]struct{}{},
+		rt:   rt,
+		r:    r,
+		obs:  make([]uint64, r.partitions()),
+		outs: map[*mergeOut]struct{}{},
 	}
-	for p := range ms.parts {
-		ms.parts[p] = &mergePart{}
+	g0 := r.stampFrontier(ms.obs)
+	alg, err := newMergeAlg(mode, g, r.schema, DefaultMergeBuffer, g0, ms.obs)
+	if err != nil {
+		return nil, err
 	}
-	switch mode {
-	case dsms.StagePartial:
-		cod, err := dsms.NewPartialCodec(agg.Aggs, aggIn)
-		if err != nil {
-			return nil, err
-		}
-		ms.pcod = cod
-		ms.win = agg.Window
-		ms.outSchema = cod.OutputSchema()
-		for p := range ms.parts {
-			ms.parts[p].wins = map[int64]*dsms.WindowPartial{}
-		}
-	case dsms.StageRelay:
-		cod, err := dsms.NewRelayCodec(aggIn)
-		if err != nil {
-			return nil, err
-		}
-		drv, err := dsms.NewAggDriver(agg, aggIn)
-		if err != nil {
-			return nil, err
-		}
-		ms.rcod = cod
-		ms.drv = drv
-		ms.outSchema = drv.OutputSchema()
-	default:
-		return nil, fmt.Errorf("runtime: unknown stage mode %q", mode)
-	}
-	// Seed each partition's watermark with its assigned-position high at
-	// deploy time: positions stamped before the stage existed can never
-	// surface in its record streams, and without the seed a partition
-	// that stays silent after deploy would hold the frontier at zero
-	// forever.
-	for p := range ms.parts {
-		_, a := r.stampFrontier(p)
-		ms.parts[p].w = a
-	}
+	ms.alg = alg
 	return ms, nil
 }
 
 // attachSource wires one backend subscription (a partition part's
 // record stream) into the stage and starts its pump. Safe to call for
-// primary and standby parts alike: records dedup by content (window
-// index / global position), so redundant sources only add resilience.
+// primary and standby parts alike: records dedup by content (settle
+// position), so redundant sources only add resilience.
 func (ms *mergeStage) attachSource(p int, bs BackendSubscription) {
 	ms.mu.Lock()
 	if ms.closed || ms.failed != nil {
@@ -229,181 +384,33 @@ func (ms *mergeStage) newOutput() (*mergeOut, error) {
 	return o, nil
 }
 
-// ingest decodes one record from partition p and advances the merge
-// frontier. Serialized by ms.mu; emissions happen under the lock so
-// concurrent pumps cannot reorder output.
+// ingest steps the algebra with one record from partition p, then with
+// a fresh observation of the stamp frontier.
 func (ms *mergeStage) ingest(p int, t stream.Tuple) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	if ms.closed || ms.failed != nil {
 		return
 	}
-	mp := ms.parts[p]
-	switch ms.mode {
-	case dsms.StagePartial:
-		part, wm, isWM, err := ms.pcod.Decode(t)
-		if err != nil {
-			ms.failLocked(err)
-			return
-		}
-		if isWM {
-			if wm > mp.w {
-				mp.w = wm
-			}
-		} else if part.Win >= ms.nextK {
-			// Partial records are cumulative snapshots; keep the most
-			// advanced one. Count is monotone per (partition, window),
-			// and equal-count snapshots are bit-identical (a standby
-			// replays the primary's exact batches), so replica
-			// duplicates and stale replays dedup here content-wise.
-			if prev := mp.wins[part.Win]; prev == nil || part.Count > prev.Count {
-				mp.wins[part.Win] = part
-			}
-		}
-	case dsms.StageRelay:
-		row, g, wm, isWM, err := ms.rcod.Decode(t)
-		if err != nil {
-			ms.failLocked(err)
-			return
-		}
-		if isWM {
-			if wm > mp.w {
-				mp.w = wm
-			}
-		} else if g > mp.lastG {
-			mp.lastG = g
-			mp.rows = append(mp.rows, row)
-		}
+	ev, err := ms.alg.decode(p, t)
+	if err == nil {
+		err = ms.stepLocked(ev)
 	}
-	ms.advanceLocked()
+	if err == nil {
+		err = ms.stepLocked(mergeEvent{p: -1, pos: ms.r.stampFrontier(ms.obs), a: ms.obs})
+	}
+	if err != nil {
+		ms.failLocked(err)
+	}
 }
 
-// ewLocked computes every partition's effective watermark. The stamp
-// frontier is snapshotted BEFORE reading W_p (which only grows), so
-// W_p >= A_p proves partition p has nothing in flight at or below G.
-func (ms *mergeStage) ewLocked() []uint64 {
-	ew := make([]uint64, len(ms.parts))
-	for p, mp := range ms.parts {
-		g, a := ms.r.stampFrontier(p)
-		e := mp.w
-		if mp.w >= a && g > e {
-			e = g
-		}
-		ew[p] = e
-	}
-	return ew
-}
-
-// advanceLocked releases everything the frontier allows, then applies
-// the buffer bound.
-func (ms *mergeStage) advanceLocked() {
-	ew := ms.ewLocked()
-	switch ms.mode {
-	case dsms.StagePartial:
-		minEW := ew[0]
-		for _, e := range ew[1:] {
-			if e < minEW {
-				minEW = e
-			}
-		}
-		for uint64(ms.windowEnd(ms.nextK)) <= minEW {
-			if !ms.emitWindowLocked(ms.nextK) {
-				return
-			}
-			ms.nextK++
-		}
-	case dsms.StageRelay:
-		var batch []stream.Tuple
-		for {
-			best, bg := -1, uint64(0)
-			for p, mp := range ms.parts {
-				if mp.pending() == 0 {
-					continue
-				}
-				if g := mp.headRow().Seq; best < 0 || g < bg {
-					best, bg = p, g
-				}
-			}
-			if best < 0 {
-				break
-			}
-			releasable := true
-			for q, mp := range ms.parts {
-				if mp.pending() == 0 && ew[q] < bg {
-					releasable = false
-					break
-				}
-			}
-			if !releasable {
-				break
-			}
-			batch = append(batch, ms.parts[best].pop())
-		}
-		if !ms.pushRowsLocked(batch) {
-			return
-		}
-	}
-	for ms.overBoundLocked() {
+func (ms *mergeStage) stepLocked(ev mergeEvent) error {
+	emit, forced, err := ms.alg.step(ev)
+	for range forced {
 		ms.rt.count("exacml_merge_forced_total",
-			"Merge-stage releases forced by the reorder-buffer bound (Options.MergeBuffer).")
-		if !ms.forceOneLocked() {
-			return
-		}
+			"Merge-stage releases forced by the reorder-buffer bound (DefaultMergeBuffer).")
 	}
-}
-
-func (ms *mergeStage) windowEnd(k int64) int64 { return k*ms.win.Step + ms.win.Size }
-
-// emitWindowLocked merges and emits window k, dropping its partials
-// from every partition. Reports false when the stage failed.
-func (ms *mergeStage) emitWindowLocked(k int64) bool {
-	parts := make([]*dsms.WindowPartial, len(ms.parts))
-	any := false
-	for p, mp := range ms.parts {
-		if w := mp.wins[k]; w != nil {
-			parts[p] = w
-			delete(mp.wins, k)
-			any = true
-		}
-	}
-	if !any {
-		// Nothing survived for this window (post-stamp drops or
-		// shedding punched holes in the position sequence): emitting
-		// nothing mirrors the single-shard engine, which also cannot
-		// emit a window it never materialized.
-		return true
-	}
-	m, err := ms.pcod.Merge(parts) // partition order: float sums stay deterministic
-	if err != nil {
-		ms.failLocked(err)
-		return false
-	}
-	out, err := ms.pcod.Finish(m)
-	if err != nil {
-		ms.failLocked(err)
-		return false
-	}
-	ms.deliverLocked(out)
-	return true
-}
-
-// pushRowsLocked feeds released rows to the central aggregate and
-// emits whatever windows close. Reports false when the stage failed.
-func (ms *mergeStage) pushRowsLocked(batch []stream.Tuple) bool {
-	if len(batch) == 0 {
-		return true
-	}
-	outs, err := ms.drv.Push(batch)
-	if err != nil {
-		ms.failLocked(err)
-		return false
-	}
-	ms.deliverLocked(outs...)
-	return true
-}
-
-func (ms *mergeStage) deliverLocked(ts ...stream.Tuple) {
-	for _, t := range ts {
+	for _, t := range emit {
 		ms.rt.count("exacml_merge_emissions_total",
 			"Global aggregate emissions produced by runtime merge stages.")
 		for o := range ms.outs {
@@ -414,55 +421,7 @@ func (ms *mergeStage) deliverLocked(ts ...stream.Tuple) {
 			}
 		}
 	}
-}
-
-// overBoundLocked reports whether some partition's backlog exceeds the
-// reorder-buffer bound.
-func (ms *mergeStage) overBoundLocked() bool {
-	for _, mp := range ms.parts {
-		if len(mp.wins) > ms.bound || mp.pending() > ms.bound {
-			return true
-		}
-	}
-	return false
-}
-
-// forceOneLocked releases the oldest pending output without waiting
-// for the frontier: the degraded path behind the buffer bound. Reports
-// false when the stage failed.
-func (ms *mergeStage) forceOneLocked() bool {
-	switch ms.mode {
-	case dsms.StagePartial:
-		k0, found := int64(0), false
-		for _, mp := range ms.parts {
-			for k := range mp.wins {
-				if !found || k < k0 {
-					k0, found = k, true
-				}
-			}
-		}
-		if !found {
-			ms.nextK++ // position hole: skip the empty window
-			return true
-		}
-		ms.nextK = k0 + 1
-		return ms.emitWindowLocked(k0)
-	case dsms.StageRelay:
-		best, bg := -1, uint64(0)
-		for p, mp := range ms.parts {
-			if mp.pending() == 0 {
-				continue
-			}
-			if g := mp.headRow().Seq; best < 0 || g < bg {
-				best, bg = p, g
-			}
-		}
-		if best < 0 {
-			return true
-		}
-		return ms.pushRowsLocked([]stream.Tuple{ms.parts[best].pop()})
-	}
-	return true
+	return err
 }
 
 // failLocked poisons the stage: sources detach, outputs close, and

@@ -16,7 +16,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/runtime"
 	"repro/internal/stream"
-	"repro/internal/telemetry"
 )
 
 func mergeSchema() *stream.Schema {
@@ -278,17 +277,39 @@ func TestGlobalAggMatchesSingleShard(t *testing.T) {
 	}
 }
 
-// TestSubscriptionWatermarkAssumption pins the two halves of the
-// Subscription Seq-dedup contract (see the Subscription doc):
+// TestSubscriptionWatermarkAssumption pins the Subscription dedup
+// contract (see the Subscription doc):
 //
-//  1. Where dedup IS applied — replica merging of a single-shard
-//     query's parts — the output Seq strictly advances between
-//     emissions, so the watermark passes every emission through.
-//  2. Where strict advance does NOT hold — a time-window aggregate can
-//     stamp consecutive emissions with the same Seq (two windows
-//     sharing their last tuple) — the partitioned merge path must
-//     bypass Seq dedup, or real emissions would be silently swallowed.
+//  1. Where dedup is applied — replica merging of a single-shard
+//     query's parts — a tuple-window aggregate's Seq strictly advances
+//     between emissions, so the watermark passes every emission through.
+//  2. A time-window aggregate can stamp consecutive emissions with the
+//     same Seq (two windows sharing their last tuple). The partitioned
+//     merge path bypasses dedup, so none of them is swallowed.
+//  3. On a replicated stream the same repeats reach the watermark,
+//     which keys on Seq and the ordinal among equal-Seq emissions, so
+//     every window arrives once — also when the primary dies
+//     mid-stream and the standby's copies take over.
 func TestSubscriptionWatermarkAssumption(t *testing.T) {
+	// Three tuples at arrival 5, 50, 500 under a 100ms window hopping by
+	// 10ms: every window containing t=50 has it as its last tuple, so
+	// consecutive emissions carry the same provenance Seq.
+	win := dsms.WindowSpec{Type: dsms.WindowTime, Size: 100, Step: 10}
+	mk := func(arr int64) stream.Tuple {
+		tu := stream.NewTuple(
+			stream.StringValue(fmt.Sprintf("k%d", arr%3)),
+			stream.IntValue(arr),
+			stream.DoubleValue(float64(arr)),
+			stream.StringValue("x"))
+		tu.ArrivalMillis = arr
+		return tu
+	}
+	arrivals := []int64{5, 50, 500}
+	timeGraph := func() *dsms.QueryGraph {
+		return dsms.NewQueryGraph("s", dsms.NewAggregateBox(win,
+			dsms.AggSpec{Attr: "i", Func: dsms.AggCount},
+			dsms.AggSpec{Attr: "d", Func: dsms.AggLastVal}))
+	}
 	t.Run("replica_dedup_strict_advance", func(t *testing.T) {
 		rt := runtime.New("wm-repl", runtime.Options{Shards: 2, Replication: 2})
 		defer rt.Close()
@@ -323,22 +344,6 @@ func TestSubscriptionWatermarkAssumption(t *testing.T) {
 	})
 
 	t.Run("time_window_repeated_seq_bypasses_dedup", func(t *testing.T) {
-		// Three tuples at arrival 5, 50, 500 under a 100ms window
-		// hopping by 10ms: every window containing t=50 has it as its
-		// last tuple, so six consecutive emissions carry the same
-		// provenance Seq. Seq dedup would deliver one of them.
-		win := dsms.WindowSpec{Type: dsms.WindowTime, Size: 100, Step: 10}
-		mk := func(arr int64) stream.Tuple {
-			tu := stream.NewTuple(
-				stream.StringValue(fmt.Sprintf("k%d", arr%3)),
-				stream.IntValue(arr),
-				stream.DoubleValue(float64(arr)),
-				stream.StringValue("x"))
-			tu.ArrivalMillis = arr
-			return tu
-		}
-		arrivals := []int64{5, 50, 500}
-
 		wantN := 0
 		runOne := func(name string, partitioned bool) []stream.Tuple {
 			opts := runtime.Options{Shards: 1}
@@ -356,10 +361,7 @@ func TestSubscriptionWatermarkAssumption(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			graph := dsms.NewQueryGraph("s", dsms.NewAggregateBox(win,
-				dsms.AggSpec{Attr: "i", Func: dsms.AggCount},
-				dsms.AggSpec{Attr: "d", Func: dsms.AggLastVal}))
-			dep, err := rt.Deploy(graph)
+			dep, err := rt.Deploy(timeGraph())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -400,6 +402,54 @@ func TestSubscriptionWatermarkAssumption(t *testing.T) {
 		wantN = len(want)
 		got := runOne("wm-part", true)
 		assertSameEmissions(t, got, want)
+	})
+
+	t.Run("replicated_time_window_repeated_seq", func(t *testing.T) {
+		run := func(name string, opts runtime.Options, kill bool) []stream.Tuple {
+			rt := runtime.New(name, opts)
+			defer rt.Close()
+			if err := rt.CreateStream("s", mergeSchema()); err != nil {
+				t.Fatal(err)
+			}
+			dep, err := rt.Deploy(timeGraph())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := rt.Subscribe(dep.Handle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			for i, a := range arrivals {
+				if kill && i == len(arrivals)-1 {
+					// The last arrival closes every window; the standby
+					// alone emits them.
+					rt.FailShard(dep.Shards()[0], errors.New("injected primary death"))
+				}
+				if _, err := rt.PublishBatch("s", []stream.Tuple{mk(a)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rt.Flush()
+			var out []stream.Tuple
+			for quiet := false; !quiet; {
+				select {
+				case tu := <-sub.C:
+					out = append(out, tu)
+				case <-time.After(200 * time.Millisecond):
+					quiet = true
+				}
+			}
+			return out
+		}
+		want := run("wm-repl-base", runtime.Options{Shards: 1}, false)
+		for _, kill := range []bool{false, true} {
+			got := run(fmt.Sprintf("wm-repl-kill-%v", kill), runtime.Options{Shards: 2, Replication: 2}, kill)
+			if len(got) != len(want) {
+				t.Fatalf("primary killed %v: %d emissions, single-shard run emits %d", kill, len(got), len(want))
+			}
+			assertSameEmissions(t, got, want)
+		}
 	})
 }
 
@@ -488,112 +538,4 @@ func TestGlobalAggFailoverChaos(t *testing.T) {
 			}
 		})
 	}
-}
-
-// gatedIngestBackend holds every ingest until its gate closes: the
-// partition's queue keeps accepting, but nothing reaches the engine, so
-// its watermark stands still while its assigned-position high moves.
-type gatedIngestBackend struct {
-	*runtime.LocalBackend
-	gate chan struct{}
-}
-
-func (b *gatedIngestBackend) IngestBatch(name string, ts []stream.Tuple, sp *telemetry.Span) error {
-	<-b.gate
-	return b.LocalBackend.IngestBatch(name, ts, sp)
-}
-
-// TestMergeBufferForcesReleaseAndCounts drives the merge stage's only
-// degraded path: partition 1 is held while partition 0 seals more
-// windows than Options.MergeBuffer allows pending, so the oldest are
-// released without the laggard. Every such release must be counted in
-// exacml_merge_forced_total — an emission short of its window's tuples
-// with no count behind it would be a silently wrong answer — and
-// emissions must keep flowing rather than wait on the held shard.
-func TestMergeBufferForcesReleaseAndCounts(t *testing.T) {
-	const size, bound, perPart0 = 4, 4, 48
-	gate := make(chan struct{})
-	backends := []runtime.ShardBackend{
-		runtime.NewLocalBackend(dsms.NewEngine("f0")),
-		&gatedIngestBackend{LocalBackend: runtime.NewLocalBackend(dsms.NewEngine("f1")), gate: gate},
-	}
-	reg := telemetry.NewRegistry()
-	rt := runtime.NewWithBackends("forced", runtime.Options{MergeBuffer: bound, Metrics: reg}, backends)
-	defer rt.Close()
-	if err := rt.CreatePartitionedStream("s", mergeSchema(), "key"); err != nil {
-		t.Fatal(err)
-	}
-	dep, err := rt.Deploy(dsms.NewQueryGraph("s", dsms.NewAggregateBox(
-		dsms.WindowSpec{Type: dsms.WindowTuple, Size: size, Step: size},
-		dsms.AggSpec{Attr: "i", Func: dsms.AggCount})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := rt.Subscribe(dep.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-
-	// One key per partition, found by where a probe tuple is offered.
-	mk := func(key string) stream.Tuple {
-		return stream.NewTuple(stream.StringValue(key), stream.IntValue(1), stream.DoubleValue(1), stream.StringValue("x"))
-	}
-	var keys [2]string
-	for i := 0; keys[0] == "" || keys[1] == ""; i++ {
-		key := fmt.Sprintf("k%02d", i)
-		before := rt.Stats().Shards[1].Offered
-		if _, err := rt.PublishBatch("s", []stream.Tuple{mk(key)}); err != nil {
-			t.Fatal(err)
-		}
-		keys[rt.Stats().Shards[1].Offered-before] = key
-	}
-
-	// Partition 1 holds one window's worth of its own tuples; partition
-	// 0 then runs far past the buffer bound.
-	for i := 0; i < perPart0; i++ {
-		batch := []stream.Tuple{mk(keys[0])}
-		if i < size {
-			batch = append(batch, mk(keys[1]))
-		}
-		if n, err := rt.PublishBatch("s", batch); err != nil || n != len(batch) {
-			t.Fatalf("publish %d: n=%d err=%v", i, n, err)
-		}
-	}
-	forced := func() float64 { return series(t, scrape(t, reg))["exacml_merge_forced_total"] }
-	var got []stream.Tuple
-	deadline := time.After(10 * time.Second)
-	for forced() < 1 || len(got) == 0 {
-		select {
-		case tu := <-sub.C:
-			got = append(got, tu)
-		case <-time.After(10 * time.Millisecond):
-		case <-deadline:
-			t.Fatalf("partition 1 held: %d emissions, forced_total %v — the stage is waiting on the laggard past its buffer bound", len(got), forced())
-		}
-	}
-
-	close(gate)
-	rt.Flush()
-	checkInvariant(t, rt)
-	for quiet := false; !quiet; {
-		select {
-		case tu := <-sub.C:
-			got = append(got, tu)
-		case <-time.After(100 * time.Millisecond):
-			quiet = true
-		}
-	}
-	// A window released whole counts `size` tuples; one released short
-	// went out through the forced path and must have been counted.
-	short := 0
-	for _, tu := range got {
-		if n, _ := tu.Values[0].AsFloat(); n != size {
-			short++
-		}
-	}
-	if f := forced(); float64(short) > f {
-		t.Errorf("%d of %d emissions are short of their window but only %v forced releases were counted", short, len(got), f)
-	}
-	t.Logf("%d emissions, %d short, forced_total %v", len(got), short, forced())
 }

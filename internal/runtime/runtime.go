@@ -104,7 +104,10 @@ const (
 	// DefaultMergeBuffer is the merge stage's per-partition reorder
 	// bound: how many pending windows (or relayed rows) one partition
 	// may buffer while waiting for a slower partition before the oldest
-	// pending window is force-released without the laggard.
+	// pending item is force-released without the laggard, counted in
+	// exacml_merge_forced_total. It is the only skew bound: below it
+	// the stage waits indefinitely — a dead shard is replication
+	// failover's problem, not a reason to time a window out.
 	DefaultMergeBuffer = 4096
 )
 
@@ -177,16 +180,6 @@ type Options struct {
 	// further behind than the retained tail skips the gap (counted in
 	// ReplicaLag.Gaps) rather than stalling the primary.
 	ReplicationLog int
-	// MergeBuffer bounds the re-aggregation merge stage's per-partition
-	// reorder buffer (pending windows or relayed rows; default
-	// DefaultMergeBuffer). When shard skew lets one partition run this
-	// far ahead of the slowest, the oldest pending window is
-	// force-released without the laggard's contribution, counted in
-	// exacml_merge_forced_total; bit-exact global answers are only
-	// guaranteed while the bound is never hit. It is the only skew
-	// bound: below it the stage waits indefinitely — a dead shard is
-	// handled by replication failover, not by timing out its windows.
-	MergeBuffer int
 	// OnShardDown, when non-nil, is invoked once per shard whose
 	// backend is declared down, with the shard index and terminal
 	// error (observability hook; called from a backend goroutine).
@@ -240,9 +233,6 @@ func (o Options) withDefaults() Options {
 	if o.ReplicationLog <= 0 {
 		o.ReplicationLog = DefaultReplicationLog
 	}
-	if o.MergeBuffer <= 0 {
-		o.MergeBuffer = DefaultMergeBuffer
-	}
 	return o
 }
 
@@ -280,17 +270,22 @@ type route struct {
 	failTo   atomic.Int32
 
 	// Global sequence stamping (partitioned routes only): stampG is
-	// the number of tuples admitted to the route so far — the global
+	// G, the number of tuples admitted to the route so far — the global
 	// position g of the most recently stamped tuple — and stampA[p] is
-	// the highest g routed to logical partition p. stampMu is held from
-	// stamping through the bucket enqueues of a batch, so every
+	// A_p, the highest g routed to logical partition p. stampMu is held
+	// from stamping through the bucket enqueues of a batch, so every
 	// partition's queue receives its tuples in strictly increasing g
 	// order; the staged shard pipelines and the merge stage both rely
-	// on that ordering. The values themselves are atomics so the merge
-	// stage can snapshot the frontier WITHOUT the lock: a publisher
-	// blocked on a full shard queue holds stampMu, and the merge pump
-	// is part of the very consumer chain that drains that queue —
-	// taking stampMu there would close a deadlock cycle.
+	// on that ordering. The frontier is published whole, once per
+	// batch and before any of its tuples is enqueued: every changed A_p
+	// is stored first, then G. A reader that loads G and then A_p
+	// therefore sees an A_p at least as new as the batch that published
+	// that G, which is what the merge stage's effective watermark needs
+	// (see stampFrontier). The values are atomics so the merge stage
+	// can read them WITHOUT the lock: a publisher blocked on a full
+	// shard queue holds stampMu, and the merge pump is part of the very
+	// consumer chain that drains that queue — taking stampMu there
+	// would close a deadlock cycle.
 	stampMu sync.Mutex
 	stampG  atomic.Uint64
 	stampA  []atomic.Uint64
@@ -305,21 +300,21 @@ type route struct {
 	internal bool
 }
 
-// stampFrontier snapshots a partitioned route's stamp state for the
-// merge stage's effective-watermark rule: g is the global high position
-// G, a is partition p's assigned high position A_p. It deliberately
-// does NOT take stampMu (see the field comment: the caller sits on the
-// queue-consumer side of a possible publisher block). Lock-free reads
-// are safe because of the read order: G is loaded BEFORE A_p, so the
-// returned a is at least the A_p that was current at position g — at
-// worst newer, which only makes the caller's W_p >= a check harder to
-// pass (conservative). The caller must read its own processed
-// watermark W_p AFTER this snapshot; W_p >= a then proves partition p
-// has no tuple in flight at or below g.
-func (r *route) stampFrontier(p int) (g, a uint64) {
+// stampFrontier observes a partitioned route's stamp frontier for the
+// merge stage's effective-watermark rule: it returns G and fills a
+// with every partition's A_p. It does not take stampMu (see the field
+// comment: the caller sits on the queue-consumer side of a possible
+// publisher block). G is loaded first and every A_p after it; since a
+// publish stores its A_p values before its G, each a[p] covers every
+// position up to G that was routed to p — it may be newer still, which
+// only makes the caller's W_p >= A_p test harder to pass. A W_p >= a[p]
+// therefore proves partition p has no tuple in flight at or below G.
+func (r *route) stampFrontier(a []uint64) (g uint64) {
 	g = r.stampG.Load()
-	a = r.stampA[p].Load()
-	return g, a
+	for p := range a {
+		a[p] = r.stampA[p].Load()
+	}
+	return g
 }
 
 // primaryShard is the shard currently serving the route's ingest: the
@@ -1233,11 +1228,13 @@ func (rt *Runtime) PublishBatchVerdict(streamName string, ts []stream.Tuple) (Pu
 	r.stampMu.Lock()
 	now := coarsetime.NowMillis()
 	buckets := make([][]stream.Tuple, len(rt.shards))
+	g := r.stampG.Load()
 	for i := range ts {
 		if ts[i].ArrivalMillis == 0 {
 			ts[i].ArrivalMillis = now
 		}
-		ts[i].Seq = r.stampG.Add(1)
+		g++
+		ts[i].Seq = g
 		kv := ts[i].Values[r.keyIdx]
 		if !kv.IsNull() && kv.Type() != keyType {
 			if cv, err := kv.CoerceTo(keyType); err == nil {
@@ -1247,6 +1244,17 @@ func (rt *Runtime) PublishBatchVerdict(streamName string, ts []stream.Tuple) (Pu
 		si := int(hashValue(kv) % uint32(len(rt.shards)))
 		buckets[si] = append(buckets[si], ts[i])
 	}
+	// Publish the batch's frontier whole before any tuple of it can
+	// surface in a shard watermark: every A_p first, then G (see the
+	// route's field comment). A bucket the shard then refuses leaves its
+	// positions permanently unwatermarked — the merge stage stalls on
+	// such holes until its buffer bound forces release.
+	for si, bucket := range buckets {
+		if len(bucket) > 0 {
+			r.stampA[si].Store(bucket[len(bucket)-1].Seq)
+		}
+	}
+	r.stampG.Store(g)
 	// A failed shard refuses its bucket (accounted as errors); the
 	// remaining buckets must still be offered to their shards or the
 	// per-stream accounting would leak the skipped tuples. The first
@@ -1267,12 +1275,6 @@ func (rt *Runtime) PublishBatchVerdict(streamName string, ts []stream.Tuple) (Pu
 			sub := r.subs[si]
 			sname, repl, tgt = sub.name, sub.repl, sub.primaryShard()
 		}
-		// A_si must cover the bucket before its tuples can surface in a
-		// shard watermark; the stamp lock makes the pair (G, A) consistent
-		// for frontier snapshots. A bucket the shard then refuses leaves
-		// its positions permanently unwatermarked — the merge stage stalls
-		// on such holes until its buffer bound forces release.
-		r.stampA[si].Store(bucket[len(bucket)-1].Seq)
 		n, err := rt.shards[tgt].enqueue(sname, ad.cfg.Class, r.counters, repl, bucket, sp)
 		sp = nil
 		v.Accepted += n
