@@ -342,7 +342,8 @@ func (f *Framework) Stats() metrics.RuntimeStats { return f.Runtime.Stats() }
 
 // Release gives up a user's grant on a stream.
 func (f *Framework) Release(subject, streamName string) error {
-	return f.PEP.Release(subject, streamName)
+	_, err := f.PEP.Release(subject, streamName)
+	return err
 }
 
 // RequireHandle is a convenience that fails unless the response issued

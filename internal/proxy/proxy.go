@@ -9,7 +9,6 @@ package proxy
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"sync"
 
@@ -28,13 +27,28 @@ type Proxy struct {
 	upstream *protocol.Client
 	srv      *protocol.Server
 
-	mu       sync.Mutex
-	caching  bool
-	cache    map[string]server.AccessResp
-	byPolicy map[string]map[string]bool // policy id -> cache keys, for selective invalidation
-	hits     uint64
-	misses   uint64
+	mu      sync.Mutex
+	caching bool
+	cache   map[cacheKey]server.AccessResp
+	byQuery map[string][]cacheKey // query id -> keys of the cached answers naming it
+	// gen counts the releases and policy changes that passed through. A
+	// miss caches its answer only if gen has not moved since before its
+	// upstream call: one that did may have withdrawn the very query the
+	// answer names before the answer was indexed.
+	gen       uint64
+	hits      uint64
+	misses    uint64
+	evictions [len(evictCauses)]uint64
 }
+
+// Eviction causes, indexing Proxy.evictions and evictCauses.
+const (
+	evictRelease = iota
+	evictPolicy
+)
+
+// evictCauses labels exacml_proxy_cache_evictions_total{cause}.
+var evictCauses = [...]string{"release", "policy"}
 
 // New connects to the upstream data server. profile, when non-nil,
 // injects simulated client↔proxy latency per request/response pair.
@@ -46,16 +60,16 @@ func New(upstreamAddr string, profile *netsim.Profile) (*Proxy, error) {
 	p := &Proxy{
 		upstream: up,
 		srv:      protocol.NewServer(),
-		cache:    map[string]server.AccessResp{},
-		byPolicy: map[string]map[string]bool{},
+		cache:    map[cacheKey]server.AccessResp{},
+		byQuery:  map[string][]cacheKey{},
 	}
 	if profile != nil {
 		p.srv.Delay = profile.RoundTrip
 	}
 	p.srv.Handle(server.MsgAccess, p.handleAccess)
-	p.srv.Handle(server.MsgLoadPolicy, p.forward(server.MsgLoadPolicy))
-	p.srv.Handle(server.MsgRemovePolicy, p.handleRemovePolicy)
-	p.srv.Handle(server.MsgRelease, p.handleRelease)
+	p.srv.Handle(server.MsgLoadPolicy, p.withdrawing(server.MsgLoadPolicy, evictPolicy))
+	p.srv.Handle(server.MsgRemovePolicy, p.withdrawing(server.MsgRemovePolicy, evictPolicy))
+	p.srv.Handle(server.MsgRelease, p.withdrawing(server.MsgRelease, evictRelease))
 	p.srv.Handle(server.MsgStats, p.forward(server.MsgStats))
 	return p, nil
 }
@@ -66,8 +80,9 @@ func (p *Proxy) SetCaching(on bool) {
 	defer p.mu.Unlock()
 	p.caching = on
 	if !on {
-		p.cache = map[string]server.AccessResp{}
-		p.byPolicy = map[string]map[string]bool{}
+		p.gen++
+		clear(p.cache)
+		clear(p.byQuery)
 	}
 }
 
@@ -91,11 +106,17 @@ func (p *Proxy) EnableTelemetry(reg *telemetry.Registry) {
 		p.mu.Lock()
 		size := len(p.cache)
 		caching := p.caching
+		evictions := p.evictions
 		p.mu.Unlock()
 		g.Counter("exacml_proxy_cache_hits_total",
 			"Access requests served from the handle cache.", hits)
 		g.Counter("exacml_proxy_cache_misses_total",
 			"Access requests that missed the handle cache.", misses)
+		for i, cause := range evictCauses {
+			g.Counter("exacml_proxy_cache_evictions_total",
+				"Cached handles dropped because their query was withdrawn, by the release or policy change that withdrew it.",
+				evictions[i], telemetry.L("cause", cause))
+		}
 		g.Gauge("exacml_proxy_cache_entries",
 			"Handles currently cached.", float64(size))
 		on := 0.0
@@ -136,19 +157,23 @@ func (p *Proxy) forward(typ string) protocol.Handler {
 	}
 }
 
-func cacheKey(req server.AccessReq) string {
-	h := sha256.Sum256([]byte(req.RequestXML + "\x00" + req.UserQueryXML))
-	return hex.EncodeToString(h[:])
+// cacheKey identifies an access request by its two documents.
+type cacheKey [sha256.Size]byte
+
+func keyOf(req server.AccessReq) cacheKey {
+	return sha256.Sum256([]byte(req.RequestXML + "\x00" + req.UserQueryXML))
 }
 
+// handleAccess answers a request from the cache when an identical one
+// was granted and its query is still live, and forwards it otherwise.
 func (p *Proxy) handleAccess(m *protocol.Message, _ *protocol.Conn) (any, error) {
 	req, err := protocol.Decode[server.AccessReq](m)
 	if err != nil {
 		return nil, err
 	}
-	key := cacheKey(req)
+	key := keyOf(req)
 	p.mu.Lock()
-	caching := p.caching
+	caching, gen := p.caching, p.gen
 	if caching {
 		if resp, ok := p.cache[key]; ok {
 			p.hits++
@@ -160,7 +185,7 @@ func (p *Proxy) handleAccess(m *protocol.Message, _ *protocol.Conn) (any, error)
 	}
 	p.mu.Unlock()
 
-	raw, err := p.upstream.Call(server.MsgAccess, req)
+	raw, err := p.upstream.Call(server.MsgAccess, m.Payload)
 	if err != nil {
 		return nil, err
 	}
@@ -170,51 +195,51 @@ func (p *Proxy) handleAccess(m *protocol.Message, _ *protocol.Conn) (any, error)
 	}
 	if caching && resp.Granted() {
 		p.mu.Lock()
-		p.cache[key] = resp
-		if resp.PolicyID != "" {
-			if p.byPolicy[resp.PolicyID] == nil {
-				p.byPolicy[resp.PolicyID] = map[string]bool{}
-			}
-			p.byPolicy[resp.PolicyID][key] = true
+		// Of two misses for one key the first answer stays, so each key
+		// is listed under exactly the query its entry names.
+		if _, dup := p.cache[key]; p.caching && p.gen == gen && !dup {
+			p.cache[key] = resp
+			p.byQuery[resp.QueryID] = append(p.byQuery[resp.QueryID], key)
 		}
 		p.mu.Unlock()
 	}
 	return resp, nil
 }
 
-// handleRemovePolicy forwards the removal and selectively evicts cached
-// handles spawned by the removed policy — §3.3 requires revocation to
-// be immediate, and the proxy must not keep serving a withdrawn handle.
-// Entries of other policies stay warm.
-func (p *Proxy) handleRemovePolicy(m *protocol.Message, _ *protocol.Conn) (any, error) {
-	req, err := protocol.Decode[server.RemovePolicyReq](m)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := p.upstream.Call(server.MsgRemovePolicy, m.Payload)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	for key := range p.byPolicy[req.PolicyID] {
-		delete(p.cache, key)
-	}
-	delete(p.byPolicy, req.PolicyID)
-	p.mu.Unlock()
-	return resp.Payload, nil
+// withdrawnResp is the part of server.ReleaseResp, LoadPolicyResp and
+// RemovePolicyResp the proxy reads: the query ids withdrawn.
+type withdrawnResp struct {
+	Withdrawn []string `json:"withdrawn"`
 }
 
-// handleRelease forwards the release and evicts cached entries for the
-// now-withdrawn grant. Eviction is conservative: the whole cache is
-// flushed (grants are not tracked per key).
-func (p *Proxy) handleRelease(m *protocol.Message, _ *protocol.Conn) (any, error) {
-	resp, err := p.upstream.Call(server.MsgRelease, m.Payload)
-	if err != nil {
-		return nil, err
+// withdrawing forwards a release or policy change and then evicts
+// exactly the cached answers naming a query it withdrew, so §3.3's
+// immediate revocation holds at the proxy and every other entry stays
+// warm. When the upstream call fails the proxy cannot tell what was
+// withdrawn, and drops every entry.
+func (p *Proxy) withdrawing(typ string, cause int) protocol.Handler {
+	return func(m *protocol.Message, _ *protocol.Conn) (any, error) {
+		raw, err := p.upstream.Call(typ, m.Payload)
+		var resp withdrawnResp
+		if err == nil {
+			resp, err = protocol.Decode[withdrawnResp](raw)
+		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		p.gen++
+		if err != nil {
+			p.evictions[cause] += uint64(len(p.cache))
+			clear(p.cache)
+			clear(p.byQuery)
+			return nil, err
+		}
+		for _, id := range resp.Withdrawn {
+			for _, key := range p.byQuery[id] {
+				delete(p.cache, key)
+				p.evictions[cause]++
+			}
+			delete(p.byQuery, id)
+		}
+		return raw.Payload, nil
 	}
-	p.mu.Lock()
-	p.cache = map[string]server.AccessResp{}
-	p.byPolicy = map[string]map[string]bool{}
-	p.mu.Unlock()
-	return resp.Payload, nil
 }

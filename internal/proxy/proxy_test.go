@@ -1,19 +1,30 @@
 package proxy
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/client"
 	"repro/internal/dsms"
 	"repro/internal/server"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 	"repro/internal/xacml"
 	"repro/internal/xacmlplus"
 )
 
-// startChain brings up engine -> data server -> proxy and returns a
-// client connected to the proxy.
-func startChain(t *testing.T) (*client.Client, *Proxy, *dsms.Engine) {
+// stack is engine -> data server -> proxy, with the server's PEP at
+// hand so tests can read the live grants.
+type stack struct {
+	px     *Proxy
+	pxAddr string
+	eng    *dsms.Engine
+	pep    *xacmlplus.PEP
+}
+
+// startStack brings up engine -> data server -> proxy over two
+// streams of one schema.
+func startStack(t *testing.T) *stack {
 	t.Helper()
 	eng := dsms.NewEngine("cloud")
 	t.Cleanup(eng.Close)
@@ -21,8 +32,10 @@ func startChain(t *testing.T) (*client.Client, *Proxy, *dsms.Engine) {
 		stream.Field{Name: "samplingtime", Type: stream.TypeTimestamp},
 		stream.Field{Name: "rainrate", Type: stream.TypeDouble},
 	)
-	if err := eng.CreateStream("weather", schema); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"weather", "traffic"} {
+		if err := eng.CreateStream(name, schema); err != nil {
+			t.Fatal(err)
+		}
 	}
 	pep := xacmlplus.NewPEP(xacml.NewPDP(), xacmlplus.LocalEngine{E: eng})
 	srv := server.New(pep, nil)
@@ -41,13 +54,26 @@ func startChain(t *testing.T) (*client.Client, *Proxy, *dsms.Engine) {
 		t.Fatal(err)
 	}
 	t.Cleanup(px.Close)
+	return &stack{px: px, pxAddr: pxAddr, eng: eng, pep: pep}
+}
 
-	cli, err := client.Dial(pxAddr)
+// dial connects a client to addr, closed when the test ends.
+func dial(t *testing.T, addr string) *client.Client {
+	t.Helper()
+	cli, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = cli.Close() })
-	return cli, px, eng
+	return cli
+}
+
+// startChain brings up the stack and returns a client connected to the
+// proxy.
+func startChain(t *testing.T) (*client.Client, *Proxy, *dsms.Engine) {
+	t.Helper()
+	s := startStack(t)
+	return dial(t, s.pxAddr), s.px, s.eng
 }
 
 func ltaPolicy() *xacml.Policy {
@@ -136,7 +162,7 @@ func TestProxyCacheInvalidationOnPolicyRemoval(t *testing.T) {
 		t.Errorf("graphs not withdrawn")
 	}
 	// A repeat of the formerly-cached request must NOT serve the stale
-	// handle: the cache was flushed, the server now denies.
+	// handle: its entry was evicted, the server now denies.
 	resp, err := cli.RequestAccess("LTA", "weather", "read", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -146,29 +172,61 @@ func TestProxyCacheInvalidationOnPolicyRemoval(t *testing.T) {
 	}
 }
 
+// TestProxyCacheInvalidationOnRelease checks that a release evicts the
+// released grant's answer and no other.
 func TestProxyCacheInvalidationOnRelease(t *testing.T) {
 	cli, px, eng := startChain(t)
 	px.SetCaching(true)
-	if _, err := cli.LoadPolicyObject(ltaPolicy()); err != nil {
-		t.Fatal(err)
+	reg := telemetry.NewRegistry()
+	px.EnableTelemetry(reg)
+	for _, pol := range []*xacml.Policy{mapPolicy("p:a", "alice"), mapPolicy("p:b", "bob")} {
+		if _, err := cli.LoadPolicyObject(pol); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := client.ExpectGranted(cli.RequestAccess("LTA", "weather", "read", nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Release("LTA", "weather"); err != nil {
-		t.Fatalf("Release via proxy: %v", err)
-	}
-	if eng.QueryCount() != 0 {
-		t.Error("release should withdraw")
-	}
-	// The next request re-deploys rather than serving the withdrawn
-	// handle.
-	resp, err := client.ExpectGranted(cli.RequestAccess("LTA", "weather", "read", nil))
+	ra, err := client.ExpectGranted(cli.RequestAccess("alice", "weather", "read", nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Reused {
-		t.Errorf("should be a fresh grant: %+v", resp)
+	rb, err := client.ExpectGranted(cli.RequestAccess("bob", "weather", "read", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Release("alice", "weather"); err != nil {
+		t.Fatalf("Release via proxy: %v", err)
+	}
+	if eng.QueryCount() != 1 {
+		t.Errorf("engine queries = %d, want only bob's", eng.QueryCount())
+	}
+	// Alice's next request re-deploys rather than serving the withdrawn
+	// handle.
+	respA, err := client.ExpectGranted(cli.RequestAccess("alice", "weather", "read", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if respA.Reused || respA.Handle == ra.Handle {
+		t.Errorf("alice should get a fresh grant: %+v", respA)
+	}
+	// Bob's entry stayed warm.
+	hitsBefore, _ := px.Stats()
+	respB, err := cli.RequestAccess("bob", "weather", "read", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hitsAfter, _ := px.Stats(); !respB.Reused || respB.Handle != rb.Handle || hitsAfter != hitsBefore+1 {
+		t.Errorf("bob's repeat should be a cache hit on %s: %+v (hits %d -> %d)", rb.Handle, respB, hitsBefore, hitsAfter)
+	}
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`exacml_proxy_cache_evictions_total{cause="release"} 1`,
+		`exacml_proxy_cache_evictions_total{cause="policy"} 0`,
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("metrics lack %q", want)
+		}
 	}
 }
 

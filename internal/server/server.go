@@ -39,9 +39,11 @@ type LoadPolicyReq struct {
 	PolicyXML string `json:"policy_xml"`
 }
 
-// LoadPolicyResp acknowledges with the policy id.
+// LoadPolicyResp acknowledges with the policy id and lists the query
+// ids withdrawn because a same-id policy was replaced.
 type LoadPolicyResp struct {
-	PolicyID string `json:"policy_id"`
+	PolicyID  string   `json:"policy_id"`
+	Withdrawn []string `json:"withdrawn"`
 }
 
 // RemovePolicyReq removes a policy by id; all query graphs spawned from
@@ -85,6 +87,11 @@ func (r AccessResp) Granted() bool { return r.Handle != "" }
 type ReleaseReq struct {
 	User   string `json:"user"`
 	Stream string `json:"stream"`
+}
+
+// ReleaseResp lists the query id the release withdrew.
+type ReleaseResp struct {
+	Withdrawn []string `json:"withdrawn"`
 }
 
 // StatsResp reports server counters.
@@ -229,10 +236,11 @@ func (s *Server) handleLoadPolicy(m *protocol.Message, _ *protocol.Conn) (any, e
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.PEP.UpdatePolicy(pol); err != nil {
+	withdrawn, err := s.PEP.UpdatePolicy(pol)
+	if err != nil {
 		return nil, err
 	}
-	return LoadPolicyResp{PolicyID: pol.PolicyID}, nil
+	return LoadPolicyResp{PolicyID: pol.PolicyID, Withdrawn: withdrawn}, nil
 }
 
 func (s *Server) handleRemovePolicy(m *protocol.Message, _ *protocol.Conn) (any, error) {
@@ -290,12 +298,19 @@ func ToWire(resp *xacmlplus.AccessResponse) AccessResp {
 	return out
 }
 
+// handleRelease withdraws the caller's grant and names the withdrawn
+// query, so a proxy in front evicts exactly the cached answers that
+// carried it.
 func (s *Server) handleRelease(m *protocol.Message, _ *protocol.Conn) (any, error) {
 	req, err := protocol.Decode[ReleaseReq](m)
 	if err != nil {
 		return nil, err
 	}
-	return struct{}{}, s.PEP.Release(req.User, req.Stream)
+	id, err := s.PEP.Release(req.User, req.Stream)
+	if err != nil {
+		return nil, err
+	}
+	return ReleaseResp{Withdrawn: []string{id}}, nil
 }
 
 func (s *Server) handleStats(_ *protocol.Message, _ *protocol.Conn) (any, error) {

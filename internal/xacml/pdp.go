@@ -7,7 +7,8 @@ import (
 
 // Result is the PDP response: the decision plus any obligations whose
 // FulfillOn matches the decision, and the id of the policy that
-// produced it.
+// produced it. Obligations may share the policy's backing array, so
+// callers treat it as read-only.
 type Result struct {
 	Decision    Decision
 	Obligations []Obligation
@@ -36,13 +37,35 @@ func EvaluatePolicy(p *Policy, req *Request) (Result, error) {
 		if decision == Deny {
 			want = EffectDeny
 		}
-		for _, o := range p.Obligations.Obligations {
-			if o.FulfillOn == "" || o.FulfillOn == want {
-				res.Obligations = append(res.Obligations, o)
-			}
-		}
+		res.Obligations = fulfilled(p.Obligations.Obligations, want)
 	}
 	return res, nil
+}
+
+// fulfilled returns the obligations that accompany effect. When all of
+// them do, it returns obs itself with its capacity capped, so the
+// common case does not allocate and an append by the caller copies.
+func fulfilled(obs []Obligation, effect Effect) []Obligation {
+	applies := func(o Obligation) bool { return o.FulfillOn == "" || o.FulfillOn == effect }
+	n := 0
+	for _, o := range obs {
+		if applies(o) {
+			n++
+		}
+	}
+	switch n {
+	case 0:
+		return nil
+	case len(obs):
+		return obs[:n:n]
+	}
+	out := make([]Obligation, 0, n)
+	for _, o := range obs {
+		if applies(o) {
+			out = append(out, o)
+		}
+	}
+	return out
 }
 
 // combineRules applies the policy's rule combining algorithm.
@@ -165,24 +188,25 @@ func matchHolds(m Match, bag AttributeBag) (bool, error) {
 	if attrID == "" {
 		return false, fmt.Errorf("xacml: match without attribute designator")
 	}
-	values := bag.values(attrID)
-	want := strings.TrimSpace(m.Value.Value)
+	var eq func(a, b string) bool
 	switch m.MatchID {
 	case MatchStringEqual, MatchAnyURIEqual, "":
-		for _, v := range values {
-			if v == want {
-				return true, nil
-			}
-		}
-		return false, nil
+		eq = func(a, b string) bool { return a == b }
 	case MatchStringEqualIgnoreCase:
-		for _, v := range values {
-			if strings.EqualFold(v, want) {
-				return true, nil
-			}
-		}
-		return false, nil
+		eq = strings.EqualFold
 	default:
 		return false, fmt.Errorf("xacml: unsupported MatchId %q", m.MatchID)
 	}
+	want := strings.TrimSpace(m.Value.Value)
+	for _, a := range bag.Attributes {
+		if a.AttributeID != attrID {
+			continue
+		}
+		for _, v := range a.Values {
+			if eq(strings.TrimSpace(v.Value), want) {
+				return true, nil
+			}
+		}
+	}
+	return false, nil
 }

@@ -68,6 +68,28 @@ func (b AttributeBag) first(id string) string {
 	return ""
 }
 
+// single reports how many distinct values an attribute id has in the
+// bag, capped at 2, and the value when there is exactly one. It does
+// not allocate.
+func (b AttributeBag) single(id string) (string, int) {
+	var first string
+	n := 0
+	for _, a := range b.Attributes {
+		if a.AttributeID != id {
+			continue
+		}
+		for _, v := range a.Values {
+			switch s := strings.TrimSpace(v.Value); {
+			case n == 0:
+				first, n = s, 1
+			case s != first:
+				return "", 2
+			}
+		}
+	}
+	return first, n
+}
+
 // values returns all values of an attribute id in the bag.
 func (b AttributeBag) values(id string) []string {
 	var out []string

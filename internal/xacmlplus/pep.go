@@ -332,15 +332,17 @@ func (p *PEP) handleRequest(req *xacml.Request, userQuery *UserQuery) (*AccessRe
 	return resp, nil
 }
 
-// Release withdraws a user's live query on a stream.
-func (p *PEP) Release(user, streamName string) error {
+// Release withdraws a user's live query on a stream and returns its
+// id. The grant is dropped even when the engine fails to withdraw the
+// query; the error then reports that failure.
+func (p *PEP) Release(user, streamName string) (string, error) {
 	id, ok := p.Manager.Release(user, streamName)
 	if !ok {
-		return fmt.Errorf("xacmlplus: user %q holds no query on stream %q", user, streamName)
+		return "", fmt.Errorf("xacmlplus: user %q holds no query on stream %q", user, streamName)
 	}
 	err := p.Engine.Withdraw(id)
 	p.auditEvent(audit.Event{Kind: "release", Subject: user, Resource: streamName, Detail: id})
-	return err
+	return id, err
 }
 
 // withdrawGrants stops the engine queries of grants killed by a policy

@@ -122,8 +122,8 @@ func TestPEPSingleAccessConstraint(t *testing.T) {
 		t.Fatalf("different window should hit the single-access guard, got %v", err)
 	}
 	// After release, access is possible again.
-	if err := pep.Release("LTA", "weather"); err != nil {
-		t.Fatalf("Release: %v", err)
+	if id, err := pep.Release("LTA", "weather"); err != nil || id != first.QueryID {
+		t.Fatalf("Release = %q, %v; want the withdrawn %q", id, err, first.QueryID)
 	}
 	if _, err := pep.HandleRequest(req, attack); err != nil {
 		t.Fatalf("request after release: %v", err)
@@ -132,7 +132,7 @@ func TestPEPSingleAccessConstraint(t *testing.T) {
 
 func TestPEPReleaseUnknown(t *testing.T) {
 	pep, _ := newTestPEP(t)
-	if err := pep.Release("nobody", "weather"); err == nil {
+	if _, err := pep.Release("nobody", "weather"); err == nil {
 		t.Error("releasing a non-grant must fail")
 	}
 }
@@ -385,7 +385,7 @@ func TestPEPAuditTrail(t *testing.T) {
 	if _, err := pep.HandleRequest(xacml.NewRequest("EMA", "weather", "read"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := pep.Release("LTA", "weather"); err != nil {
+	if _, err := pep.Release("LTA", "weather"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pep.HandleRequest(xacml.NewRequest("LTA", "weather", "read"), nil); err != nil {
