@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -9,9 +11,12 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/dsms"
+	"repro/internal/dsmsd"
 	"repro/internal/governor"
 	"repro/internal/runtime"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 )
 
 func durableSchema() *stream.Schema {
@@ -56,102 +61,393 @@ func collectEmissions(t *testing.T, c <-chan stream.Tuple, n int) []stream.Tuple
 	return out
 }
 
-// TestBootRecoveryRoundTrip is the acceptance round-trip: a framework
-// with a state dir is fed a prefix, checkpointed, crashed (abandoned
-// without Close) and re-booted; the restored query — resolved through
-// its pre-crash handle — must then emit bit-identically to an un-killed
-// control framework fed the same tuples, including the window that
-// straddles the crash (its first half lives only in the checkpoint).
-func TestBootRecoveryRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	fwA, err := Boot("a", Options{StateDir: dir})
+// controlEmissions is what an uninterrupted framework emits for values
+// 1..12: the windows after the first, [5..8] and [9..12], which are the
+// ones a query checkpointed after 6 emits again after a reboot.
+func controlEmissions(t *testing.T) []stream.Tuple {
+	t.Helper()
+	fw := NewWithOptions("control", Options{})
+	defer fw.Close()
+	if err := fw.RegisterStream("s", durableSchema()); err != nil {
+		t.Fatal(err)
+	}
+	_, handle, err := fw.Runtime.DeployScript(durableScript)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwB := NewWithOptions("b", Options{})
-	t.Cleanup(fwB.Close)
-	for _, f := range []*Framework{fwA, fwB} {
-		if err := f.RegisterStream("s", durableSchema()); err != nil {
-			t.Fatal(err)
+	sub, err := fw.Subscribe(handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	publishVals(t, fw, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)
+	return collectEmissions(t, sub.C, 3)[1:]
+}
+
+// sameValuesAndSeqs asserts got equals want field for field and Seq for
+// Seq: the restored lineage, not just the values.
+func sameValuesAndSeqs(t *testing.T, what string, got, want []stream.Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d emissions, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		a, b := got[i], want[i]
+		if len(a.Values) != len(b.Values) {
+			t.Fatalf("%s emission %d: %d fields vs %d", what, i, len(a.Values), len(b.Values))
+		}
+		for j := range a.Values {
+			if a.Values[j] != b.Values[j] {
+				t.Errorf("%s emission %d field %d: %v, control %v", what, i, j, a.Values[j], b.Values[j])
+			}
+		}
+		if a.Seq != b.Seq {
+			t.Errorf("%s emission %d: Seq %d, control Seq %d (provenance lineage broken)", what, i, a.Seq, b.Seq)
 		}
 	}
-	idA, handleA, err := fwA.Runtime.DeployScript(durableScript)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, handleB, err := fwB.Runtime.DeployScript(durableScript)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subB, err := fwB.Subscribe(handleB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer subB.Close()
+}
 
-	// Prefix: one full window [1..4] plus a half-built window [5,6] that
-	// only the checkpoint carries across the crash.
+// startDSMSD serves a fresh engine over loopback until the test ends.
+func startDSMSD(t *testing.T) *dsmsd.Server {
+	t.Helper()
+	srv := dsmsd.NewServer(dsms.NewEngine("dsmsd"), nil)
+	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Engine.Close)
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// remoteShard is exacmld's default shape: one remote shard at addr.
+func remoteShard(addr string) Options {
+	return Options{ShardAddrs: []runtime.BackendSpec{{Addr: addr, Remote: runtime.RemoteOptions{
+		MaxReconnects: 2, ReconnectBackoff: 2 * time.Millisecond, HealthInterval: -1,
+	}}}}
+}
+
+// TestBootRecoveryRoundTrip is the acceptance round-trip on every
+// single-partition shape: a framework with a state dir is fed a
+// prefix, checkpointed, then crashed (abandoned without Close) or
+// closed, and re-booted; the restored query — resolved through its
+// pre-crash handle — must then emit bit-identically to an uninterrupted
+// control, including the window that straddles the reboot (its first
+// half lives only in the checkpoint).
+func TestBootRecoveryRoundTrip(t *testing.T) {
+	want := controlEmissions(t)
+	shapes := []struct {
+		name string
+		// boot returns the Options of the first boot and of the reboot,
+		// called between the two.
+		boot func(t *testing.T) (first Options, reboot func() Options)
+	}{
+		{"local", func(t *testing.T) (Options, func() Options) {
+			return Options{}, func() Options { return Options{} }
+		}},
+		{"remote, dsmsd replaced", func(t *testing.T) (Options, func() Options) {
+			old := startDSMSD(t)
+			return remoteShard(old.Addr()), func() Options {
+				// The whole host is lost: its dsmsd dies with the
+				// exacmld, and the reboot fronts a fresh, empty one.
+				old.Close()
+				old.Engine.Close()
+				return remoteShard(startDSMSD(t).Addr())
+			}
+		}},
+		{"remote, dsmsd survives", func(t *testing.T) (Options, func() Options) {
+			opts := remoteShard(startDSMSD(t).Addr())
+			return opts, func() Options { return opts }
+		}},
+		{"replication 2 on two local shards", func(t *testing.T) (Options, func() Options) {
+			opts := Options{Shards: 2, Replication: 2}
+			return opts, func() Options { return opts }
+		}},
+	}
+	for _, shape := range shapes {
+		for _, crash := range []bool{true, false} {
+			name := shape.name + "/close"
+			if crash {
+				name = shape.name + "/crash"
+			}
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				first, reboot := shape.boot(t)
+				first.StateDir = dir
+				fwA, err := Boot("a", first)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := fwA.RegisterStream("s", durableSchema()); err != nil {
+					t.Fatal(err)
+				}
+				idA, handleA, err := fwA.Runtime.DeployScript(durableScript)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Prefix: one full window [1..4] plus a half-built window
+				// [5,6] that only the checkpoint carries across the reboot.
+				publishVals(t, fwA, 1, 2, 3, 4, 5, 6)
+				if err := fwA.Durable.CheckpointNow(); err != nil {
+					t.Fatalf("checkpoint: %v", err)
+				}
+				if crash {
+					// Abandon fwA: no final checkpoint, no audit sync,
+					// goroutines left running like a killed process's.
+					t.Cleanup(fwA.Close)
+				} else {
+					fwA.Close()
+				}
+
+				opts := reboot()
+				opts.StateDir = dir
+				fwA2, err := Boot("a", opts)
+				if err != nil {
+					t.Fatalf("re-boot: %v", err)
+				}
+				t.Cleanup(fwA2.Close)
+				if err := fwA2.Ready(); err != nil {
+					t.Fatalf("Ready after recovery: %v", err)
+				}
+				st := fwA2.Durable.Stats()
+				if st.StreamsRestored != 1 || st.QueriesRestored != 1 || st.CheckpointsRestored != 1 {
+					t.Fatalf("recovery stats = %+v, want 1 stream, 1 query, 1 checkpoint part", st)
+				}
+				if _, ok := fwA2.Runtime.Query(idA); !ok {
+					t.Fatalf("restored query not resolvable by original id %q", idA)
+				}
+				subA, err := fwA2.Subscribe(handleA) // the PRE-crash handle
+				if err != nil {
+					t.Fatalf("subscribe by pre-crash handle %q: %v", handleA, err)
+				}
+				defer subA.Close()
+
+				// Suffix: completes the straddling window [5,6,7,8] and one more.
+				publishVals(t, fwA2, 7, 8, 9, 10, 11, 12)
+				sameValuesAndSeqs(t, "recovered", collectEmissions(t, subA.C, len(want)), want)
+
+				// Admission accounting survives the restart intact: every
+				// offered tuple is either ingested, dropped or errored.
+				for _, row := range fwA2.Stats().Streams {
+					if row.Offered != row.Ingested+row.Dropped+row.Errors {
+						t.Errorf("stream %s: offered %d != ingested %d + dropped %d + errors %d",
+							row.Stream, row.Offered, row.Ingested, row.Dropped, row.Errors)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBootRecoveryReplicatedFailover restores a query on a replicated
+// stream and checks that the restore reached every replica: subscribed
+// directly, the primary and the standby parts emit the same windows
+// with the same Seqs, and when the primary's shard dies mid-window the
+// promoted standby completes the next window for the subscriber.
+func TestBootRecoveryReplicatedFailover(t *testing.T) {
+	want := controlEmissions(t)
+	dir := t.TempDir()
+	opts := Options{Shards: 2, Replication: 2, StateDir: dir}
+	fwA, err := Boot("a", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fwA.Close)
+	if err := fwA.RegisterStream("s", durableSchema()); err != nil {
+		t.Fatal(err)
+	}
+	id, handle, err := fwA.Runtime.DeployScript(durableScript)
+	if err != nil {
+		t.Fatal(err)
+	}
 	publishVals(t, fwA, 1, 2, 3, 4, 5, 6)
-	publishVals(t, fwB, 1, 2, 3, 4, 5, 6)
 	if err := fwA.Durable.CheckpointNow(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	// Crash: abandon fwA without Close — no final checkpoint, no audit
-	// sync, goroutines left running like a killed process's threads.
+	// Crash: abandon fwA.
 
-	fwA2, err := Boot("a", Options{StateDir: dir})
+	fwA2, err := Boot("a", opts)
 	if err != nil {
 		t.Fatalf("re-boot: %v", err)
 	}
 	t.Cleanup(fwA2.Close)
-	if err := fwA2.Ready(); err != nil {
-		t.Fatalf("Ready after recovery: %v", err)
+	rt := fwA2.Runtime
+	d, ok := rt.Query(id)
+	if !ok {
+		t.Fatalf("restored query %q missing", id)
 	}
-	st := fwA2.Durable.Stats()
-	if st.StreamsRestored != 1 || st.QueriesRestored != 1 || st.CheckpointsRestored != 1 {
-		t.Fatalf("recovery stats = %+v, want 1 stream, 1 query, 1 checkpoint part", st)
+	primary := d.Shards()[0]
+	// Each backend is a fresh engine running exactly this query's one
+	// part, so the standby's part id on the other shard is the primary's.
+	var parts []<-chan stream.Tuple
+	for i := 0; i < rt.NumShards(); i++ {
+		if n := rt.Backend(i).QueryCount(); n != 1 {
+			t.Fatalf("shard %d runs %d parts, want 1", i, n)
+		}
+		bs, err := rt.Backend(i).Subscribe(d.Parts[0].ID)
+		if err != nil {
+			t.Fatalf("subscribe shard %d part: %v", i, err)
+		}
+		defer bs.Close()
+		parts = append(parts, bs.Tuples())
 	}
-	if _, ok := fwA2.Runtime.Query(idA); !ok {
-		t.Fatalf("restored query not resolvable by original id %q", idA)
-	}
-	subA, err := fwA2.Subscribe(handleA) // the PRE-crash handle
+	sub, err := fwA2.Subscribe(handle)
 	if err != nil {
-		t.Fatalf("subscribe by pre-crash handle %q: %v", handleA, err)
+		t.Fatal(err)
 	}
-	defer subA.Close()
+	defer sub.Close()
 
-	// Suffix: completes the straddling window [5,6,7,8] and one more.
-	publishVals(t, fwA2, 7, 8, 9, 10, 11, 12)
-	publishVals(t, fwB, 7, 8, 9, 10, 11, 12)
+	publishVals(t, fwA2, 7, 8)
+	for i, c := range parts {
+		sameValuesAndSeqs(t, fmt.Sprintf("shard %d part", i), collectEmissions(t, c, 1), want[:1])
+	}
+	rt.FailShard(primary, errors.New("injected primary death"))
+	publishVals(t, fwA2, 9, 10, 11, 12)
+	sameValuesAndSeqs(t, "failed-over subscriber", collectEmissions(t, sub.C, len(want)), want)
+}
 
-	gotA := collectEmissions(t, subA.C, 2)
-	gotB := collectEmissions(t, subB.C, 3) // B also saw window [1..4]
-	wantTail := gotB[1:]
-	for i := range gotA {
-		a, b := gotA[i], wantTail[i]
-		if len(a.Values) != len(b.Values) {
-			t.Fatalf("emission %d: %d fields vs %d", i, len(a.Values), len(b.Values))
+// TestBootRecoveryMisfitCheckpoint restores a query from a well-formed
+// checkpoint that does not fit it — a part past the query's partitions,
+// or a state exported from a different script: the query comes back
+// with empty windows, and the checkpoint counts as discarded, not the
+// query as failed.
+func TestBootRecoveryMisfitCheckpoint(t *testing.T) {
+	// checkpointOf boots a framework on a fresh state dir, deploys
+	// script over stream s (partitioned over two shards when
+	// partitioned), feeds 1..6 and checkpoints; it returns the dir.
+	checkpointOf := func(t *testing.T, script string, partitioned bool) string {
+		t.Helper()
+		dir := t.TempDir()
+		opts := Options{StateDir: dir}
+		if partitioned {
+			opts.Shards = 2
 		}
-		for j := range a.Values {
-			if a.Values[j] != b.Values[j] {
-				t.Errorf("emission %d field %d: recovered %v, control %v", i, j, a.Values[j], b.Values[j])
+		fw, err := Boot("src", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fw.Close()
+		if partitioned {
+			err = fw.RegisterPartitionedStream("s", durableSchema(), "a")
+		} else {
+			err = fw.RegisterStream("s", durableSchema())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := fw.Runtime.DeployScript(script); err != nil {
+			t.Fatal(err)
+		}
+		publishVals(t, fw, 1, 2, 3, 4, 5, 6)
+		if err := fw.Durable.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	const twoAggs = `
+CREATE INPUT STREAM s (a double, t timestamp);
+CREATE WINDOW w (SIZE 3 ADVANCE 3 TUPLES);
+CREATE OUTPUT STREAM out;
+SELECT max(a) AS maxa, min(a) AS mina, count(a) AS n FROM s[w] INTO out;
+`
+	const filterScript = `
+CREATE INPUT STREAM s (a double, t timestamp);
+CREATE OUTPUT STREAM out;
+SELECT a FROM s WHERE a > 0 INTO out;
+`
+	rows := []struct {
+		name string
+		src  func(t *testing.T) string
+	}{
+		{"part past the partitions", func(t *testing.T) string { return checkpointOf(t, filterScript, true) }},
+		{"state of another script", func(t *testing.T) string { return checkpointOf(t, twoAggs, false) }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			src := row.src(t)
+			dir := t.TempDir()
+			fwA, err := Boot("a", Options{StateDir: dir})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if a.Seq != b.Seq {
-			t.Errorf("emission %d: recovered Seq %d, control Seq %d (provenance lineage broken)", i, a.Seq, b.Seq)
-		}
-	}
-	if got := gotA[0].Values[0].Double(); got != 6.5 {
-		t.Errorf("straddling window avg = %v, want 6.5 (= avg of 5,6 from checkpoint + 7,8 post-restart)", got)
-	}
+			if err := fwA.RegisterStream("s", durableSchema()); err != nil {
+				t.Fatal(err)
+			}
+			id, _, err := fwA.Runtime.DeployScript(durableScript)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fwA.Close()
+			// Swap in the foreign checkpoint: same query id, intact
+			// envelope, state that does not fit.
+			ckDir := filepath.Join(dir, "checkpoints")
+			own, _ := filepath.Glob(filepath.Join(ckDir, id+"-*.json"))
+			for _, f := range own {
+				if err := os.Remove(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			foreign, err := filepath.Glob(filepath.Join(src, "checkpoints", id+"-*.json"))
+			if err != nil || len(foreign) == 0 {
+				t.Fatalf("no source checkpoint for %s: %v", id, err)
+			}
+			for _, f := range foreign {
+				data, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(ckDir, filepath.Base(f)), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// Admission accounting survives the restart intact: every offered
-	// tuple is either ingested, dropped or errored.
-	stats := fwA2.Stats()
-	for _, row := range stats.Streams {
-		if row.Offered != row.Ingested+row.Dropped+row.Errors {
-			t.Errorf("stream %s: offered %d != ingested %d + dropped %d + errors %d",
-				row.Stream, row.Offered, row.Ingested, row.Dropped, row.Errors)
+			fwA2, err := Boot("a", Options{StateDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(fwA2.Close)
+			st := fwA2.Durable.Stats()
+			if st.QueriesRestored != 1 || st.QueriesFailed != 0 || st.CheckpointsRestored != 0 || st.CheckpointsDiscarded == 0 {
+				t.Fatalf("recovery stats = %+v, want the query restored empty and its checkpoint discarded", st)
+			}
+			sub, err := fwA2.Subscribe(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			publishVals(t, fwA2, 7, 8, 9, 10)
+			if avg := collectEmissions(t, sub.C, 1)[0].Values[0].Double(); avg != 8.5 {
+				t.Errorf("first window after an empty restore = %v, want 8.5 (avg of 7..10)", avg)
+			}
+		})
+	}
+}
+
+// TestCheckpointSkipCounted pins that a checkpoint pass skipping a
+// query it cannot checkpoint (a staged global aggregate) says so on
+// /metrics, once per query per pass.
+func TestCheckpointSkipCounted(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	fw, err := Boot("a", Options{Shards: 2, StateDir: t.TempDir(), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fw.Close()
+	if err := fw.RegisterPartitionedStream("s", durableSchema(), "a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := fw.Runtime.DeployScript(durableScript); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 1; pass <= 2; pass++ {
+		if err := fw.Durable.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+		var buf strings.Builder
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("exacml_checkpoint_skipped_total %d\n", pass); !strings.Contains(buf.String(), want) {
+			t.Fatalf("after pass %d, /metrics lacks %q", pass, strings.TrimSpace(want))
 		}
 	}
 }

@@ -43,7 +43,7 @@ func migrateGraph(win WindowSpec) *QueryGraph {
 // uninterrupted over an input must emit bit-for-bit what the same
 // query emits when it is cut mid-stream — state exported from engine A
 // and imported into a fresh engine B (with the stream's sequence
-// lineage continued via SetStreamSeq) before the rest of the input
+// lineage continued via setStreamSeq) before the rest of the input
 // flows. Same window closes, same values, same Seq/ArrivalMillis
 // provenance: the consumer cannot tell the migration happened.
 func TestMigratedQueryGolden(t *testing.T) {
@@ -112,14 +112,14 @@ func TestMigratedQueryGolden(t *testing.T) {
 					if err := b.CreateStream("s", schema); err != nil {
 						t.Fatal(err)
 					}
-					if err := b.SetStreamSeq("s", st.InputSeq); err != nil {
+					if err := b.setStreamSeq("s", st.InputSeq); err != nil {
 						t.Fatal(err)
 					}
 					bdep, err := b.Deploy(migrateGraph(win))
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := b.ImportQueryState(bdep.ID, st); err != nil {
+					if err := b.importQueryState(bdep.ID, st); err != nil {
 						t.Fatal(err)
 					}
 					bsub, err := b.Subscribe(bdep.ID)
@@ -176,13 +176,13 @@ func TestSetStreamSeqRefusesRewind(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Flush()
-	if err := e.SetStreamSeq("s", 3); !errors.Is(err, ErrSeqBehind) {
-		t.Fatalf("rewind to 3 after 10 seals = %v, want ErrSeqBehind", err)
+	if err := e.setStreamSeq("s", 3); !errors.Is(err, errSeqBehind) {
+		t.Fatalf("rewind to 3 after 10 seals = %v, want errSeqBehind", err)
 	}
-	if err := e.SetStreamSeq("s", 10); err != nil {
+	if err := e.setStreamSeq("s", 10); err != nil {
 		t.Fatalf("set to current position = %v, want nil", err)
 	}
-	if err := e.SetStreamSeq("s", 25); err != nil {
+	if err := e.setStreamSeq("s", 25); err != nil {
 		t.Fatalf("fast-forward = %v, want nil", err)
 	}
 	if seq, _ := e.StreamSeq("s"); seq != 25 {

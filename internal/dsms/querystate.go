@@ -7,12 +7,12 @@ import (
 	"repro/internal/stream"
 )
 
-// ErrSeqBehind reports a SetStreamSeq that would move a stream's
+// errSeqBehind reports a setStreamSeq that would move a stream's
 // sequence counter backwards. The counter only ever advances; callers
 // importing state into a stream that already progressed past it (a
 // follower that kept replicating while the primary exported) treat
 // this as "nothing to do".
-var ErrSeqBehind = errors.New("sequence counter already ahead")
+var errSeqBehind = errors.New("sequence counter already ahead")
 
 // QueryState is the serializable execution state of one deployed
 // continuous query: the window contents and incremental accumulators of
@@ -280,13 +280,13 @@ func (e *Engine) ExportQueryState(idOrHandle string) (*QueryState, error) {
 	return st, nil
 }
 
-// ImportQueryState installs a previously exported state into a deployed
+// importQueryState installs a previously exported state into a deployed
 // query (normally one just deployed from the same script), replacing
 // its window contents and accumulators wholesale. The operator chains
 // must have the same shape — guaranteed when both sides compiled the
 // same script. The input stream's sequence counter is NOT touched; use
-// SetStreamSeq when continuing a lineage on a fresh engine.
-func (e *Engine) ImportQueryState(idOrHandle string, st *QueryState) error {
+// setStreamSeq when continuing a lineage on a fresh engine.
+func (e *Engine) importQueryState(idOrHandle string, st *QueryState) error {
 	if st == nil {
 		return fmt.Errorf("dsms: nil query state")
 	}
@@ -314,11 +314,11 @@ func (e *Engine) StreamSeq(name string) (uint64, error) {
 	return seq, nil
 }
 
-// SetStreamSeq fast-forwards a stream's sequence counter so tuples
+// setStreamSeq fast-forwards a stream's sequence counter so tuples
 // sealed from now on continue a migrated lineage. Moving backwards is
-// refused with ErrSeqBehind (wrapped); setting the current value is a
+// refused with errSeqBehind (wrapped); setting the current value is a
 // no-op.
-func (e *Engine) SetStreamSeq(name string, seq uint64) error {
+func (e *Engine) setStreamSeq(name string, seq uint64) error {
 	is, err := e.lookupStream(name)
 	if err != nil {
 		return err
@@ -329,7 +329,7 @@ func (e *Engine) SetStreamSeq(name string, seq uint64) error {
 		return fmt.Errorf("dsms: %w %q", ErrUnknownStream, name)
 	}
 	if seq < is.seq {
-		return fmt.Errorf("dsms: stream %q: %w (at %d, asked %d)", name, ErrSeqBehind, is.seq, seq)
+		return fmt.Errorf("dsms: stream %q: %w (at %d, asked %d)", name, errSeqBehind, is.seq, seq)
 	}
 	is.seq = seq
 	return nil

@@ -65,13 +65,13 @@ func (e *Engine) ReplicaStatus(name string) (uint64, error) {
 	return is.applied.Load(), nil
 }
 
-// ImportQuery deploys g and installs st into the fresh query, the
-// receiving half of a live migration. replaceID, when set, is withdrawn
-// first (a standby part being promoted in place; one already gone is
-// fine). A st.InputSeq > 0 fast-forwards the input stream's sequence
-// counter so emission provenance continues the source lineage; a counter
-// already past it is left alone. If the state does not install, the
-// fresh query is withdrawn again.
+// ImportQuery deploys g and installs st into the fresh query: the
+// receiving half of a live migration, and of a durable restore.
+// replaceID, when set, is withdrawn first (a standby part promoted in
+// place; one already gone is fine). A st.InputSeq > 0 fast-forwards the
+// input stream's sequence counter so emission provenance continues the
+// source lineage; a counter already past it is left alone. If the state
+// does not install, the fresh query is withdrawn again.
 func (e *Engine) ImportQuery(g *QueryGraph, replaceID string, st *QueryState) (Deployment, error) {
 	if g == nil {
 		return Deployment{}, fmt.Errorf("dsms: nil query graph")
@@ -82,7 +82,7 @@ func (e *Engine) ImportQuery(g *QueryGraph, replaceID string, st *QueryState) (D
 		}
 	}
 	if st != nil && st.InputSeq > 0 {
-		if err := e.SetStreamSeq(g.Input, st.InputSeq); err != nil && !errors.Is(err, ErrSeqBehind) {
+		if err := e.setStreamSeq(g.Input, st.InputSeq); err != nil && !errors.Is(err, errSeqBehind) {
 			return Deployment{}, err
 		}
 	}
@@ -91,7 +91,7 @@ func (e *Engine) ImportQuery(g *QueryGraph, replaceID string, st *QueryState) (D
 		return Deployment{}, err
 	}
 	if st != nil {
-		if err := e.ImportQueryState(d.ID, st); err != nil {
+		if err := e.importQueryState(d.ID, st); err != nil {
 			_ = e.Withdraw(d.ID)
 			return Deployment{}, err
 		}

@@ -24,15 +24,16 @@ func (m *Manager) checkpointLoop() {
 	}
 }
 
-// CheckpointNow exports every checkpointable deployment's window state
-// to a fresh snapshot generation (atomic write, previous generation
-// kept as fallback), removes the checkpoint families of withdrawn
-// queries, and syncs the audit file so the chain on disk covers at
-// least everything the checkpoints' state reflects. Queries that are
-// structurally not checkpointable (staged global aggregates, remote
-// parts) are skipped silently — they restart from an empty window,
-// exactly as before checkpoints existed. The first error is returned
-// after the full pass; every failure is counted.
+// CheckpointNow exports every deployment's window state, on local and
+// remote shards alike, to a fresh snapshot generation (atomic write,
+// previous generation kept as fallback), removes the checkpoint
+// families of withdrawn queries, and syncs the audit file so the chain
+// on disk covers at least everything the checkpoints' state reflects.
+// Queries that are structurally not checkpointable (staged global
+// aggregates, replicated partitioned streams) are skipped and counted
+// in exacml_checkpoint_skipped_total — they restart from an empty
+// window, exactly as before checkpoints existed. The first error is
+// returned after the full pass; every failure is counted.
 func (m *Manager) CheckpointNow() error {
 	rt := m.rt
 	if rt == nil {
@@ -45,6 +46,7 @@ func (m *Manager) CheckpointNow() error {
 		cps, err := rt.ExportQueryCheckpoint(id)
 		if err != nil {
 			if errors.Is(err, runtime.ErrNotCheckpointable) {
+				m.ckSkipped.Add(1)
 				continue
 			}
 			m.ckErrors.Add(1)

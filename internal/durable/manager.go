@@ -80,9 +80,10 @@ type Manager struct {
 	stats RecoveryStats
 	ckGen map[string]uint64
 
-	ckRuns   atomic.Uint64
-	ckErrors atomic.Uint64
-	ckLast   atomic.Int64 // unix millis of the last successful run
+	ckRuns    atomic.Uint64
+	ckErrors  atomic.Uint64
+	ckSkipped atomic.Uint64
+	ckLast    atomic.Int64 // unix millis of the last successful run
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -177,11 +178,11 @@ func (m *Manager) Stats() RecoveryStats {
 
 // Recover replays the persisted state into a freshly built framework,
 // in dependency order: catalog streams, catalog queries (under their
-// original runtime ids), window checkpoints into the restored queries,
-// and finally the audit chain through the governor so in-force
-// demotions are re-applied with their cooldown anchors intact. The
-// catalog observer is muted for the duration — replaying a snapshot
-// must not rewrite it. A "recover" event with the outcome lands on the
+// original runtime ids, each starting from its latest window
+// checkpoint, or empty when the checkpoint does not fit), and finally
+// the audit chain through the governor so in-force demotions are
+// re-applied with their cooldown anchors intact. The catalog observer
+// is muted for the duration — replaying a snapshot must not rewrite it. A "recover" event with the outcome lands on the
 // audit chain, readiness flips, and (with interval > 0) the periodic
 // checkpointer starts. Individual objects that fail to restore are
 // counted and skipped, not fatal: a partially recovered control plane
@@ -198,31 +199,32 @@ func (m *Manager) Recover(rt *runtime.Runtime, gov *governor.Governor, interval 
 		st.StreamsRestored++
 	}
 	for _, q := range m.catDoc.Queries {
-		if _, err := rt.RestoreQuery(q.ID, q.Handle, q.Script); err != nil {
+		payload, gen, disc, _ := loadLatestSnapshot(m.ckDir, q.ID)
+		st.CheckpointsDiscarded += disc
+		var cps []runtime.QueryCheckpoint
+		if payload != nil {
+			m.mu.Lock()
+			m.ckGen[q.ID] = gen
+			m.mu.Unlock()
+			if err := json.Unmarshal(payload, &cps); err != nil {
+				st.CheckpointsDiscarded++
+				cps = nil
+			}
+		}
+		_, err := rt.RestoreQuery(q.ID, q.Handle, q.Script, cps)
+		if err != nil && cps != nil {
+			// A checkpoint that does not fit its query must not cost
+			// the query: restore it empty, as if it had none.
+			st.CheckpointsDiscarded += len(cps)
+			cps = nil
+			_, err = rt.RestoreQuery(q.ID, q.Handle, q.Script, nil)
+		}
+		if err != nil {
 			st.QueriesFailed++
 			continue
 		}
 		st.QueriesRestored++
-		payload, gen, disc, _ := loadLatestSnapshot(m.ckDir, q.ID)
-		st.CheckpointsDiscarded += disc
-		if payload == nil {
-			continue
-		}
-		var cps []runtime.QueryCheckpoint
-		if err := json.Unmarshal(payload, &cps); err != nil {
-			st.CheckpointsDiscarded++
-			continue
-		}
-		m.mu.Lock()
-		m.ckGen[q.ID] = gen
-		m.mu.Unlock()
-		for _, cp := range cps {
-			if err := rt.ImportQueryCheckpoint(q.ID, cp); err != nil {
-				st.CheckpointsDiscarded++
-				continue
-			}
-			st.CheckpointsRestored++
-		}
+		st.CheckpointsRestored += len(cps)
 	}
 	m.cat.setMuted(false)
 	if gov != nil {
@@ -281,6 +283,8 @@ func (m *Manager) enableTelemetry(reg *telemetry.Registry) {
 			"Completed periodic window-checkpoint passes.", m.ckRuns.Load())
 		g.Counter("exacml_checkpoint_errors_total",
 			"Window-checkpoint export or write failures.", m.ckErrors.Load())
+		g.Counter("exacml_checkpoint_skipped_total",
+			"Queries a window-checkpoint pass skipped as not checkpointable, once per query per pass.", m.ckSkipped.Load())
 		g.Counter("exacml_catalog_write_errors_total",
 			"Catalog snapshot writes that failed.", m.cat.writeErrors())
 	})

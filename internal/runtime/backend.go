@@ -128,21 +128,11 @@ type ShardBackend interface {
 	ExportQueryState(idOrHandle string) (*dsms.QueryState, error)
 	// ImportQuery deploys req and installs a previously exported state
 	// into the fresh query, optionally withdrawing replaceID (a standby
-	// part being promoted in place) first, so the migrated query emits
-	// exactly what the original would have; see dsms.Engine.ImportQuery.
+	// part being promoted in place) first, so the new part emits exactly
+	// what the exporting one would have. It is the one state-install
+	// path: live migration and the durable restore both use it; see
+	// dsms.Engine.ImportQuery.
 	ImportQuery(req DeployRequest, replaceID string, st *dsms.QueryState) (BackendDeployment, error)
-}
-
-// stateImporter is the in-process surface durable window checkpoints
-// use on top of ShardBackend: unlike ImportQuery (which deploys a fresh
-// query around the state), ImportQueryState installs a recovered state
-// into an ALREADY-deployed part, and SetStreamSeq fast-forwards the
-// input stream's sequence counter to the checkpoint's position. Only
-// in-process backends provide it — a remote part's state lives in its
-// dsmsd process and is not this node's to checkpoint.
-type stateImporter interface {
-	ImportQueryState(idOrHandle string, st *dsms.QueryState) error
-	SetStreamSeq(name string, seq uint64) error
 }
 
 // LocalBackend adapts an in-process dsms.Engine to the ShardBackend
@@ -232,17 +222,6 @@ func (b *LocalBackend) ImportQuery(req DeployRequest, replaceID string, st *dsms
 	return backendDeployment(b.eng.ImportQuery(g, replaceID, st))
 }
 
-// ImportQueryState implements stateImporter against the in-process
-// engine.
-func (b *LocalBackend) ImportQueryState(idOrHandle string, st *dsms.QueryState) error {
-	return b.eng.ImportQueryState(idOrHandle, st)
-}
-
-// SetStreamSeq implements stateImporter.
-func (b *LocalBackend) SetStreamSeq(name string, seq uint64) error {
-	return b.eng.SetStreamSeq(name, seq)
-}
-
 // Subscribe implements ShardBackend.
 func (b *LocalBackend) Subscribe(idOrHandle string) (BackendSubscription, error) {
 	sub, err := b.eng.Subscribe(idOrHandle)
@@ -285,7 +264,4 @@ func (s *localSub) Close() {
 	s.once.Do(func() { s.eng.Unsubscribe(s.key, s.sub) })
 }
 
-var (
-	_ ShardBackend  = (*LocalBackend)(nil)
-	_ stateImporter = (*LocalBackend)(nil)
-)
+var _ ShardBackend = (*LocalBackend)(nil)

@@ -89,12 +89,20 @@ func (rt *Runtime) noteQueryWithdrawn(id string) {
 }
 
 // RestoreQuery re-deploys a catalog-recovered query under its original
-// runtime id (the checkpoint files are keyed by it) and, when the
-// newly issued handle differs from the recorded one, registers the old
-// handle as an alias so stored handles keep resolving after a restart.
-// The runtime's deployment counter is advanced past the restored id,
-// so queries deployed after recovery cannot collide with restored ones.
-func (rt *Runtime) RestoreQuery(id, handle, script string) (Deployment, error) {
+// runtime id (the checkpoint files are keyed by it). It is a deploy with
+// state: every part of partition cp.Part, primary and standbys, starts
+// from cp.State through ShardBackend.ImportQuery, which also
+// fast-forwards the input stream's sequence so emission provenance
+// continues the pre-crash lineage; partitions without a checkpoint
+// start empty. A checkpoint that does not fit the query (a part past
+// its partitions, or a state whose operators the script does not have)
+// fails the restore, and the caller may retry with nil. When the newly
+// issued handle differs from the recorded one, the old handle is
+// registered as an alias so stored handles keep resolving after a
+// restart. The runtime's deployment counter is advanced past the
+// restored id, so queries deployed after recovery cannot collide with
+// restored ones.
+func (rt *Runtime) RestoreQuery(id, handle, script string, cps []QueryCheckpoint) (Deployment, error) {
 	if !strings.HasPrefix(id, "rq") {
 		return Deployment{}, fmt.Errorf("runtime: restore id %q is not a runtime query id", id)
 	}
@@ -102,7 +110,21 @@ func (rt *Runtime) RestoreQuery(id, handle, script string) (Deployment, error) {
 	if err != nil {
 		return Deployment{}, fmt.Errorf("runtime: restore %s: %w", id, err)
 	}
-	dep, err := rt.deploy(c.Input, DeployRequest{Graph: c.Graph, Script: script}, id)
+	var states []*dsms.QueryState
+	if cps != nil {
+		r, err := rt.routeFor(c.Input)
+		if err != nil {
+			return Deployment{}, err
+		}
+		states = make([]*dsms.QueryState, r.partitions())
+		for _, cp := range cps {
+			if cp.Part < 0 || cp.Part >= len(states) || cp.State == nil {
+				return Deployment{}, fmt.Errorf("runtime: restore %s: checkpoint part %d does not fit %d partitions", id, cp.Part, len(states))
+			}
+			states[cp.Part] = cp.State
+		}
+	}
+	dep, err := rt.deploy(c.Input, DeployRequest{Graph: c.Graph, Script: script}, id, states)
 	if err != nil {
 		return Deployment{}, err
 	}
@@ -135,25 +157,29 @@ func (rt *Runtime) DeploymentIDs() []string {
 // ErrNotCheckpointable marks a deployment whose window state cannot be
 // exported for a durable checkpoint: staged global aggregates (their
 // state is spread over per-partition parts plus the merge stage) and
-// parts on backends without the in-process state surface. Callers skip
-// such queries — they restart from an empty window, exactly as before
+// queries over replicated partitioned streams. Callers skip such
+// queries — they restart from an empty window, exactly as before
 // checkpoints existed.
 var ErrNotCheckpointable = errors.New("runtime: query state not checkpointable")
 
-// QueryCheckpoint is one part's exported window state, keyed by its
-// index in the deployment's Parts (stable across a restart because the
-// restored deployment re-creates parts in the same shard order).
+// QueryCheckpoint is one partition's exported window state. Part is the
+// partition index — the position of its primary in Deployment.Parts —
+// so RestoreQuery re-installs it into the same partition. The JSON form
+// is the persisted checkpoint format.
 type QueryCheckpoint struct {
 	Part  int              `json:"part"`
 	State *dsms.QueryState `json:"state"`
 }
 
-// ExportQueryCheckpoint quiesces the query's input flow and exports
-// every local part's window state, using the same fence as live
-// migration: the feeding shard queues are paused (publishers keep
-// queueing), in-flight batches are fenced with waitInflight, the
-// replication log (if any) is drained, and the engines flushed — so
-// the exported InputSeq exactly delimits the tuples the state covers.
+// ExportQueryCheckpoint exports, through ShardBackend.ExportQueryState,
+// the window state of each partition whose primary part runs on a
+// healthy shard, local or remote, under the fence live migration uses
+// (quiesce), so each state's InputSeq exactly delimits the tuples it
+// covers. One state per partition restores its standbys too, since
+// they track the primary. A query with no part on a healthy shard is an
+// error, which keeps the previous checkpoint generation the newest.
+// Staged global aggregates and replicated partitioned streams are
+// ErrNotCheckpointable.
 func (rt *Runtime) ExportQueryCheckpoint(idOrHandle string) ([]QueryCheckpoint, error) {
 	ds, ok := rt.lookupDep(idOrHandle)
 	if !ok {
@@ -162,47 +188,17 @@ func (rt *Runtime) ExportQueryCheckpoint(idOrHandle string) ([]QueryCheckpoint, 
 	if ds.ms != nil {
 		return nil, fmt.Errorf("%w: %s is a staged global aggregate", ErrNotCheckpointable, ds.id)
 	}
-	r := ds.r
-	if r.subs != nil {
+	if ds.r.subs != nil {
 		return nil, fmt.Errorf("%w: %s reads a replicated partitioned stream", ErrNotCheckpointable, ds.id)
 	}
 	d := ds.view()
-	parts, shards := d.Parts, d.shards
-
-	var paused []*shard
-	if r.keyIdx < 0 {
-		paused = append(paused, rt.shards[r.primaryShard()])
-	} else {
-		for _, si := range shards {
-			paused = append(paused, rt.shards[si])
-		}
-	}
-	for _, s := range paused {
-		s.pause()
-	}
-	defer func() {
-		for _, s := range paused {
-			s.resume()
-		}
-	}()
-	for _, s := range paused {
-		s.waitInflight()
-	}
-	if r.repl != nil {
-		r.repl.waitIdle(func(i int) bool { return rt.shards[i].failedErr() == nil })
-	}
+	defer rt.quiesce(ds.r, d.shards)()
 	var out []QueryCheckpoint
-	for i, p := range parts {
-		s := rt.shards[shards[i]]
+	for i, p := range d.Parts {
+		s := rt.shards[d.shards[i]]
 		if s.failedErr() != nil {
 			continue
 		}
-		if _, ok := s.be.(stateImporter); !ok {
-			// A remote part's state lives (and survives) in its dsmsd
-			// process; there is nothing to checkpoint here.
-			continue
-		}
-		_ = s.be.Flush()
 		st, err := s.be.ExportQueryState(p.ID)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: export %s part %d: %w", d.ID, i, err)
@@ -210,40 +206,9 @@ func (rt *Runtime) ExportQueryCheckpoint(idOrHandle string) ([]QueryCheckpoint, 
 		out = append(out, QueryCheckpoint{Part: i, State: st})
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("%w: %s has no local part", ErrNotCheckpointable, d.ID)
+		return nil, fmt.Errorf("runtime: export %s: every part's shard is down", d.ID)
 	}
 	return out, nil
-}
-
-// ImportQueryCheckpoint installs a recovered checkpoint into one part
-// of a restored deployment: the input stream's sequence counter is
-// fast-forwarded to the checkpoint's InputSeq (so emission provenance
-// continues the pre-crash lineage) and the window state replaces the
-// fresh part's wholesale.
-func (rt *Runtime) ImportQueryCheckpoint(idOrHandle string, cp QueryCheckpoint) error {
-	if cp.State == nil {
-		return fmt.Errorf("runtime: nil checkpoint state")
-	}
-	ds, ok := rt.lookupDep(idOrHandle)
-	if !ok {
-		return fmt.Errorf("runtime: unknown query %q", idOrHandle)
-	}
-	d := ds.view()
-	parts, shards := d.Parts, d.shards
-	if cp.Part < 0 || cp.Part >= len(parts) {
-		return fmt.Errorf("runtime: checkpoint part %d out of range (query %s has %d)", cp.Part, d.ID, len(parts))
-	}
-	be := rt.shards[shards[cp.Part]].be
-	imp, ok := be.(stateImporter)
-	if !ok {
-		return fmt.Errorf("%w: %s part %d backend cannot import state", ErrNotCheckpointable, d.ID, cp.Part)
-	}
-	if cp.State.InputSeq > 0 && cp.State.Input != "" {
-		if err := imp.SetStreamSeq(cp.State.Input, cp.State.InputSeq); err != nil && !errors.Is(err, dsms.ErrSeqBehind) {
-			return err
-		}
-	}
-	return imp.ImportQueryState(parts[cp.Part].ID, cp.State)
 }
 
 // parseDepID reads the numeric suffix of a runtime query id.

@@ -147,49 +147,18 @@ func TestShardBackendConformance(t *testing.T) {
 			}
 		}},
 		{"migrated state emits what an unmigrated query does", func(t *testing.T, src conformant, other opener) {
-			const cut, total = 6, 12
-			want := unmigratedEmissions(t, tuples(0, total))
-
-			req := runtime.DeployRequest{Script: conformScript}
-			d, err := src.be.Deploy(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := src.be.IngestBatch("s", tuples(0, cut), nil); err != nil {
-				t.Fatal(err)
-			}
-			st, err := src.be.ExportQueryState(d.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			dst := other(t, "conform-dst")
 			if err := dst.be.CreateStream("s", testSchema()); err != nil {
 				t.Fatal(err)
 			}
-			standby, err := dst.be.Deploy(req)
-			if err != nil {
+			importRun(t, src, dst, true)
+		}},
+		{"import with no part to replace continues the exported lineage", func(t *testing.T, dst conformant, other opener) {
+			src := other(t, "conform-src")
+			if err := src.be.CreateStream("s", testSchema()); err != nil {
 				t.Fatal(err)
 			}
-			moved, err := dst.be.ImportQuery(req, standby.ID, st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := dst.be.QueryCount(); n != 1 {
-				t.Fatalf("target runs %d queries after replacing its standby, want 1", n)
-			}
-			sub, err := dst.be.Subscribe(moved.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sub.Close()
-			if err := dst.be.IngestBatch("s", tuples(cut, total-cut), nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := dst.be.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			sameEmissions(t, collectEmissionsN(t, sub.Tuples(), len(want)-1), want[1:])
+			importRun(t, src, dst, false)
 		}},
 		{"equal schema is adopted, a different one refused", func(t *testing.T, c conformant, _ opener) {
 			if err := c.be.CreateStream("s", testSchema()); err != nil {
@@ -230,6 +199,61 @@ func TestShardBackendConformance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// importRun exports conformScript's state from src after 6 of 12
+// tuples and installs it on dst with ImportQuery, replacing a standby
+// part when replace is set (a migration) or into a stream that has
+// never ingested otherwise (a restore); dst must then emit what an
+// uninterrupted query does, Seqs included.
+func importRun(t *testing.T, src, dst conformant, replace bool) {
+	t.Helper()
+	const cut, total = 6, 12
+	want := unmigratedEmissions(t, tuples(0, total))
+
+	req := runtime.DeployRequest{Script: conformScript}
+	d, err := src.be.Deploy(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.be.IngestBatch("s", tuples(0, cut), nil); err != nil {
+		t.Fatal(err)
+	}
+	st, err := src.be.ExportQueryState(d.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	replaceID := ""
+	if replace {
+		standby, err := dst.be.Deploy(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replaceID = standby.ID
+	}
+	moved, err := dst.be.ImportQuery(req, replaceID, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := dst.be.QueryCount(); n != 1 {
+		t.Fatalf("target runs %d queries after the import, want 1", n)
+	}
+	if got := dst.seq(t, "s"); got != cut {
+		t.Fatalf("stream sequence after the import = %d, want %d (the exported position)", got, cut)
+	}
+	sub, err := dst.be.Subscribe(moved.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if err := dst.be.IngestBatch("s", tuples(cut, total-cut), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.be.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sameEmissions(t, collectEmissionsN(t, sub.Tuples(), len(want)-1), want[1:])
 }
 
 // unmigratedEmissions runs conformScript over input on one engine.

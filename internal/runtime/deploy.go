@@ -143,7 +143,7 @@ func (rt *Runtime) Deploy(g *dsms.QueryGraph) (Deployment, error) {
 	if g == nil {
 		return Deployment{}, fmt.Errorf("runtime: nil query graph")
 	}
-	return rt.deploy(g.Input, DeployRequest{Graph: g}, "")
+	return rt.deploy(g.Input, DeployRequest{Graph: g}, "", nil)
 }
 
 // deploy places a query — carried as a graph, a script, or both — on
@@ -171,7 +171,10 @@ func (rt *Runtime) Deploy(g *dsms.QueryGraph) (Deployment, error) {
 // the next one (the durable restore path re-deploys catalog queries
 // under their original ids so checkpoints keyed by id re-attach); the
 // id counter is advanced past it so later deploys cannot collide.
-func (rt *Runtime) deploy(input string, req DeployRequest, forceID string) (Deployment, error) {
+// states holds the recorded state each partition resumes from (the
+// durable restore path; nil for a fresh deploy): every part of
+// partition p, primary and standbys, starts from states[p].
+func (rt *Runtime) deploy(input string, req DeployRequest, forceID string, states []*dsms.QueryState) (Deployment, error) {
 	r, err := rt.routeFor(input)
 	if err != nil {
 		return Deployment{}, err
@@ -202,12 +205,16 @@ func (rt *Runtime) deploy(input string, req DeployRequest, forceID string) (Depl
 
 	for p := 0; p < r.partitions(); p++ {
 		preq := partRequest(r, req, stage, p)
+		var st *dsms.QueryState
+		if p < len(states) {
+			st = states[p]
+		}
 		primary, followers := r.placement(p)
 		if ferr := rt.shards[primary].failedErr(); ferr != nil {
 			_ = rt.teardown(ds)
 			return Deployment{}, fmt.Errorf("runtime: shard %d down: %w", primary, ferr)
 		}
-		d, err := rt.shards[primary].be.Deploy(preq)
+		d, err := rt.placePart(primary, preq, st)
 		if err != nil {
 			_ = rt.teardown(ds)
 			return Deployment{}, fmt.Errorf("runtime: shard %d: %w", primary, err)
@@ -217,7 +224,7 @@ func (rt *Runtime) deploy(input string, req DeployRequest, forceID string) (Depl
 			if rt.shards[fi].failedErr() != nil {
 				continue
 			}
-			if sd, err := rt.shards[fi].be.Deploy(preq); err == nil {
+			if sd, err := rt.placePart(fi, preq, st); err == nil {
 				ds.parts = append(ds.parts, part{p: p, shard: fi, req: preq, dep: sd, live: true})
 			}
 		}
@@ -257,6 +264,15 @@ func (rt *Runtime) deploy(input string, req DeployRequest, forceID string) (Depl
 	rt.mu.Unlock()
 	rt.noteQueryDeployed(ds.id, ds.handle, r.name, req.Script, req.Graph, r.schema)
 	return ds.view(), nil
+}
+
+// placePart deploys one part of a query on shard i, resuming st when
+// it is non-nil.
+func (rt *Runtime) placePart(i int, req DeployRequest, st *dsms.QueryState) (BackendDeployment, error) {
+	if st == nil {
+		return rt.shards[i].be.Deploy(req)
+	}
+	return rt.shards[i].be.ImportQuery(req, "", st)
 }
 
 // partRequest is the request partition p's parts deploy from. A staged
@@ -393,7 +409,7 @@ func (rt *Runtime) DeployScript(script string) (string, string, error) {
 			return "", "", fmt.Errorf("runtime: script schema for %q does not match registered stream", c.Input)
 		}
 	}
-	dep, err := rt.deploy(c.Input, DeployRequest{Graph: c.Graph, Script: script}, "")
+	dep, err := rt.deploy(c.Input, DeployRequest{Graph: c.Graph, Script: script}, "", nil)
 	if err != nil {
 		return "", "", err
 	}
@@ -725,19 +741,9 @@ func (rt *Runtime) MigrateQuery(idOrHandle string, target int) error {
 	if rt.shards[src].failedErr() != nil || rt.shards[target].failedErr() != nil {
 		return fmt.Errorf("runtime: migration needs both shard %d and shard %d healthy", src, target)
 	}
-	// Quiesce the flow: pause the primary's drain (publishes keep
-	// queueing), fence its in-flight batch, ship the stable log tail,
-	// and flush both engines, so source and target have processed the
-	// exact same tuple prefix. The fence must be waitInflight, not
-	// waitDrained: waitDrained returns immediately on a paused shard,
-	// and an unfenced mid-drain batch could ingest and append to the
-	// replication log after waitIdle sampled its head — exporting state
-	// that covers tuples the target later re-applies.
-	ps := rt.shards[r.primaryShard()]
-	ps.pause()
-	defer ps.resume()
-	ps.waitInflight()
-	r.repl.waitIdle(func(i int) bool { return rt.shards[i].failedErr() == nil })
+	// Quiesce the flow and flush both engines, so source and target
+	// have processed the exact same tuple prefix.
+	defer rt.quiesce(r, nil)()
 	_ = rt.shards[src].be.Flush()
 	_ = rt.shards[target].be.Flush()
 
@@ -765,4 +771,38 @@ func (rt *Runtime) MigrateQuery(idOrHandle string, target int) error {
 	rt.count("exacml_query_migrations_total",
 		"Live query migrations between replica shards.")
 	return nil
+}
+
+// quiesce fences the flow into a query over r whose parts run on
+// shards, so state exported until resume covers an exact tuple prefix:
+// the feeding shards (r's primary, or each part's on a partitioned
+// stream) pause their drain while publishers keep queueing, their
+// in-flight batches are fenced, and r's replication log reaches every
+// healthy follower. The fence must be waitInflight, not waitDrained:
+// waitDrained returns at once on a paused shard, and an unfenced
+// mid-drain batch could append to the log after waitIdle sampled its
+// head — exporting state that covers tuples a follower re-applies.
+func (rt *Runtime) quiesce(r *route, shards []int) (resume func()) {
+	var paused []*shard
+	if r.keyIdx < 0 {
+		paused = append(paused, rt.shards[r.primaryShard()])
+	} else {
+		for _, si := range shards {
+			paused = append(paused, rt.shards[si])
+		}
+	}
+	for _, s := range paused {
+		s.pause()
+	}
+	for _, s := range paused {
+		s.waitInflight()
+	}
+	if r.repl != nil {
+		r.repl.waitIdle(func(i int) bool { return rt.shards[i].failedErr() == nil })
+	}
+	return func() {
+		for _, s := range paused {
+			s.resume()
+		}
+	}
 }
