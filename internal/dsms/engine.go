@@ -118,10 +118,11 @@ type inputStream struct {
 	seq    uint64
 	gone   bool // set when the stream is dropped; fails in-flight seals
 
-	// applied is the stream's replication position (see Replicate);
-	// replMu serializes its writers.
+	// replLog and applied are the stream's replication log and its
+	// position in it (see Replicate), guarded by replMu.
 	replMu  sync.Mutex
-	applied atomic.Uint64
+	replLog uint64
+	applied uint64
 
 	// pool recycles the stream's columnar batches: a batch returns here
 	// when the last query releases it, so the steady state allocates no

@@ -7,27 +7,24 @@ import (
 	"repro/internal/stream"
 )
 
-// ErrReplicaGap reports a replication run whose base position is ahead
-// of the stream's applied position: this engine lost replica state (a
-// restart, or the stream was dropped and re-created) since the last
-// ship, and applying the run would fork the stream's sequence lineage.
-// The dsmsd server maps it onto the replica_gap protocol code.
-var ErrReplicaGap = errors.New("replication base ahead of applied position")
-
 // Replicate applies a contiguous run of a replicated stream's tuples,
-// as shipped by the primary's replicator. base is the absolute position
-// of the tuple before ts[0]; the stream's applied position makes the
-// call retry-safe, because an already-applied prefix is skipped rather
-// than ingested twice. A base ahead of the applied position is refused
-// with ErrReplicaGap, unless reset declares that the tuples in between
-// were trimmed from the shipper's bounded log and are permanently lost.
-// In that case the position jumps forward to base so the retained tail
-// can re-feed this engine. reset never moves the position backward.
+// as shipped by the primary's replicator. log names the shipper's log,
+// and base is the absolute position in it of the tuple before ts[0].
+// The stream keeps its applied position in one log: a run under another
+// log id starts the stream at position 0 of that log. The position
+// makes the call retry-safe, because an already-applied prefix is
+// skipped rather than ingested twice. A base ahead of the applied
+// position is refused by ingesting nothing, unless reset declares that
+// the tuples in between were trimmed from the shipper's bounded log and
+// are permanently lost; then the position jumps forward to base so the
+// retained tail can re-feed this engine. A gap is only declared against
+// a position this stream reported for the log, so reset is ignored on
+// a run that switches logs, and it never moves the position backward.
 //
-// The position lives on the input stream, so DropStream clears it and
-// a re-created stream starts from 0. It returns the applied position
-// after the run.
-func (e *Engine) Replicate(name string, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
+// The position lives on the input stream, so DropStream clears it. It
+// returns the applied position after the run: the reply to an empty run
+// is the position itself.
+func (e *Engine) Replicate(name string, log, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
 	is, err := e.lookupStream(name)
 	if err != nil {
 		return 0, err
@@ -36,33 +33,22 @@ func (e *Engine) Replicate(name string, base uint64, reset bool, ts []stream.Tup
 	// position, ingests, then advances it.
 	is.replMu.Lock()
 	defer is.replMu.Unlock()
-	applied := is.applied.Load()
-	if base > applied {
+	if log != is.replLog {
+		is.replLog, is.applied, reset = log, 0, false
+	}
+	if base > is.applied {
 		if !reset {
-			return applied, fmt.Errorf("dsms: stream %q: %w (base %d, applied %d)", name, ErrReplicaGap, base, applied)
+			return is.applied, nil
 		}
-		applied = base
+		is.applied = base
 	}
-	if skip := applied - base; skip < uint64(len(ts)) {
+	if skip := is.applied - base; skip < uint64(len(ts)) {
 		if err := e.ingestInto(is, ts[skip:], false, nil, false); err != nil {
-			return is.applied.Load(), err
+			return is.applied, err
 		}
+		is.applied = base + uint64(len(ts))
 	}
-	if end := base + uint64(len(ts)); end > applied {
-		applied = end
-	}
-	is.applied.Store(applied)
-	return applied, nil
-}
-
-// ReplicaStatus reports a stream's applied replication position (0 for
-// a stream never replicated to).
-func (e *Engine) ReplicaStatus(name string) (uint64, error) {
-	is, err := e.lookupStream(name)
-	if err != nil {
-		return 0, err
-	}
-	return is.applied.Load(), nil
+	return is.applied, nil
 }
 
 // ImportQuery deploys g and installs st into the fresh query: the

@@ -42,13 +42,11 @@ const (
 	MsgTuple        = "dsms.tuple"
 	// Replication / failover verbs (replicated shard topology): a
 	// fronting runtime ships a primary stream's accepted tuples to
-	// follower dsmsds with MsgReplicate, reads back the follower's
-	// applied position with MsgReplicaStatus, and moves a continuous
-	// query together with its serialized window state between engines
-	// with MsgMigrate.
-	MsgReplicate     = "dsms.replicate"
-	MsgMigrate       = "dsms.migrate"
-	MsgReplicaStatus = "dsms.replica_status"
+	// follower dsmsds with MsgReplicate, whose reply is the follower's
+	// applied position, and moves a continuous query together with its
+	// serialized window state between engines with MsgMigrate.
+	MsgReplicate = "dsms.replicate"
+	MsgMigrate   = "dsms.migrate"
 )
 
 // coded maps engine sentinel errors onto structured protocol error
@@ -63,8 +61,6 @@ func coded(err error) error {
 		return protocol.WithCode(protocol.CodeAlreadyExists, err)
 	case errors.Is(err, dsms.ErrUnknownStream), errors.Is(err, dsms.ErrUnknownQuery):
 		return protocol.WithCode(protocol.CodeNotFound, err)
-	case errors.Is(err, dsms.ErrReplicaGap):
-		return protocol.WithCode(protocol.CodeReplicaGap, err)
 	}
 	return err
 }
@@ -129,34 +125,23 @@ type QueryCountResp struct {
 
 // ReplicateReq ships a contiguous run of a replicated stream's tuples
 // to this follower; the server applies it with dsms.Engine.Replicate.
-// Base is the absolute replication position of the tuple *before*
-// Tuples[0], so a retried batch after a lost ack is deduplicated
-// instead of double-ingested. Reset declares that the tuples between
-// this follower's applied position and Base were trimmed from the
-// shipper's bounded log and are permanently lost: the position jumps
-// forward to Base instead of the batch being refused with replica_gap.
+// Log names the shipper's log and Base is the absolute position in it
+// of the tuple *before* Tuples[0], so a retried batch after a lost ack
+// is deduplicated instead of double-ingested. Reset declares that the
+// tuples between this follower's applied position and Base were
+// trimmed from the shipper's bounded log and are permanently lost: the
+// position jumps forward to Base instead of the batch being refused.
 type ReplicateReq struct {
 	Stream string         `json:"stream"`
+	Log    uint64         `json:"log"`
 	Base   uint64         `json:"base"`
 	Reset  bool           `json:"reset,omitempty"`
 	Tuples []stream.Tuple `json:"tuples"`
 }
 
-// ReplicateResp acknowledges the follower's applied replication
-// position after the batch (monotonic; the shipper's lag is its log
-// head minus this).
+// ReplicateResp is the follower's applied position in the request's
+// log after the batch, whether the batch was applied or refused.
 type ReplicateResp struct {
-	Acked uint64 `json:"acked"`
-}
-
-// ReplicaStatusReq asks for a stream's applied replication position.
-type ReplicaStatusReq struct {
-	Stream string `json:"stream"`
-}
-
-// ReplicaStatusResp reports it (0 for a stream never replicated to;
-// not_found for an unknown stream).
-type ReplicaStatusResp struct {
 	Acked uint64 `json:"acked"`
 }
 
@@ -229,7 +214,6 @@ func NewServer(engine *dsms.Engine, profile *netsim.Profile) *Server {
 	s.srv.Handle(MsgSubscribe, s.handleSubscribe)
 	s.srv.Handle(MsgReplicate, s.handleReplicate)
 	s.srv.Handle(MsgMigrate, s.handleMigrate)
-	s.srv.Handle(MsgReplicaStatus, s.handleReplicaStatus)
 	return s
 }
 
@@ -357,23 +341,11 @@ func (s *Server) handleReplicate(m *protocol.Message, _ *protocol.Conn) (any, er
 	if err != nil {
 		return nil, err
 	}
-	acked, err := s.Engine.Replicate(req.Stream, req.Base, req.Reset, req.Tuples)
+	acked, err := s.Engine.Replicate(req.Stream, req.Log, req.Base, req.Reset, req.Tuples)
 	if err != nil {
 		return nil, coded(err)
 	}
 	return ReplicateResp{Acked: acked}, nil
-}
-
-func (s *Server) handleReplicaStatus(m *protocol.Message, _ *protocol.Conn) (any, error) {
-	req, err := protocol.Decode[ReplicaStatusReq](m)
-	if err != nil {
-		return nil, err
-	}
-	acked, err := s.Engine.ReplicaStatus(req.Stream)
-	if err != nil {
-		return nil, coded(err)
-	}
-	return ReplicaStatusResp{Acked: acked}, nil
 }
 
 // handleMigrate serializes a query's window state out (export mode) or
@@ -568,24 +540,14 @@ func (c *Client) IngestBatchPrevalidated(streamName string, ts []stream.Tuple) e
 }
 
 // Replicate ships a contiguous run of a replicated stream's tuples to
-// this follower, returning the follower's applied position. base is the
-// absolute position of the tuple before ts[0]; a retried batch is
-// deduplicated server-side against it, so retrying after a connection
-// death is safe. reset declares the tuples before base trimmed and lost
-// (see ReplicateReq.Reset).
-func (c *Client) Replicate(streamName string, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
+// this follower, returning the follower's applied position in log. base
+// is the absolute position of the tuple before ts[0]; a retried batch
+// is deduplicated server-side against it, so retrying after a
+// connection death is safe. reset declares the tuples before base
+// trimmed and lost (see ReplicateReq.Reset).
+func (c *Client) Replicate(streamName string, log, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
 	resp, err := protocol.CallDecode[ReplicateResp](c.rpc, MsgReplicate,
-		ReplicateReq{Stream: streamName, Base: base, Reset: reset, Tuples: ts})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Acked, nil
-}
-
-// ReplicaStatus reads back a stream's applied replication position.
-func (c *Client) ReplicaStatus(streamName string) (uint64, error) {
-	resp, err := protocol.CallDecode[ReplicaStatusResp](c.rpc, MsgReplicaStatus,
-		ReplicaStatusReq{Stream: streamName})
+		ReplicateReq{Stream: streamName, Log: log, Base: base, Reset: reset, Tuples: ts})
 	if err != nil {
 		return 0, err
 	}

@@ -43,10 +43,6 @@ const (
 	CodeNotFound = "not_found"
 	// CodeBadRequest: the request payload failed validation.
 	CodeBadRequest = "bad_request"
-	// CodeReplicaGap: a replication batch's base position is ahead of
-	// the follower's applied position — the follower lost state (e.g. a
-	// restart) and must be re-fed from an earlier position.
-	CodeReplicaGap = "replica_gap"
 )
 
 // CodedError is an error tagged with a structured protocol code. On the

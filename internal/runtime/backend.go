@@ -116,13 +116,11 @@ type ShardBackend interface {
 	Flush() error
 	// Close releases the backend (engine shutdown / connection close).
 	Close() error
-	// Replicate applies a contiguous run of a replicated stream's
-	// accepted tuples on a follower and returns the applied position;
-	// see dsms.Engine.Replicate for the dedup, replica-gap and reset
-	// contract.
-	Replicate(streamName string, base uint64, reset bool, ts []stream.Tuple) (uint64, error)
-	// ReplicaStatus reads back a stream's applied replication position.
-	ReplicaStatus(streamName string) (uint64, error)
+	// Replicate applies a contiguous run of replication log log's
+	// tuples on a follower and returns the follower's applied position
+	// in that log, also when it refuses the run; see
+	// dsms.Engine.Replicate for the log, dedup and reset contract.
+	Replicate(streamName string, log, base uint64, reset bool, ts []stream.Tuple) (uint64, error)
 	// ExportQueryState serializes a query's window state (see
 	// dsms.QueryState).
 	ExportQueryState(idOrHandle string) (*dsms.QueryState, error)
@@ -199,13 +197,8 @@ func backendDeployment(d dsms.Deployment, err error) (BackendDeployment, error) 
 func (b *LocalBackend) Withdraw(idOrHandle string) error { return b.eng.Withdraw(idOrHandle) }
 
 // Replicate implements ShardBackend.
-func (b *LocalBackend) Replicate(streamName string, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
-	return b.eng.Replicate(streamName, base, reset, ts)
-}
-
-// ReplicaStatus implements ShardBackend.
-func (b *LocalBackend) ReplicaStatus(streamName string) (uint64, error) {
-	return b.eng.ReplicaStatus(streamName)
+func (b *LocalBackend) Replicate(streamName string, log, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
+	return b.eng.Replicate(streamName, log, base, reset, ts)
 }
 
 // ExportQueryState implements ShardBackend.

@@ -14,12 +14,11 @@ import (
 
 // conformant is one ShardBackend flavour under the conformance table:
 // the backend, the engine that ends up holding its state (read directly
-// to check what really landed), and how the flavour reports a
-// replica-gap refusal and an unknown stream or query.
+// to check what really landed), and how the flavour reports an unknown
+// stream or query.
 type conformant struct {
 	be       runtime.ShardBackend
 	eng      *dsms.Engine
-	gap      func(error) bool
 	notFound func(error) bool
 }
 
@@ -33,7 +32,6 @@ func openLocal(t *testing.T, name string) conformant {
 	return conformant{
 		be:  runtime.NewLocalBackend(eng),
 		eng: eng,
-		gap: func(err error) bool { return errors.Is(err, dsms.ErrReplicaGap) },
 		notFound: func(err error) bool {
 			return errors.Is(err, dsms.ErrUnknownStream) || errors.Is(err, dsms.ErrUnknownQuery)
 		},
@@ -50,7 +48,6 @@ func openRemote(t *testing.T, name string) conformant {
 	return conformant{
 		be:       be,
 		eng:      srv.Engine,
-		gap:      func(err error) bool { return protocol.ErrorCode(err) == protocol.CodeReplicaGap },
 		notFound: func(err error) bool { return protocol.ErrorCode(err) == protocol.CodeNotFound },
 	}
 }
@@ -76,10 +73,19 @@ func (c conformant) seq(t *testing.T, name string) uint64 {
 	return seq
 }
 
+// conformLog is the log id the rows replicate under, unless a row
+// switches logs.
+const conformLog = 7
+
 func (c conformant) replicate(t *testing.T, base uint64, reset bool, ts []stream.Tuple, want uint64) {
 	t.Helper()
-	if acked, err := c.be.Replicate("s", base, reset, ts); err != nil || acked != want {
-		t.Fatalf("Replicate(base %d, reset %v, %d tuples) = %d, %v; want %d", base, reset, len(ts), acked, err, want)
+	c.replicateIn(t, conformLog, base, reset, ts, want)
+}
+
+func (c conformant) replicateIn(t *testing.T, log, base uint64, reset bool, ts []stream.Tuple, want uint64) {
+	t.Helper()
+	if acked, err := c.be.Replicate("s", log, base, reset, ts); err != nil || acked != want {
+		t.Fatalf("Replicate(log %d, base %d, reset %v, %d tuples) = %d, %v; want %d", log, base, reset, len(ts), acked, err, want)
 	}
 }
 
@@ -111,15 +117,23 @@ func TestShardBackendConformance(t *testing.T) {
 			}
 		}},
 		{"base ahead of applied is a replica gap", func(t *testing.T, c conformant, _ opener) {
+			// A refused base-ahead run ingests nothing and replies with
+			// the unchanged position.
 			c.replicate(t, 0, false, tuples(0, 5), 5)
-			if _, err := c.be.Replicate("s", 20, false, tuples(20, 5)); !c.gap(err) {
-				t.Fatalf("Replicate past the applied position = %v, want a replica gap", err)
-			}
-			if pos, err := c.be.ReplicaStatus("s"); err != nil || pos != 5 {
-				t.Fatalf("ReplicaStatus after a refused gap = %d, %v; want 5", pos, err)
-			}
+			c.replicate(t, 20, false, tuples(20, 5), 5)
+			c.replicate(t, 0, false, nil, 5)
 			if got := c.seq(t, "s"); got != 5 {
 				t.Fatalf("engine sealed %d tuples after a refused gap, want 5", got)
+			}
+		}},
+		{"a new log starts the stream at position 0", func(t *testing.T, c conformant, _ opener) {
+			c.replicate(t, 0, false, tuples(0, 10), 10)
+			c.replicateIn(t, conformLog+1, 0, false, tuples(10, 5), 5)
+			// A reset under yet another log declares no gap: the
+			// stream reported no position in it.
+			c.replicateIn(t, conformLog+2, 30, true, tuples(30, 5), 0)
+			if got := c.seq(t, "s"); got != 15 {
+				t.Fatalf("engine sealed %d tuples, want 15 (the new log's head was taken for the old log's positions)", got)
 			}
 		}},
 		{"reset jumps forward and never back", func(t *testing.T, c conformant, _ opener) {
@@ -138,9 +152,7 @@ func TestShardBackendConformance(t *testing.T) {
 			if err := c.be.CreateStream("s", testSchema()); err != nil {
 				t.Fatal(err)
 			}
-			if pos, err := c.be.ReplicaStatus("s"); err != nil || pos != 0 {
-				t.Fatalf("ReplicaStatus of a re-created stream = %d, %v; want 0", pos, err)
-			}
+			c.replicate(t, 0, false, nil, 0)
 			c.replicate(t, 0, false, tuples(0, 5), 5)
 			if got := c.seq(t, "s"); got != 5 {
 				t.Fatalf("re-created stream sealed %d tuples, want 5 (its first tuples were skipped as already applied)", got)
@@ -174,8 +186,7 @@ func TestShardBackendConformance(t *testing.T) {
 				"StreamSchema":     func() error { _, err := c.be.StreamSchema("ghost"); return err }(),
 				"DropStream":       c.be.DropStream("ghost"),
 				"IngestBatch":      c.be.IngestBatch("ghost", tuples(0, 1), nil),
-				"Replicate":        func() error { _, err := c.be.Replicate("ghost", 0, false, tuples(0, 1)); return err }(),
-				"ReplicaStatus":    func() error { _, err := c.be.ReplicaStatus("ghost"); return err }(),
+				"Replicate":        func() error { _, err := c.be.Replicate("ghost", conformLog, 0, false, tuples(0, 1)); return err }(),
 				"Withdraw":         c.be.Withdraw("q99999"),
 				"Subscribe":        func() error { _, err := c.be.Subscribe("q99999"); return err }(),
 				"ExportQueryState": func() error { _, err := c.be.ExportQueryState("q99999"); return err }(),

@@ -126,6 +126,14 @@ func (rt *Runtime) readoptShard(i int) error {
 		if r.keyIdx < 0 && r.shard != i && !r.hasReplica(i) {
 			continue
 		}
+		// A shard that should follow the stream but is not in its
+		// follower set was its primary: its engine holds the tuples it
+		// ingested as one, which moved no replication position. It is
+		// re-created empty (its parts are redeployed fresh below) and
+		// rejoins as a restarted follower, its trimmed prefix a gap.
+		if r.repl != nil && r.primaryShard() != i && !r.repl.follows(i) {
+			_ = be.DropStream(r.name)
+		}
 		// Both backends adopt a surviving equal-schema stream, so an
 		// error here is a real failure (or a schema-divergent survivor).
 		if err := be.CreateStream(r.name, r.schema); err != nil {
@@ -154,36 +162,21 @@ func (rt *Runtime) readoptShard(i int) error {
 		}
 	}
 
-	// 3. Replication membership: resume shipping to this shard where it
-	// follows, and enlist a deposed original owner as a follower of its
-	// own stream (no automatic failback — the promoted primary keeps
-	// serving; MigrateQuery moves queries back deliberately). A rejoined
-	// follower restarts from the oldest retained log position; anything
-	// trimmed before that is its permanent, counted gap.
+	// 3. Replication membership: rejoin this shard where it follows,
+	// and enlist a deposed original owner as a follower of its own
+	// stream (no automatic failback — the promoted primary keeps
+	// serving; MigrateQuery moves queries back deliberately). Either way
+	// its position is what its first reply states.
 	for _, r := range routes {
-		if r.repl == nil {
+		if r.repl == nil || r.primaryShard() == i {
+			// Shard i is not a follower, or it is this route's current
+			// promoted primary come back: publishes drain straight into its
+			// engine, and enlisting it as a follower of its own stream
+			// would double-ingest the flow.
 			continue
 		}
-		if r.failTo.Load() == int32(i) {
-			// Shard i is this route's current promoted primary: it died
-			// after promotion with no healthy candidate left and has now
-			// come back. Publishes drain straight into its engine, so
-			// enlisting it as a follower of its own stream would ship
-			// every tuple back to it through the replication log —
-			// double-ingesting the flow and corrupting window state.
-			continue
-		}
-		switch {
-		case r.hasReplica(i):
-			if r.repl.hasFollower(i) {
-				r.repl.rejoin(i)
-			} else {
-				r.repl.addFollower(i, be, r.repl.basePos())
-			}
-		case r.shard == i && r.failTo.Load() >= 0:
-			if !r.repl.hasFollower(i) {
-				r.repl.addFollower(i, be, r.repl.basePos())
-			}
+		if r.shard == i || r.hasReplica(i) {
+			r.repl.join(i, be)
 		}
 	}
 

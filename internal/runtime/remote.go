@@ -461,21 +461,10 @@ func (b *RemoteBackend) Withdraw(idOrHandle string) error {
 // routed through do): the server deduplicates against its stored
 // position using base, so a redelivery after a lost ack trims the
 // already-applied prefix instead of double-ingesting.
-func (b *RemoteBackend) Replicate(streamName string, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
+func (b *RemoteBackend) Replicate(streamName string, log, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
 	var acked uint64
 	err := b.do(func(c *dsmsd.Client) error {
-		a, err := c.Replicate(streamName, base, reset, ts)
-		acked = a
-		return err
-	})
-	return acked, err
-}
-
-// ReplicaStatus implements ShardBackend.
-func (b *RemoteBackend) ReplicaStatus(streamName string) (uint64, error) {
-	var acked uint64
-	err := b.do(func(c *dsmsd.Client) error {
-		a, err := c.ReplicaStatus(streamName)
+		a, err := c.Replicate(streamName, log, base, reset, ts)
 		acked = a
 		return err
 	})

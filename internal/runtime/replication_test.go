@@ -339,12 +339,12 @@ type flakyReplica struct {
 	calls atomic.Int64
 }
 
-func (f *flakyReplica) Replicate(name string, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
+func (f *flakyReplica) Replicate(name string, log, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
 	if n := f.calls.Add(1); n%3 == 1 {
 		return 0, fmt.Errorf("injected link error %d", n)
 	}
 	time.Sleep(200 * time.Microsecond)
-	return f.LocalBackend.Replicate(name, base, reset, ts)
+	return f.LocalBackend.Replicate(name, log, base, reset, ts)
 }
 
 // TestFollowerCatchUpOverFlakyLink: a follower behind a lossy, slow
@@ -369,7 +369,7 @@ func TestFollowerCatchUpOverFlakyLink(t *testing.T) {
 		t.Fatalf("followers = %v, want exactly one", followers)
 	}
 	fb := backends[followers[0]].(*flakyReplica)
-	applied, err := fb.ReplicaStatus("s")
+	applied, err := runtime.ReplicaApplied(rt, fb.LocalBackend, "s")
 	if err != nil || applied != n {
 		t.Fatalf("follower applied %d tuples (%v), want %d", applied, err, n)
 	}

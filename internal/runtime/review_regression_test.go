@@ -2,8 +2,8 @@
 // a re-adopted shard that is currently a route's promoted primary must
 // not be re-enlisted as a follower of its own stream (double ingest),
 // a follower that restarts empty after the bounded replication log has
-// trimmed must still be re-fed (the shipper declares the gap instead
-// of livelocking on replica_gap refusals), and MigrateQuery must fence
+// trimmed must still be re-fed (the shipper declares the gap from the
+// position the follower reports), and MigrateQuery must fence
 // the paused primary's in-flight batch before sampling the replication
 // log (otherwise exported window state can cover tuples the target
 // re-applies through replication).
@@ -131,11 +131,8 @@ func (b *restartableBackend) QueryCount() int { return b.cur().QueryCount() }
 func (b *restartableBackend) Healthy() bool   { return b.cur().Healthy() }
 func (b *restartableBackend) Flush() error    { return b.cur().Flush() }
 func (b *restartableBackend) Close() error    { return b.cur().Close() }
-func (b *restartableBackend) Replicate(name string, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
-	return b.cur().Replicate(name, base, reset, ts)
-}
-func (b *restartableBackend) ReplicaStatus(name string) (uint64, error) {
-	return b.cur().ReplicaStatus(name)
+func (b *restartableBackend) Replicate(name string, log, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
+	return b.cur().Replicate(name, log, base, reset, ts)
 }
 func (b *restartableBackend) ExportQueryState(id string) (*dsms.QueryState, error) {
 	return b.cur().ExportQueryState(id)
@@ -145,12 +142,12 @@ func (b *restartableBackend) ImportQuery(req runtime.DeployRequest, replaceID st
 }
 
 // TestTrimmedLogFollowerRestartResync: a follower restarts empty after
-// the bounded replication log has trimmed (base > 0). The receiver
-// refuses the base-ahead ship once, the shipper resyncs from
-// ReplicaStatus, counts the trimmed prefix as the follower's gap and
-// re-feeds the retained tail with the gap declared — instead of the
-// pre-fix livelock where every ship bounced off the replica_gap check
-// forever, inflating Gaps and never advancing the follower.
+// the bounded replication log has trimmed (base > 0). The rejoined
+// follower's position is unknown until its first reply, which states
+// 0; the shipper counts the trimmed prefix as the follower's gap and
+// re-feeds the retained tail with the gap declared — instead of
+// bouncing off the base-ahead check forever, or guessing a position
+// the follower never reported.
 func TestTrimmedLogFollowerRestartResync(t *testing.T) {
 	backends := []runtime.ShardBackend{
 		&restartableBackend{inner: runtime.NewLocalBackend(dsms.NewEngine("r0"))},
@@ -207,7 +204,7 @@ func TestTrimmedLogFollowerRestartResync(t *testing.T) {
 	// and the follower's absolute applied position reached the log
 	// head. The pre-fix livelock broke this visibly — Gaps grew by
 	// base per retry tick and the applied position stayed at zero.
-	applied, err := fb.ReplicaStatus("s")
+	applied, err := runtime.ReplicaApplied(rt, fb, "s")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -577,7 +577,10 @@ func (rt *Runtime) collectStats(g *telemetry.Gather) {
 				"Tuples a follower permanently missed because the bounded "+
 					"replication log trimmed past its position.", l.Gaps, labs...)
 			g.Counter("exacml_replica_ship_errors_total",
-				"Failed replication ship attempts.", l.Errors, labs...)
+				"Replication ship attempts that failed in transport.", l.Errors, labs...)
+			g.Counter("exacml_replica_resyncs_total",
+				"Replication replies that put a follower somewhere its last "+
+					"acknowledged ship did not leave it, plus stale results dropped.", l.Resyncs, labs...)
 		}
 	}
 }
@@ -783,13 +786,11 @@ func (rt *Runtime) CreateStream(name string, schema *stream.Schema, opts ...Stre
 		}
 		r.repl = newReplicator(name, rt.opts.ReplicationLog)
 		for _, fi := range r.replicas {
-			r.repl.addFollower(fi, rt.shards[fi].be, 0)
+			r.repl.join(fi, rt.shards[fi].be)
 		}
 	}
 	if rt.commitStream(key, r) {
-		if r.repl != nil {
-			r.repl.close()
-		}
+		r.repl.close()
 		for _, fi := range r.replicas {
 			_ = rt.shards[fi].be.DropStream(name)
 		}
@@ -877,9 +878,7 @@ func subRouteName(name string, p int) string {
 func (rt *Runtime) createPartitionedReplicated(key string, r *route, cfg StreamConfig) error {
 	undo := func(subs []*route) {
 		for _, sub := range subs {
-			if sub.repl != nil {
-				sub.repl.close()
-			}
+			sub.repl.close()
 			if rt.shards[sub.shard].failedErr() == nil {
 				_ = rt.shards[sub.shard].be.DropStream(sub.name)
 			}
@@ -919,7 +918,7 @@ func (rt *Runtime) createPartitionedReplicated(key string, r *route, cfg StreamC
 		}
 		sub.repl = newReplicator(sname, rt.opts.ReplicationLog)
 		for _, fi := range sub.replicas {
-			sub.repl.addFollower(fi, rt.shards[fi].be, 0)
+			sub.repl.join(fi, rt.shards[fi].be)
 		}
 		subs = append(subs, sub)
 	}
@@ -976,9 +975,7 @@ func (rt *Runtime) DropStream(name string) error {
 	// look failed (mirroring teardown).
 	var err error
 	if r.keyIdx < 0 {
-		if r.repl != nil {
-			r.repl.close()
-		}
+		r.repl.close()
 		if rt.shards[r.shard].failedErr() == nil {
 			err = rt.shards[r.shard].be.DropStream(r.name)
 		}
@@ -993,9 +990,7 @@ func (rt *Runtime) DropStream(name string) error {
 		// Replicated partitioned: tear down each partition's sub-route
 		// (replicator, primary copy, follower copies).
 		for _, sub := range r.subs {
-			if sub.repl != nil {
-				sub.repl.close()
-			}
+			sub.repl.close()
 			for _, i := range append([]int{sub.shard}, sub.replicas...) {
 				if rt.shards[i].failedErr() == nil {
 					if derr := rt.shards[i].be.DropStream(sub.name); derr != nil && err == nil {
@@ -1451,9 +1446,7 @@ func (rt *Runtime) Close() {
 	// them (a shipper racing a closing backend would just error-retry
 	// until stopped, but stopping first is quieter).
 	for _, r := range routes {
-		if r.repl != nil {
-			r.repl.close()
-		}
+		r.repl.close()
 	}
 	for _, s := range rt.shards {
 		s.close()
