@@ -143,10 +143,14 @@ func NewWithOptions(name string, opts Options) *Framework {
 // the audit history through the governor so demotions survive the
 // restart, and starts the periodic checkpointer. Framework.Ready
 // reports nil only once recovery has completed — serve it as the
-// readiness probe. Without StateDir, Boot is NewWithOptions.
+// readiness probe. With or without StateDir, Boot then deletes the
+// parts of the runtime's namespace that a dsmsd which outlived the
+// previous process still runs but no restored query holds.
 func Boot(name string, opts Options) (*Framework, error) {
 	if opts.StateDir == "" {
-		return NewWithOptions(name, opts), nil
+		fw := NewWithOptions(name, opts)
+		fw.Runtime.DeleteOrphanParts()
+		return fw, nil
 	}
 	if opts.Audit != nil {
 		return nil, fmt.Errorf("core: Options.Audit and Options.StateDir are mutually exclusive (the state dir owns the audit log)")
@@ -162,6 +166,7 @@ func Boot(name string, opts Options) (*Framework, error) {
 		fw.Close()
 		return nil, err
 	}
+	fw.Runtime.DeleteOrphanParts()
 	return fw, nil
 }
 

@@ -119,6 +119,16 @@ func startDSMSD(t *testing.T) *dsmsd.Server {
 	return srv
 }
 
+// listParts names the parts a backend runs.
+func listParts(t *testing.T, be runtime.ShardBackend) []string {
+	t.Helper()
+	names, err := be.ListParts()
+	if err != nil {
+		t.Fatalf("ListParts on %s: %v", be.Kind(), err)
+	}
+	return names
+}
+
 // remoteShard is exacmld's default shape: one remote shard at addr.
 func remoteShard(addr string) Options {
 	return Options{ShardAddrs: []runtime.BackendSpec{{Addr: addr, Remote: runtime.RemoteOptions{
@@ -215,6 +225,14 @@ func TestBootRecoveryRoundTrip(t *testing.T) {
 				if _, ok := fwA2.Runtime.Query(idA); !ok {
 					t.Fatalf("restored query not resolvable by original id %q", idA)
 				}
+				// One copy of the query per shard: a dsmsd that survived
+				// the crash has its old part replaced, not run beside the
+				// restored one.
+				for i := 0; i < fwA2.Runtime.NumShards(); i++ {
+					if names := listParts(t, fwA2.Runtime.Backend(i)); len(names) != 1 {
+						t.Errorf("shard %d runs %v after the reboot, want exactly one part", i, names)
+					}
+				}
 				subA, err := fwA2.Subscribe(handleA) // the PRE-crash handle
 				if err != nil {
 					t.Fatalf("subscribe by pre-crash handle %q: %v", handleA, err)
@@ -235,6 +253,72 @@ func TestBootRecoveryRoundTrip(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBootRestoresEngineHandleStateDir boots from a state dir written
+// when a single-shard query's handle was its engine's
+// ("dsms://a/streams/q00001", testdata/engine-handle-state: stream s,
+// durableScript as rq00001 fed 1..6, closed cleanly). The query comes
+// back under its recorded id and handle, and the handle subscribes to
+// the restored lineage.
+func TestBootRestoresEngineHandleStateDir(t *testing.T) {
+	want := controlEmissions(t)
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("testdata/engine-handle-state")); err != nil {
+		t.Fatal(err)
+	}
+	fw, err := Boot("a", Options{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fw.Close)
+	if st := fw.Durable.Stats(); st.QueriesRestored != 1 || st.CheckpointsRestored != 1 {
+		t.Fatalf("recovery stats = %+v, want 1 query and its checkpoint", st)
+	}
+	const handle = "dsms://a/streams/q00001"
+	if d, ok := fw.Runtime.Query("rq00001"); !ok || d.Handle != handle {
+		t.Fatalf("restored query = %+v, %v; want rq00001 under %s", d, ok, handle)
+	}
+	sub, err := fw.Subscribe(handle)
+	if err != nil {
+		t.Fatalf("subscribe by the recorded handle: %v", err)
+	}
+	defer sub.Close()
+	publishVals(t, fw, 7, 8, 9, 10, 11, 12)
+	sameValuesAndSeqs(t, "restored", collectEmissions(t, sub.C, len(want)), want)
+}
+
+// TestBootDeletesOrphanParts: a dsmsd that outlived its exacmld still
+// runs a part of the runtime's namespace that no restored query holds
+// (a/rq00007/p0). Boot deletes it, with or without a state dir, and
+// leaves parts outside the namespace alone.
+func TestBootDeletesOrphanParts(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("state-dir=%v", durable), func(t *testing.T) {
+			srv := startDSMSD(t)
+			if err := srv.Engine.CreateStream("s", durableSchema()); err != nil {
+				t.Fatal(err)
+			}
+			g := dsms.NewQueryGraph("s")
+			for _, name := range []string{"a/rq00007/p0", "other/rq00001/p0", ""} {
+				if _, err := srv.Engine.Put(name, g, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			opts := remoteShard(srv.Addr())
+			if durable {
+				opts.StateDir = t.TempDir()
+			}
+			fw, err := Boot("a", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(fw.Close)
+			if got := srv.Engine.Queries(); len(got) != 2 || got[0] != "other/rq00001/p0" || got[1] != "q00001" {
+				t.Errorf("dsmsd runs %v after boot, want [other/rq00001/p0 q00001]", got)
+			}
+		})
 	}
 }
 
@@ -280,7 +364,7 @@ func TestBootRecoveryReplicatedFailover(t *testing.T) {
 	// part, so the standby's part id on the other shard is the primary's.
 	var parts []<-chan stream.Tuple
 	for i := 0; i < rt.NumShards(); i++ {
-		if n := rt.Backend(i).QueryCount(); n != 1 {
+		if n := len(listParts(t, rt.Backend(i))); n != 1 {
 			t.Fatalf("shard %d runs %d parts, want 1", i, n)
 		}
 		bs, err := rt.Backend(i).Subscribe(d.Parts[0].ID)

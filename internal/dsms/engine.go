@@ -438,39 +438,79 @@ func (e *Engine) Streams() []string {
 }
 
 // Deploy validates a query graph against its input stream, starts its
-// continuous execution and returns the deployment with the output
-// handle.
-func (e *Engine) Deploy(g *QueryGraph) (Deployment, error) {
+// continuous execution under the next free "qNNNNN" id and returns the
+// deployment with the output handle: Put("", g, nil).
+func (e *Engine) Deploy(g *QueryGraph) (Deployment, error) { return e.Put("", g, nil) }
+
+// Put starts g as the query named name, replacing the query already
+// running under that name, so a put is idempotent by name; an empty
+// name takes the next free "qNNNNN". A non-nil st is installed into the
+// fresh query — the receiving half of a live migration and of a
+// durable restore: a st.InputSeq > 0 fast-forwards the input stream's
+// sequence counter so emission provenance continues the source lineage
+// (a counter already past it is left alone), and a state that does not
+// install withdraws the fresh query again.
+func (e *Engine) Put(name string, g *QueryGraph, st *QueryState) (Deployment, error) {
 	if g == nil {
 		return Deployment{}, fmt.Errorf("dsms: nil query graph")
 	}
+	if st != nil && st.InputSeq > 0 {
+		if err := e.setStreamSeq(g.Input, st.InputSeq); err != nil && !errors.Is(err, errSeqBehind) {
+			return Deployment{}, err
+		}
+	}
+	q, old, err := e.register(name, g)
+	if old != nil {
+		old.stop()
+	}
+	if err != nil {
+		return Deployment{}, err
+	}
+	if st != nil {
+		res, err := q.snapshot(&stateSnap{install: st})
+		if err == nil {
+			err = res.err
+		}
+		if err != nil {
+			_ = e.Withdraw(q.dep.ID)
+			return Deployment{}, err
+		}
+	}
+	return q.dep, nil
+}
+
+// register compiles g and starts it under name, unregistering the query
+// it replaces, which the caller stops.
+func (e *Engine) register(name string, g *QueryGraph) (q, old *deployedQuery, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return Deployment{}, fmt.Errorf("dsms: engine closed")
+		return nil, nil, fmt.Errorf("dsms: engine closed")
 	}
 	is, ok := e.streams[strings.ToLower(g.Input)]
 	if !ok {
-		return Deployment{}, fmt.Errorf("dsms: input stream %q: %w", g.Input, ErrUnknownStream)
+		return nil, nil, fmt.Errorf("dsms: input stream %q: %w", g.Input, ErrUnknownStream)
 	}
 	gg := g.Clone()
 	pipe, outSchema, err := buildPipeline(gg, is.schema)
 	if err != nil {
-		return Deployment{}, err
+		return nil, nil, err
 	}
 	// Deployed pipelines see the engine's live telemetry bundle (window
 	// emission counting); offline pipelines (RunGraphOnSlice) stay dark.
 	pipe.tel = &e.tel
-	e.nextID++
-	id := fmt.Sprintf("q%05d", e.nextID)
-	dep := Deployment{
-		ID:           id,
-		Handle:       fmt.Sprintf("dsms://%s/streams/%s", e.name, id),
-		Input:        is.name,
-		OutputSchema: outSchema,
+	for taken := name == ""; taken; _, taken = e.queries[name] {
+		e.nextID++
+		name = fmt.Sprintf("q%05d", e.nextID)
 	}
-	q := &deployedQuery{
-		dep:    dep,
+	old = e.unregisterLocked(name)
+	q = &deployedQuery{
+		dep: Deployment{
+			ID:           name,
+			Handle:       fmt.Sprintf("dsms://%s/streams/%s", e.name, name),
+			Input:        is.name,
+			OutputSchema: outSchema,
+		},
 		graph:  gg,
 		pipe:   pipe,
 		in:     make(chan batchMsg, 1024),
@@ -479,12 +519,12 @@ func (e *Engine) Deploy(g *QueryGraph) (Deployment, error) {
 		engine: e,
 	}
 	q.updateSubsSnapLocked()
-	e.queries[id] = q
-	e.byURI[dep.Handle] = id
-	is.queries[id] = q
+	e.queries[name] = q
+	e.byURI[q.dep.Handle] = name
+	is.queries[name] = q
 	is.updateSnapLocked()
 	go q.run()
-	return dep, nil
+	return q, old, nil
 }
 
 // updateSubsSnapLocked rebuilds the subscriber snapshot; the caller
@@ -547,14 +587,30 @@ func (q *deployedQuery) run() {
 // policy is removed, every query graph spawned from it is withdrawn.
 func (e *Engine) Withdraw(idOrHandle string) error {
 	e.mu.Lock()
-	id := idOrHandle
-	if mapped, ok := e.byURI[idOrHandle]; ok {
-		id = mapped
+	q := e.unregisterLocked(e.idOf(idOrHandle))
+	e.mu.Unlock()
+	if q == nil {
+		return fmt.Errorf("dsms: %w %q", ErrUnknownQuery, idOrHandle)
 	}
+	q.stop()
+	return nil
+}
+
+// idOf resolves a handle URI to its query id; anything else is taken
+// as an id. Caller holds e.mu.
+func (e *Engine) idOf(idOrHandle string) string {
+	if id, ok := e.byURI[idOrHandle]; ok {
+		return id
+	}
+	return idOrHandle
+}
+
+// unregisterLocked removes query id from the registries and returns it
+// (nil when unknown) for the caller to stop. Caller holds e.mu.
+func (e *Engine) unregisterLocked(id string) *deployedQuery {
 	q, ok := e.queries[id]
 	if !ok {
-		e.mu.Unlock()
-		return fmt.Errorf("dsms: %w %q", ErrUnknownQuery, idOrHandle)
+		return nil
 	}
 	delete(e.queries, id)
 	delete(e.byURI, q.dep.Handle)
@@ -562,8 +618,12 @@ func (e *Engine) Withdraw(idOrHandle string) error {
 		delete(is.queries, id)
 		is.updateSnapLocked()
 	}
-	e.mu.Unlock()
+	return q
+}
 
+// stop ends an unregistered query: its mailbox drains and closes, then
+// every subscription closes.
+func (q *deployedQuery) stop() {
 	q.sendMu.Lock()
 	q.closed = true
 	close(q.in)
@@ -577,19 +637,12 @@ func (e *Engine) Withdraw(idOrHandle string) error {
 	q.subsClosed = true
 	q.updateSubsSnapLocked()
 	q.subMu.Unlock()
-	return nil
 }
 
 // Query returns the deployment for an ID or handle.
 func (e *Engine) Query(idOrHandle string) (Deployment, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	id := idOrHandle
-	if mapped, ok := e.byURI[idOrHandle]; ok {
-		id = mapped
-	}
-	q, ok := e.queries[id]
-	if !ok {
+	q, err := e.lookupQuery(idOrHandle)
+	if err != nil {
 		return Deployment{}, false
 	}
 	return q.dep, true
@@ -602,17 +655,23 @@ func (e *Engine) QueryCount() int {
 	return len(e.queries)
 }
 
+// Queries lists the ids of the running queries, sorted.
+func (e *Engine) Queries() []string {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	out := make([]string, 0, len(e.queries))
+	for id := range e.queries {
+		out = append(out, id)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // Subscribe attaches a consumer to a query's output stream.
 func (e *Engine) Subscribe(idOrHandle string) (*Subscription, error) {
-	e.mu.RLock()
-	id := idOrHandle
-	if mapped, ok := e.byURI[idOrHandle]; ok {
-		id = mapped
-	}
-	q, ok := e.queries[id]
-	e.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("dsms: %w %q", ErrUnknownQuery, idOrHandle)
+	q, err := e.lookupQuery(idOrHandle)
+	if err != nil {
+		return nil, err
 	}
 	c := make(chan stream.Tuple, DefaultSubscriptionBuffer)
 	s := &Subscription{C: c, c: c}
@@ -634,21 +693,12 @@ func (e *Engine) Subscribe(idOrHandle string) (*Subscription, error) {
 
 // Unsubscribe detaches a consumer.
 func (e *Engine) Unsubscribe(idOrHandle string, s *Subscription) {
-	e.mu.RLock()
-	id := idOrHandle
-	if mapped, ok := e.byURI[idOrHandle]; ok {
-		id = mapped
+	if q, err := e.lookupQuery(idOrHandle); err == nil {
+		q.subMu.Lock()
+		delete(q.subs, s)
+		q.updateSubsSnapLocked()
+		q.subMu.Unlock()
 	}
-	q, ok := e.queries[id]
-	e.mu.RUnlock()
-	if !ok {
-		s.close()
-		return
-	}
-	q.subMu.Lock()
-	delete(q.subs, s)
-	q.updateSubsSnapLocked()
-	q.subMu.Unlock()
 	s.close()
 }
 

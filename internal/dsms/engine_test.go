@@ -71,6 +71,33 @@ func TestEngineDeployAndHandle(t *testing.T) {
 	}
 }
 
+// TestEnginePutReplacesByName: a put under a running query's name
+// replaces it (its subscribers see the close), and an unnamed deploy
+// skips the ids names have taken.
+func TestEnginePutReplacesByName(t *testing.T) {
+	e := newTestEngine(t)
+	g := NewQueryGraph("weather", NewFilterBox(expr.MustParse("rainrate > 5")))
+	if _, err := e.Put("q00001", g, nil); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := e.Subscribe("q00001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := e.Put("q00001", g, nil); err != nil || d.ID != "q00001" {
+		t.Fatalf("second put = %+v, %v", d, err)
+	}
+	if _, open := <-sub.C; open {
+		t.Error("the replaced query's subscription is still open")
+	}
+	if d, err := e.Deploy(g); err != nil || d.ID != "q00002" {
+		t.Fatalf("unnamed deploy = %+v, %v; want q00002", d, err)
+	}
+	if got := e.Queries(); len(got) != 2 || got[0] != "q00001" || got[1] != "q00002" {
+		t.Errorf("Queries = %v, want [q00001 q00002]", got)
+	}
+}
+
 func TestEngineDeployErrors(t *testing.T) {
 	e := newTestEngine(t)
 	if _, err := e.Deploy(nil); err == nil {

@@ -42,8 +42,8 @@ func migrateGraph(win WindowSpec) *QueryGraph {
 // TestMigratedQueryGolden is the migration golden test: a query run
 // uninterrupted over an input must emit bit-for-bit what the same
 // query emits when it is cut mid-stream — state exported from engine A
-// and imported into a fresh engine B (with the stream's sequence
-// lineage continued via setStreamSeq) before the rest of the input
+// and put with it into a fresh engine B (which continues the stream's
+// sequence lineage) before the rest of the input
 // flows. Same window closes, same values, same Seq/ArrivalMillis
 // provenance: the consumer cannot tell the migration happened.
 func TestMigratedQueryGolden(t *testing.T) {
@@ -112,15 +112,12 @@ func TestMigratedQueryGolden(t *testing.T) {
 					if err := b.CreateStream("s", schema); err != nil {
 						t.Fatal(err)
 					}
-					if err := b.setStreamSeq("s", st.InputSeq); err != nil {
-						t.Fatal(err)
-					}
-					bdep, err := b.Deploy(migrateGraph(win))
+					bdep, err := b.Put("migrated", migrateGraph(win), st)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := b.importQueryState(bdep.ID, st); err != nil {
-						t.Fatal(err)
+					if seq, _ := b.StreamSeq("s"); seq != st.InputSeq {
+						t.Fatalf("stream sequence after the put = %d, want the exported %d", seq, st.InputSeq)
 					}
 					bsub, err := b.Subscribe(bdep.ID)
 					if err != nil {

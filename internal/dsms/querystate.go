@@ -244,11 +244,7 @@ func (q *deployedQuery) snapshot(s *stateSnap) (stateSnapResult, error) {
 // lookupQuery resolves an id or handle to the live query.
 func (e *Engine) lookupQuery(idOrHandle string) (*deployedQuery, error) {
 	e.mu.RLock()
-	id := idOrHandle
-	if mapped, ok := e.byURI[idOrHandle]; ok {
-		id = mapped
-	}
-	q, ok := e.queries[id]
+	q, ok := e.queries[e.idOf(idOrHandle)]
 	e.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("dsms: %w %q", ErrUnknownQuery, idOrHandle)
@@ -278,27 +274,6 @@ func (e *Engine) ExportQueryState(idOrHandle string) (*QueryState, error) {
 	st := res.state
 	st.InputSeq, _ = e.StreamSeq(q.dep.Input)
 	return st, nil
-}
-
-// importQueryState installs a previously exported state into a deployed
-// query (normally one just deployed from the same script), replacing
-// its window contents and accumulators wholesale. The operator chains
-// must have the same shape — guaranteed when both sides compiled the
-// same script. The input stream's sequence counter is NOT touched; use
-// setStreamSeq when continuing a lineage on a fresh engine.
-func (e *Engine) importQueryState(idOrHandle string, st *QueryState) error {
-	if st == nil {
-		return fmt.Errorf("dsms: nil query state")
-	}
-	q, err := e.lookupQuery(idOrHandle)
-	if err != nil {
-		return err
-	}
-	res, err := q.snapshot(&stateSnap{install: st})
-	if err != nil {
-		return err
-	}
-	return res.err
 }
 
 // StreamSeq reports a stream's current sequence counter (the Seq of the

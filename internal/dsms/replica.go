@@ -1,11 +1,6 @@
 package dsms
 
-import (
-	"errors"
-	"fmt"
-
-	"repro/internal/stream"
-)
+import "repro/internal/stream"
 
 // Replicate applies a contiguous run of a replicated stream's tuples,
 // as shipped by the primary's replicator. log names the shipper's log,
@@ -49,38 +44,4 @@ func (e *Engine) Replicate(name string, log, base uint64, reset bool, ts []strea
 		is.applied = base + uint64(len(ts))
 	}
 	return is.applied, nil
-}
-
-// ImportQuery deploys g and installs st into the fresh query: the
-// receiving half of a live migration, and of a durable restore.
-// replaceID, when set, is withdrawn first (a standby part promoted in
-// place; one already gone is fine). A st.InputSeq > 0 fast-forwards the
-// input stream's sequence counter so emission provenance continues the
-// source lineage; a counter already past it is left alone. If the state
-// does not install, the fresh query is withdrawn again.
-func (e *Engine) ImportQuery(g *QueryGraph, replaceID string, st *QueryState) (Deployment, error) {
-	if g == nil {
-		return Deployment{}, fmt.Errorf("dsms: nil query graph")
-	}
-	if replaceID != "" {
-		if err := e.Withdraw(replaceID); err != nil && !errors.Is(err, ErrUnknownQuery) {
-			return Deployment{}, err
-		}
-	}
-	if st != nil && st.InputSeq > 0 {
-		if err := e.setStreamSeq(g.Input, st.InputSeq); err != nil && !errors.Is(err, errSeqBehind) {
-			return Deployment{}, err
-		}
-	}
-	d, err := e.Deploy(g)
-	if err != nil {
-		return Deployment{}, err
-	}
-	if st != nil {
-		if err := e.importQueryState(d.ID, st); err != nil {
-			_ = e.Withdraw(d.ID)
-			return Deployment{}, err
-		}
-	}
-	return d, nil
 }

@@ -36,15 +36,16 @@ const (
 	MsgWithdraw     = "dsms.withdraw"
 	MsgIngestBatch  = "dsms.ingest_batch"
 	MsgFlush        = "dsms.flush"
-	MsgQueryCount   = "dsms.query_count"
+	MsgListParts    = "dsms.list_parts"
 	MsgPing         = "dsms.ping"
 	MsgSubscribe    = "dsms.subscribe"
 	MsgTuple        = "dsms.tuple"
 	// Replication / failover verbs (replicated shard topology): a
 	// fronting runtime ships a primary stream's accepted tuples to
 	// follower dsmsds with MsgReplicate, whose reply is the follower's
-	// applied position, and moves a continuous query together with its
-	// serialized window state between engines with MsgMigrate.
+	// applied position, and reads a continuous query's serialized window
+	// state off an engine with MsgMigrate (a MsgDeploy with State puts it
+	// back).
 	MsgReplicate = "dsms.replicate"
 	MsgMigrate   = "dsms.migrate"
 )
@@ -87,14 +88,21 @@ type SchemaResp struct {
 	Schema *stream.Schema `json:"schema"`
 }
 
-// DeployReq carries a StreamSQL script. Stage, when set, deploys the
-// compiled query as one shard's part of a cross-shard re-aggregation
-// plan (see dsms.StageSpec): it is carried beside the script because
-// StreamSQL has no stage syntax — the server applies it to the
-// compiled graph before deploying.
+// DeployReq puts a StreamSQL script as the query named Name, replacing
+// the query already running under that name (an empty Name takes the
+// next free "qNNNNN"); see dsms.Engine.Put. Stage, when set, deploys
+// the compiled query as one shard's part of a cross-shard
+// re-aggregation plan (see dsms.StageSpec): it is carried beside the
+// script because StreamSQL has no stage syntax — the server applies it
+// to the compiled graph before deploying. State, when set, is a
+// previously exported window state installed into the fresh query
+// (a migration or a durable restore); a staged query's state carries
+// its stage operator's windows, so it must be put with the same Stage.
 type DeployReq struct {
-	Script string          `json:"script"`
-	Stage  *dsms.StageSpec `json:"stage,omitempty"`
+	Name   string           `json:"name,omitempty"`
+	Script string           `json:"script"`
+	Stage  *dsms.StageSpec  `json:"stage,omitempty"`
+	State  *dsms.QueryState `json:"state,omitempty"`
 }
 
 // DeployResp returns the continuous query's id and handle, plus the
@@ -118,9 +126,9 @@ type IngestBatchReq struct {
 	Tuples []stream.Tuple `json:"tuples"`
 }
 
-// QueryCountResp reports the number of running continuous queries.
-type QueryCountResp struct {
-	Count int `json:"count"`
+// ListPartsResp names the running continuous queries, sorted.
+type ListPartsResp struct {
+	Names []string `json:"names"`
 }
 
 // ReplicateReq ships a contiguous run of a replicated stream's tuples
@@ -145,34 +153,16 @@ type ReplicateResp struct {
 	Acked uint64 `json:"acked"`
 }
 
-// MigrateReq is the dual-mode query-migration verb. With Export set it
-// serializes the named local query's operator state (window ring,
-// incremental sums, deque positions — see dsms.QueryState) and returns
-// it. With Script set it deploys the script and installs State into the
-// fresh query so emissions continue from the migrated window contents
-// instead of restarting empty; Replace optionally withdraws an existing
-// query (a standby part being promoted) first, and a State.InputSeq > 0
-// fast-forwards the input stream's sequence counter so provenance
-// continues the source lineage.
+// MigrateReq asks for the named query's operator state (window ring,
+// incremental sums, deque positions — see dsms.QueryState), so a put
+// elsewhere continues its emissions instead of restarting empty.
 type MigrateReq struct {
-	Export  string           `json:"export,omitempty"`
-	Script  string           `json:"script,omitempty"`
-	Replace string           `json:"replace,omitempty"`
-	State   *dsms.QueryState `json:"state,omitempty"`
-	// Stage re-marks the deployed script as a staged part of a
-	// cross-shard plan, exactly as DeployReq.Stage does; a staged
-	// query's exported state carries its stage operator's windows, so
-	// import must deploy with the same stage or the state won't fit.
-	Stage *dsms.StageSpec `json:"stage,omitempty"`
+	Export string `json:"export,omitempty"`
 }
 
-// MigrateResp carries the exported state (export mode) or the new
-// query's identity (import mode).
+// MigrateResp carries the exported state.
 type MigrateResp struct {
-	QueryID      string           `json:"query_id,omitempty"`
-	Handle       string           `json:"handle,omitempty"`
-	OutputSchema *stream.Schema   `json:"output_schema,omitempty"`
-	State        *dsms.QueryState `json:"state,omitempty"`
+	State *dsms.QueryState `json:"state,omitempty"`
 }
 
 // SubscribeReq attaches the connection to a query's output; the server
@@ -209,7 +199,7 @@ func NewServer(engine *dsms.Engine, profile *netsim.Profile) *Server {
 	s.srv.Handle(MsgWithdraw, s.handleWithdraw)
 	s.srv.Handle(MsgIngestBatch, s.handleIngestBatch)
 	s.srv.Handle(MsgFlush, s.handleFlush)
-	s.srv.Handle(MsgQueryCount, s.handleQueryCount)
+	s.srv.Handle(MsgListParts, s.handleListParts)
 	s.srv.Handle(MsgPing, s.handlePing)
 	s.srv.Handle(MsgSubscribe, s.handleSubscribe)
 	s.srv.Handle(MsgReplicate, s.handleReplicate)
@@ -285,23 +275,10 @@ func (s *Server) handleDeploy(m *protocol.Message, _ *protocol.Conn) (any, error
 			time.Sleep(d / time.Duration(n))
 		}
 	}
-	g, err := s.compile(req.Script, req.Stage)
-	if err != nil {
-		return nil, err
-	}
-	dep, err := s.Engine.Deploy(g)
-	if err != nil {
-		return nil, coded(err)
-	}
-	return DeployResp{QueryID: dep.ID, Handle: dep.Handle, OutputSchema: dep.OutputSchema}, nil
-}
-
-// compile turns a deploy or migrate script into the graph to run: the
-// input declaration that PEP-generated scripts embed is checked against
-// the registered stream, and stage, when set, marks the graph as one
-// shard's staged part.
-func (s *Server) compile(script string, stage *dsms.StageSpec) (*dsms.QueryGraph, error) {
-	c, err := streamql.CompileString(script)
+	// The input declaration that PEP-generated scripts embed is checked
+	// against the registered stream; a stage marks the graph as one
+	// shard's staged part.
+	c, err := streamql.CompileString(req.Script)
 	if err != nil {
 		return nil, err
 	}
@@ -314,10 +291,14 @@ func (s *Server) compile(script string, stage *dsms.StageSpec) (*dsms.QueryGraph
 			return nil, fmt.Errorf("dsmsd: script schema for %q does not match registered stream", c.Input)
 		}
 	}
-	if stage != nil {
-		c.Graph.Stage = stage.Clone()
+	if req.Stage != nil {
+		c.Graph.Stage = req.Stage.Clone()
 	}
-	return c.Graph, nil
+	dep, err := s.Engine.Put(req.Name, c.Graph, req.State)
+	if err != nil {
+		return nil, coded(err)
+	}
+	return DeployResp{QueryID: dep.ID, Handle: dep.Handle, OutputSchema: dep.OutputSchema}, nil
 }
 
 func (s *Server) handleWithdraw(m *protocol.Message, _ *protocol.Conn) (any, error) {
@@ -348,34 +329,17 @@ func (s *Server) handleReplicate(m *protocol.Message, _ *protocol.Conn) (any, er
 	return ReplicateResp{Acked: acked}, nil
 }
 
-// handleMigrate serializes a query's window state out (export mode) or
-// deploys a script and installs a previously exported state into it
-// (import mode). See MigrateReq.
+// handleMigrate serializes a query's window state out (see MigrateReq).
 func (s *Server) handleMigrate(m *protocol.Message, _ *protocol.Conn) (any, error) {
 	req, err := protocol.Decode[MigrateReq](m)
 	if err != nil {
 		return nil, err
 	}
-	if req.Export != "" {
-		st, err := s.Engine.ExportQueryState(req.Export)
-		if err != nil {
-			return nil, coded(err)
-		}
-		return MigrateResp{State: st}, nil
-	}
-	if req.Script == "" {
-		return nil, protocol.WithCode(protocol.CodeBadRequest,
-			fmt.Errorf("dsmsd: migrate needs either an export id or a script"))
-	}
-	g, err := s.compile(req.Script, req.Stage)
-	if err != nil {
-		return nil, err
-	}
-	dep, err := s.Engine.ImportQuery(g, req.Replace, req.State)
+	st, err := s.Engine.ExportQueryState(req.Export)
 	if err != nil {
 		return nil, coded(err)
 	}
-	return MigrateResp{QueryID: dep.ID, Handle: dep.Handle, OutputSchema: dep.OutputSchema}, nil
+	return MigrateResp{State: st}, nil
 }
 
 func (s *Server) handleFlush(_ *protocol.Message, _ *protocol.Conn) (any, error) {
@@ -383,8 +347,8 @@ func (s *Server) handleFlush(_ *protocol.Message, _ *protocol.Conn) (any, error)
 	return struct{}{}, nil
 }
 
-func (s *Server) handleQueryCount(_ *protocol.Message, _ *protocol.Conn) (any, error) {
-	return QueryCountResp{Count: s.Engine.QueryCount()}, nil
+func (s *Server) handleListParts(_ *protocol.Message, _ *protocol.Conn) (any, error) {
+	return ListPartsResp{Names: s.Engine.Queries()}, nil
 }
 
 func (s *Server) handlePing(_ *protocol.Message, _ *protocol.Conn) (any, error) {
@@ -501,28 +465,20 @@ func (c *Client) StreamSchema(name string) (*stream.Schema, error) {
 	return resp.Schema, nil
 }
 
-// DeployScript implements xacmlplus.StreamEngine.
+// DeployScript implements xacmlplus.StreamEngine: an unnamed Put.
 func (c *Client) DeployScript(script string) (string, string, error) {
-	resp, err := c.DeployScriptSchema(script)
+	resp, err := c.Put(DeployReq{Script: script})
 	if err != nil {
 		return "", "", err
 	}
 	return resp.QueryID, resp.Handle, nil
 }
 
-// DeployScriptSchema deploys a script and returns the full wire
-// response, including the output schema of the continuous query.
-func (c *Client) DeployScriptSchema(script string) (DeployResp, error) {
-	return protocol.CallDecode[DeployResp](c.rpc, MsgDeploy, DeployReq{Script: script})
-}
-
-// DeployScriptStaged deploys a script as one shard's staged part of a
-// cross-shard re-aggregation plan: the server applies stage to the
-// compiled graph before deploying, so the query emits stage records
-// (partial aggregates or relayed rows plus watermarks) instead of
-// finished tuples. A nil stage behaves exactly like DeployScriptSchema.
-func (c *Client) DeployScriptStaged(script string, stage *dsms.StageSpec) (DeployResp, error) {
-	return protocol.CallDecode[DeployResp](c.rpc, MsgDeploy, DeployReq{Script: script, Stage: stage})
+// Put deploys req's script as the query named req.Name, replacing the
+// query running under that name (see DeployReq), and returns the full
+// wire response, including the output schema of the continuous query.
+func (c *Client) Put(req DeployReq) (DeployResp, error) {
+	return protocol.CallDecode[DeployResp](c.rpc, MsgDeploy, req)
 }
 
 // Withdraw implements xacmlplus.StreamEngine.
@@ -564,34 +520,20 @@ func (c *Client) MigrateExport(idOrHandle string) (*dsms.QueryState, error) {
 	return resp.State, nil
 }
 
-// MigrateImport deploys script on the remote engine and installs a
-// previously exported state into the fresh query, optionally
-// withdrawing replaceID (a standby part being promoted) first. stage,
-// when non-nil, re-marks the deployed query as a staged part (it must
-// match the stage the state was exported under).
-func (c *Client) MigrateImport(script, replaceID string, st *dsms.QueryState, stage *dsms.StageSpec) (DeployResp, error) {
-	resp, err := protocol.CallDecode[MigrateResp](c.rpc, MsgMigrate,
-		MigrateReq{Script: script, Replace: replaceID, State: st, Stage: stage})
-	if err != nil {
-		return DeployResp{}, err
-	}
-	return DeployResp{QueryID: resp.QueryID, Handle: resp.Handle, OutputSchema: resp.OutputSchema}, nil
-}
-
 // Flush blocks until the remote engine's pipelines have quiesced.
 func (c *Client) Flush() error {
 	_, err := c.rpc.Call(MsgFlush, struct{}{})
 	return err
 }
 
-// QueryCount reports the number of continuous queries running on the
-// remote engine.
-func (c *Client) QueryCount() (int, error) {
-	resp, err := protocol.CallDecode[QueryCountResp](c.rpc, MsgQueryCount, struct{}{})
+// ListParts names the continuous queries running on the remote
+// engine, sorted.
+func (c *Client) ListParts() ([]string, error) {
+	resp, err := protocol.CallDecode[ListPartsResp](c.rpc, MsgListParts, struct{}{})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return resp.Count, nil
+	return resp.Names, nil
 }
 
 // Ping checks liveness of the connection and the remote engine.

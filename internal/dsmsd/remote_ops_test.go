@@ -7,8 +7,8 @@ import (
 )
 
 // TestRemoteEngineOps covers the wire operations the sharded runtime's
-// RemoteBackend depends on: ping, batch ingest, flush, query count and
-// stream drop.
+// RemoteBackend depends on: ping, named put, batch ingest, flush, part
+// listing and stream drop.
 func TestRemoteEngineOps(t *testing.T) {
 	srv, cli := startServer(t)
 
@@ -19,20 +19,20 @@ func TestRemoteEngineOps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := cli.DeployScriptSchema("CREATE INPUT STREAM s (a int, b double); CREATE OUTPUT STREAM o; SELECT * FROM s WHERE a > 1 INTO o;")
+	resp, err := cli.Put(DeployReq{Name: "part", Script: "CREATE INPUT STREAM s (a int, b double); CREATE OUTPUT STREAM o; SELECT * FROM s WHERE a > 1 INTO o;"})
 	if err != nil {
-		t.Fatalf("DeployScriptSchema: %v", err)
+		t.Fatalf("Put: %v", err)
 	}
-	if resp.QueryID == "" || resp.Handle == "" {
+	if resp.QueryID != "part" || resp.Handle == "" {
 		t.Fatalf("deploy = %+v", resp)
 	}
 	if resp.OutputSchema == nil || !resp.OutputSchema.Equal(testSchema()) {
 		t.Errorf("output schema = %v, want input schema of a filter", resp.OutputSchema)
 	}
 
-	n, err := cli.QueryCount()
-	if err != nil || n != 1 {
-		t.Fatalf("QueryCount = %d, %v; want 1", n, err)
+	names, err := cli.ListParts()
+	if err != nil || len(names) != 1 {
+		t.Fatalf("ListParts = %v, %v; want 1 part", names, err)
 	}
 
 	sub, err := srv.Engine.Subscribe(resp.QueryID)
@@ -66,8 +66,8 @@ func TestRemoteEngineOps(t *testing.T) {
 	if _, err := cli.StreamSchema("s"); err == nil {
 		t.Error("schema lookup after drop must fail")
 	}
-	if n, err := cli.QueryCount(); err != nil || n != 0 {
-		t.Errorf("QueryCount after drop = %d, %v; want 0 (queries withdrawn with the stream)", n, err)
+	if names, err := cli.ListParts(); err != nil || len(names) != 0 {
+		t.Errorf("ListParts after drop = %v, %v; want none (queries withdrawn with the stream)", names, err)
 	}
 	if err := cli.DropStream("s"); err == nil {
 		t.Error("dropping an unknown stream must fail")

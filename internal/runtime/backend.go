@@ -14,10 +14,8 @@ import (
 // BackendDeployment describes one continuous query running on one
 // shard backend.
 type BackendDeployment struct {
-	// ID is the backend-unique query identifier.
+	// ID is the part's name on the backend.
 	ID string
-	// Handle is the URI under which the output stream is served.
-	Handle string
 	// OutputSchema is the schema of emitted tuples.
 	OutputSchema *stream.Schema
 }
@@ -82,12 +80,15 @@ func (req DeployRequest) graph() (*dsms.QueryGraph, error) {
 // dsms.Engine; RemoteBackend fronts a dsmsd process, mapping each
 // method onto a dsmsd verb, so a runtime can mix in-process and remote
 // shards in one topology. The two must behave the same on every method.
+// A query runs on a backend as parts the runtime names, and the part
+// methods are idempotent by name: a put replaces, a delete stops, a
+// list shows what runs.
 type ShardBackend interface {
 	// Kind names the backend flavour for stats ("local", "remote(addr)").
 	Kind() string
 	// CreateStream registers an input stream.
 	CreateStream(name string, schema *stream.Schema) error
-	// DropStream removes a stream, withdrawing queries reading from it
+	// DropStream removes a stream, deleting the parts reading from it
 	// and clearing its replication position.
 	DropStream(name string) error
 	// StreamSchema returns a registered stream's schema.
@@ -102,14 +103,20 @@ type ShardBackend interface {
 	// / push inside an in-process engine, one StageBackend interval
 	// around a remote RPC).
 	IngestBatch(streamName string, ts []stream.Tuple, sp *telemetry.Span) error
-	// Deploy starts a continuous query.
-	Deploy(req DeployRequest) (BackendDeployment, error)
-	// Withdraw stops a query by id or handle.
-	Withdraw(idOrHandle string) error
-	// Subscribe attaches a consumer to a query's output.
-	Subscribe(idOrHandle string) (BackendSubscription, error)
-	// QueryCount reports running continuous queries (0 on error).
-	QueryCount() int
+	// PutPart runs req as the part named name, replacing the part
+	// already running under that name. A non-nil st is a previously
+	// exported state installed into the fresh part, which also
+	// fast-forwards the input stream's sequence, so the part emits
+	// exactly what the exporting one would have. It is the one deploy
+	// path: fresh deploys, promotions, re-adoption, live migration and
+	// the durable restore all use it; see dsms.Engine.Put.
+	PutPart(name string, req DeployRequest, st *dsms.QueryState) (BackendDeployment, error)
+	// DeletePart stops the part named name.
+	DeletePart(name string) error
+	// ListParts names the parts running on the backend, sorted.
+	ListParts() ([]string, error)
+	// Subscribe attaches a consumer to a part's output.
+	Subscribe(name string) (BackendSubscription, error)
 	// Healthy reports whether the backend is believed reachable.
 	Healthy() bool
 	// Flush blocks until the backend's pipelines have quiesced.
@@ -121,16 +128,9 @@ type ShardBackend interface {
 	// in that log, also when it refuses the run; see
 	// dsms.Engine.Replicate for the log, dedup and reset contract.
 	Replicate(streamName string, log, base uint64, reset bool, ts []stream.Tuple) (uint64, error)
-	// ExportQueryState serializes a query's window state (see
+	// ExportQueryState serializes a part's window state (see
 	// dsms.QueryState).
-	ExportQueryState(idOrHandle string) (*dsms.QueryState, error)
-	// ImportQuery deploys req and installs a previously exported state
-	// into the fresh query, optionally withdrawing replaceID (a standby
-	// part being promoted in place) first, so the new part emits exactly
-	// what the exporting one would have. It is the one state-install
-	// path: live migration and the durable restore both use it; see
-	// dsms.Engine.ImportQuery.
-	ImportQuery(req DeployRequest, replaceID string, st *dsms.QueryState) (BackendDeployment, error)
+	ExportQueryState(name string) (*dsms.QueryState, error)
 }
 
 // LocalBackend adapts an in-process dsms.Engine to the ShardBackend
@@ -177,24 +177,24 @@ func (b *LocalBackend) IngestBatch(streamName string, ts []stream.Tuple, sp *tel
 	return b.eng.IngestBatchTraced(streamName, ts, sp)
 }
 
-// Deploy implements ShardBackend.
-func (b *LocalBackend) Deploy(req DeployRequest) (BackendDeployment, error) {
+// PutPart implements ShardBackend.
+func (b *LocalBackend) PutPart(name string, req DeployRequest, st *dsms.QueryState) (BackendDeployment, error) {
 	g, err := req.graph()
 	if err != nil {
 		return BackendDeployment{}, err
 	}
-	return backendDeployment(b.eng.Deploy(g))
-}
-
-func backendDeployment(d dsms.Deployment, err error) (BackendDeployment, error) {
+	d, err := b.eng.Put(name, g, st)
 	if err != nil {
 		return BackendDeployment{}, err
 	}
-	return BackendDeployment{ID: d.ID, Handle: d.Handle, OutputSchema: d.OutputSchema}, nil
+	return BackendDeployment{ID: d.ID, OutputSchema: d.OutputSchema}, nil
 }
 
-// Withdraw implements ShardBackend.
-func (b *LocalBackend) Withdraw(idOrHandle string) error { return b.eng.Withdraw(idOrHandle) }
+// DeletePart implements ShardBackend.
+func (b *LocalBackend) DeletePart(name string) error { return b.eng.Withdraw(name) }
+
+// ListParts implements ShardBackend.
+func (b *LocalBackend) ListParts() ([]string, error) { return b.eng.Queries(), nil }
 
 // Replicate implements ShardBackend.
 func (b *LocalBackend) Replicate(streamName string, log, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
@@ -202,30 +202,18 @@ func (b *LocalBackend) Replicate(streamName string, log, base uint64, reset bool
 }
 
 // ExportQueryState implements ShardBackend.
-func (b *LocalBackend) ExportQueryState(idOrHandle string) (*dsms.QueryState, error) {
-	return b.eng.ExportQueryState(idOrHandle)
-}
-
-// ImportQuery implements ShardBackend.
-func (b *LocalBackend) ImportQuery(req DeployRequest, replaceID string, st *dsms.QueryState) (BackendDeployment, error) {
-	g, err := req.graph()
-	if err != nil {
-		return BackendDeployment{}, err
-	}
-	return backendDeployment(b.eng.ImportQuery(g, replaceID, st))
+func (b *LocalBackend) ExportQueryState(name string) (*dsms.QueryState, error) {
+	return b.eng.ExportQueryState(name)
 }
 
 // Subscribe implements ShardBackend.
-func (b *LocalBackend) Subscribe(idOrHandle string) (BackendSubscription, error) {
-	sub, err := b.eng.Subscribe(idOrHandle)
+func (b *LocalBackend) Subscribe(name string) (BackendSubscription, error) {
+	sub, err := b.eng.Subscribe(name)
 	if err != nil {
 		return nil, err
 	}
-	return &localSub{eng: b.eng, key: idOrHandle, sub: sub}, nil
+	return &localSub{eng: b.eng, key: name, sub: sub}, nil
 }
-
-// QueryCount implements ShardBackend.
-func (b *LocalBackend) QueryCount() int { return b.eng.QueryCount() }
 
 // Healthy implements ShardBackend; an in-process engine is always
 // reachable.

@@ -55,17 +55,17 @@ func TestLocalBackendDeployFromScript(t *testing.T) {
 		t.Fatal(err)
 	}
 	be := rt.Backend(0)
-	dep, err := be.Deploy(DeployRequest{Script: "CREATE INPUT STREAM s (a double, t timestamp); CREATE OUTPUT STREAM big; SELECT * FROM s WHERE a > 1 INTO big;"})
+	dep, err := be.PutPart("part", DeployRequest{Script: "CREATE INPUT STREAM s (a double, t timestamp); CREATE OUTPUT STREAM big; SELECT * FROM s WHERE a > 1 INTO big;"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dep.ID == "" || dep.Handle == "" || dep.OutputSchema == nil {
-		t.Fatalf("deploy = %+v, want id, handle and output schema", dep)
+	if dep.ID != "part" || dep.OutputSchema == nil {
+		t.Fatalf("deploy = %+v, want the part's name and output schema", dep)
 	}
-	if _, err := be.Deploy(DeployRequest{}); err == nil {
+	if _, err := be.PutPart("empty", DeployRequest{}, nil); err == nil {
 		t.Error("want error for a deploy with neither graph nor script")
 	}
-	if err := be.Withdraw(dep.ID); err != nil {
+	if err := be.DeletePart(dep.ID); err != nil {
 		t.Fatal(err)
 	}
 }

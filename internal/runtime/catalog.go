@@ -88,18 +88,19 @@ func (rt *Runtime) noteQueryWithdrawn(id string) {
 	}
 }
 
-// RestoreQuery re-deploys a catalog-recovered query under its original
-// runtime id (the checkpoint files are keyed by it). It is a deploy with
-// state: every part of partition cp.Part, primary and standbys, starts
-// from cp.State through ShardBackend.ImportQuery, which also
-// fast-forwards the input stream's sequence so emission provenance
-// continues the pre-crash lineage; partitions without a checkpoint
-// start empty. A checkpoint that does not fit the query (a part past
-// its partitions, or a state whose operators the script does not have)
-// fails the restore, and the caller may retry with nil. When the newly
-// issued handle differs from the recorded one, the old handle is
-// registered as an alias so stored handles keep resolving after a
-// restart. The runtime's deployment counter is advanced past the
+// RestoreQuery re-deploys a catalog-recovered query under its recorded
+// runtime id (the checkpoint files are keyed by it) and handle (stored
+// handles keep resolving after a restart, whatever form the runtime that
+// recorded them issued). It is a deploy with state: every part of
+// partition cp.Part, primary and standbys, starts from cp.State through
+// ShardBackend.PutPart, which also fast-forwards the input stream's
+// sequence so emission provenance continues the pre-crash lineage;
+// partitions without a checkpoint start empty. The parts take the names
+// the recorded query's parts had, so a dsmsd that survived the restart
+// has them replaced, not duplicated. A checkpoint that does not fit the
+// query (a part past its partitions, or a state whose operators the
+// script does not have) fails the restore, and the caller may retry
+// with nil. The runtime's deployment counter is advanced past the
 // restored id, so queries deployed after recovery cannot collide with
 // restored ones.
 func (rt *Runtime) RestoreQuery(id, handle, script string, cps []QueryCheckpoint) (Deployment, error) {
@@ -124,19 +125,7 @@ func (rt *Runtime) RestoreQuery(id, handle, script string, cps []QueryCheckpoint
 			states[cp.Part] = cp.State
 		}
 	}
-	dep, err := rt.deploy(c.Input, DeployRequest{Graph: c.Graph, Script: script}, id, states)
-	if err != nil {
-		return Deployment{}, err
-	}
-	if handle != "" && handle != dep.Handle {
-		rt.mu.Lock()
-		if _, taken := rt.deps[handle]; !taken {
-			rt.deps[handle] = rt.deps[dep.ID]
-			rt.aliases[dep.ID] = handle
-		}
-		rt.mu.Unlock()
-	}
-	return dep, nil
+	return rt.deploy(c.Input, DeployRequest{Graph: c.Graph, Script: script}, id, handle, states)
 }
 
 // DeploymentIDs lists the runtime ids of live deployments, sorted; the

@@ -172,6 +172,58 @@ func TestShardBackendConformance(t *testing.T) {
 			}
 			importRun(t, src, dst, false)
 		}},
+		{"putting one name twice leaves one part with the second put's state", func(t *testing.T, c conformant, _ opener) {
+			req := runtime.DeployRequest{Script: conformScript}
+			if _, err := c.be.PutPart("src", req, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.be.IngestBatch("s", tuples(0, 6), nil); err != nil {
+				t.Fatal(err)
+			}
+			first := exportOps(t, c, "src")
+			if err := c.be.IngestBatch("s", tuples(6, 1), nil); err != nil {
+				t.Fatal(err)
+			}
+			second := exportOps(t, c, "src")
+			for _, st := range []*dsms.QueryState{second, first} {
+				if _, err := c.be.PutPart("p", req, st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if names, err := c.be.ListParts(); err != nil || len(names) != 2 || names[0] != "p" || names[1] != "src" {
+				t.Fatalf("ListParts = %v, %v; want [p src]", names, err)
+			}
+			got := exportOps(t, c, "p")
+			if want := first.Ops[0].Aggregate.Seq; fmt.Sprint(got.Ops[0].Aggregate.Seq) != fmt.Sprint(want) {
+				t.Fatalf("part p holds window %v, want the second put's %v", got.Ops[0].Aggregate.Seq, want)
+			}
+		}},
+		{"deleting an unknown part is not_found", func(t *testing.T, c conformant, _ opener) {
+			if _, err := c.be.PutPart("p", runtime.DeployRequest{Script: conformScript}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.be.DeletePart("p"); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"p", "ghost"} {
+				if err := c.be.DeletePart(name); !c.notFound(err) {
+					t.Errorf("DeletePart(%q) = %v, want not_found", name, err)
+				}
+			}
+		}},
+		{"dropping a stream deletes its parts", func(t *testing.T, c conformant, _ opener) {
+			for _, name := range []string{"a", "b"} {
+				if _, err := c.be.PutPart(name, runtime.DeployRequest{Script: conformScript}, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.be.DropStream("s"); err != nil {
+				t.Fatal(err)
+			}
+			if names, err := c.be.ListParts(); err != nil || len(names) != 0 {
+				t.Fatalf("ListParts after DropStream = %v, %v; want none", names, err)
+			}
+		}},
 		{"equal schema is adopted, a different one refused", func(t *testing.T, c conformant, _ opener) {
 			if err := c.be.CreateStream("s", testSchema()); err != nil {
 				t.Fatalf("equal-schema CreateStream = %v, want adopted", err)
@@ -187,7 +239,7 @@ func TestShardBackendConformance(t *testing.T) {
 				"DropStream":       c.be.DropStream("ghost"),
 				"IngestBatch":      c.be.IngestBatch("ghost", tuples(0, 1), nil),
 				"Replicate":        func() error { _, err := c.be.Replicate("ghost", conformLog, 0, false, tuples(0, 1)); return err }(),
-				"Withdraw":         c.be.Withdraw("q99999"),
+				"DeletePart":       c.be.DeletePart("q99999"),
 				"Subscribe":        func() error { _, err := c.be.Subscribe("q99999"); return err }(),
 				"ExportQueryState": func() error { _, err := c.be.ExportQueryState("q99999"); return err }(),
 			} {
@@ -212,18 +264,32 @@ func TestShardBackendConformance(t *testing.T) {
 	}
 }
 
+// exportOps exports part name's state from c.
+func exportOps(t *testing.T, c conformant, name string) *dsms.QueryState {
+	t.Helper()
+	st, err := c.be.ExportQueryState(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Ops) != 1 || st.Ops[0].Aggregate == nil {
+		t.Fatalf("exported state %+v, want one aggregate", st)
+	}
+	return st
+}
+
 // importRun exports conformScript's state from src after 6 of 12
-// tuples and installs it on dst with ImportQuery, replacing a standby
-// part when replace is set (a migration) or into a stream that has
-// never ingested otherwise (a restore); dst must then emit what an
+// tuples and puts it on dst with PutPart, replacing a standby part of
+// the same name when replace is set (a migration) or into a stream that
+// has never ingested otherwise (a restore); dst must then emit what an
 // uninterrupted query does, Seqs included.
 func importRun(t *testing.T, src, dst conformant, replace bool) {
 	t.Helper()
 	const cut, total = 6, 12
+	const name = "rt/rq00001/p0"
 	want := unmigratedEmissions(t, tuples(0, total))
 
 	req := runtime.DeployRequest{Script: conformScript}
-	d, err := src.be.Deploy(req)
+	d, err := src.be.PutPart(name, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,20 +301,17 @@ func importRun(t *testing.T, src, dst conformant, replace bool) {
 		t.Fatal(err)
 	}
 
-	replaceID := ""
 	if replace {
-		standby, err := dst.be.Deploy(req)
-		if err != nil {
+		if _, err := dst.be.PutPart(name, req, nil); err != nil {
 			t.Fatal(err)
 		}
-		replaceID = standby.ID
 	}
-	moved, err := dst.be.ImportQuery(req, replaceID, st)
+	moved, err := dst.be.PutPart(name, req, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := dst.be.QueryCount(); n != 1 {
-		t.Fatalf("target runs %d queries after the import, want 1", n)
+	if names, err := dst.be.ListParts(); err != nil || len(names) != 1 {
+		t.Fatalf("target runs %v after the import (%v), want 1 part", names, err)
 	}
 	if got := dst.seq(t, "s"); got != cut {
 		t.Fatalf("stream sequence after the import = %d, want %d (the exported position)", got, cut)
@@ -274,7 +337,7 @@ func unmigratedEmissions(t *testing.T, input []stream.Tuple) []stream.Tuple {
 	if err := ref.be.CreateStream("s", testSchema()); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ref.be.Deploy(runtime.DeployRequest{Script: conformScript})
+	d, err := ref.be.PutPart("ref", runtime.DeployRequest{Script: conformScript}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

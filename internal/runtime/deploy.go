@@ -10,14 +10,13 @@ import (
 	"repro/internal/streamql"
 )
 
-// Deployment is a continuous query running on the runtime. For a
-// single-shard stream it reuses its one backend part's handle; for a
-// partitioned stream the runtime issues a synthetic handle whose
-// subscription merges every partition's output.
+// Deployment is a continuous query running on the runtime.
 type Deployment struct {
 	// ID is the runtime-unique query identifier ("rqNNNNN").
 	ID string
-	// Handle is the URI under which the output stream is served.
+	// Handle is the URI under which the output stream is served,
+	// "dsms://<runtime name>/streams/<ID>" for every query shape (a
+	// restored query keeps the handle it was recorded with).
 	Handle string
 	// Input is the source stream name.
 	Input string
@@ -56,7 +55,8 @@ type depState struct {
 }
 
 // part is one backend deployment of a query: partition p's copy on
-// shard, deployed from req. primary marks the part whose shard serves
+// shard, deployed from req under the name partName gives it on every
+// shard (dep.ID). primary marks the part whose shard serves
 // the partition; live marks a part that feeds subscribers or the merge
 // stage — it was deployed with the query, or promoted. A part
 // re-adoption re-creates on a follower stays not-live until promoted:
@@ -143,7 +143,7 @@ func (rt *Runtime) Deploy(g *dsms.QueryGraph) (Deployment, error) {
 	if g == nil {
 		return Deployment{}, fmt.Errorf("runtime: nil query graph")
 	}
-	return rt.deploy(g.Input, DeployRequest{Graph: g}, "", nil)
+	return rt.deploy(g.Input, DeployRequest{Graph: g}, "", "", nil)
 }
 
 // deploy places a query — carried as a graph, a script, or both — on
@@ -167,14 +167,16 @@ func (rt *Runtime) Deploy(g *dsms.QueryGraph) (Deployment, error) {
 // feeds the merge from the start: standby records are bit-identical to
 // the primary's and dedup by content, so a failover loses nothing.
 //
-// forceID, when non-empty, pins the runtime id instead of allocating
-// the next one (the durable restore path re-deploys catalog queries
-// under their original ids so checkpoints keyed by id re-attach); the
-// id counter is advanced past it so later deploys cannot collide.
-// states holds the recorded state each partition resumes from (the
-// durable restore path; nil for a fresh deploy): every part of
-// partition p, primary and standbys, starts from states[p].
-func (rt *Runtime) deploy(input string, req DeployRequest, forceID string, states []*dsms.QueryState) (Deployment, error) {
+// id and handle, when non-empty, pin the runtime id and handle instead
+// of allocating the next id and deriving the handle from it (the
+// durable restore path re-deploys catalog queries under their recorded
+// id and handle, so checkpoints keyed by id re-attach and stored
+// handles keep resolving); the id counter is advanced past a pinned id
+// so later deploys cannot collide. states holds the recorded state each
+// partition resumes from (the durable restore path; nil for a fresh
+// deploy): every part of partition p, primary and standbys, starts from
+// states[p].
+func (rt *Runtime) deploy(input string, req DeployRequest, id, handle string, states []*dsms.QueryState) (Deployment, error) {
 	r, err := rt.routeFor(input)
 	if err != nil {
 		return Deployment{}, err
@@ -199,12 +201,17 @@ func (rt *Runtime) deploy(input string, req DeployRequest, forceID string, state
 			stage = &dsms.StageSpec{Mode: mode}
 		}
 	}
-	if ds.id, err = rt.assignDepID(forceID); err != nil {
+	if ds.id, err = rt.assignDepID(id, handle); err != nil {
 		return Deployment{}, err
+	}
+	defer rt.doneDeploying(ds.id)
+	if ds.handle = handle; handle == "" {
+		ds.handle = fmt.Sprintf("dsms://%s/streams/%s", rt.name, ds.id)
 	}
 
 	for p := 0; p < r.partitions(); p++ {
 		preq := partRequest(r, req, stage, p)
+		name := rt.partName(ds.id, p)
 		var st *dsms.QueryState
 		if p < len(states) {
 			st = states[p]
@@ -214,7 +221,7 @@ func (rt *Runtime) deploy(input string, req DeployRequest, forceID string, state
 			_ = rt.teardown(ds)
 			return Deployment{}, fmt.Errorf("runtime: shard %d down: %w", primary, ferr)
 		}
-		d, err := rt.placePart(primary, preq, st)
+		d, err := rt.shards[primary].be.PutPart(name, preq, st)
 		if err != nil {
 			_ = rt.teardown(ds)
 			return Deployment{}, fmt.Errorf("runtime: shard %d: %w", primary, err)
@@ -224,7 +231,7 @@ func (rt *Runtime) deploy(input string, req DeployRequest, forceID string, state
 			if rt.shards[fi].failedErr() != nil {
 				continue
 			}
-			if sd, err := rt.placePart(fi, preq, st); err == nil {
+			if sd, err := rt.shards[fi].be.PutPart(name, preq, st); err == nil {
 				ds.parts = append(ds.parts, part{p: p, shard: fi, req: preq, dep: sd, live: true})
 			}
 		}
@@ -240,10 +247,6 @@ func (rt *Runtime) deploy(input string, req DeployRequest, forceID string, state
 	}
 	if ds.out == nil {
 		ds.out = ds.parts[0].dep.OutputSchema
-	}
-	ds.handle = ds.parts[0].dep.Handle
-	if r.keyIdx >= 0 {
-		ds.handle = fmt.Sprintf("xrt://%s/streams/%s", rt.name, ds.id)
 	}
 
 	rt.mu.Lock()
@@ -266,13 +269,22 @@ func (rt *Runtime) deploy(input string, req DeployRequest, forceID string, state
 	return ds.view(), nil
 }
 
-// placePart deploys one part of a query on shard i, resuming st when
-// it is non-nil.
-func (rt *Runtime) placePart(i int, req DeployRequest, st *dsms.QueryState) (BackendDeployment, error) {
-	if st == nil {
-		return rt.shards[i].be.Deploy(req)
-	}
-	return rt.shards[i].be.ImportQuery(req, "", st)
+// partName names partition p's parts of query id on every shard that
+// runs one: "<runtime name>/<id>/p<p>". A put under the name replaces
+// whatever an earlier deploy, failover or life of the runtime left
+// there, and the runtime's name keeps two runtimes sharing a dsmsd out
+// of each other's parts.
+func (rt *Runtime) partName(id string, p int) string {
+	return fmt.Sprintf("%s/%s/p%d", rt.name, id, p)
+}
+
+// partQuery reports the query id of a part name in this runtime's
+// namespace, and false for any other name.
+func (rt *Runtime) partQuery(name string) (string, bool) {
+	rest, ours := strings.CutPrefix(name, rt.name+"/")
+	id, _, _ := strings.Cut(rest, "/")
+	_, isDep := parseDepID(id)
+	return id, ours && isDep && strings.Count(rest, "/") == 1
 }
 
 // partRequest is the request partition p's parts deploy from. A staged
@@ -302,25 +314,35 @@ func partRequest(r *route, req DeployRequest, stage *dsms.StageSpec, p int) Depl
 	return DeployRequest{Graph: g, Script: script, Stage: stage}
 }
 
-// assignDepID allocates the next runtime query id, or pins forceID
-// (advancing the counter past it) for the durable restore path.
-func (rt *Runtime) assignDepID(forceID string) (string, error) {
+// assignDepID allocates the next runtime query id, or pins id
+// (advancing the counter past it) and handle for the durable restore
+// path, and marks the id deploying until doneDeploying.
+func (rt *Runtime) assignDepID(id, handle string) (string, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.closed {
 		return "", errClosed
 	}
-	if forceID == "" {
+	if _, dup := rt.deps[handle]; dup {
+		return "", fmt.Errorf("runtime: handle %q already deployed", handle)
+	}
+	if id == "" {
 		rt.nextDep++
-		return fmt.Sprintf("rq%05d", rt.nextDep), nil
-	}
-	if _, dup := rt.deps[forceID]; dup {
-		return "", fmt.Errorf("runtime: query %q already deployed", forceID)
-	}
-	if n, ok := parseDepID(forceID); ok && n > rt.nextDep {
+		id = fmt.Sprintf("rq%05d", rt.nextDep)
+	} else if _, dup := rt.deps[id]; dup || rt.deploying[id] {
+		return "", fmt.Errorf("runtime: query %q already deployed", id)
+	} else if n, ok := parseDepID(id); ok && n > rt.nextDep {
 		rt.nextDep = n
 	}
-	return forceID, nil
+	rt.deploying[id] = true
+	return id, nil
+}
+
+// doneDeploying ends a deploy of id, committed or rolled back.
+func (rt *Runtime) doneDeploying(id string) {
+	rt.mu.Lock()
+	delete(rt.deploying, id)
+	rt.mu.Unlock()
 }
 
 // attachLocked starts a part's output flowing: into the merge stage of
@@ -364,11 +386,13 @@ func (rt *Runtime) promoteLocked(ds *depState, k int) {
 }
 
 // teardown ends a query everywhere: the merge stage closes (ending its
-// subscribers), then every part on a healthy shard is withdrawn, which
-// closes the engine subscriptions reading it. A down shard's parts died
-// with its process, and a conn error there would only make an
-// otherwise-complete withdraw look failed. The table is emptied, so a
-// racing promotion or re-adoption finds nothing to rebuild.
+// subscribers), then every part on a healthy shard is deleted, which
+// closes the engine subscriptions reading it. A down shard is skipped:
+// a conn error there would only make an otherwise-complete withdraw
+// look failed, and a part that outlived the outage (a partition, not a
+// crash) is no longer in any table, so the shard's re-adoption deletes
+// it. The table is emptied, so a racing promotion or re-adoption finds
+// nothing to rebuild.
 func (rt *Runtime) teardown(ds *depState) error {
 	if ds.ms != nil {
 		ds.ms.close()
@@ -382,7 +406,7 @@ func (rt *Runtime) teardown(ds *depState) error {
 		if rt.shards[pt.shard].failedErr() != nil {
 			continue
 		}
-		if werr := rt.shards[pt.shard].be.Withdraw(pt.dep.ID); werr != nil && err == nil {
+		if werr := rt.shards[pt.shard].be.DeletePart(pt.dep.ID); werr != nil && err == nil {
 			err = werr
 		}
 	}
@@ -409,7 +433,7 @@ func (rt *Runtime) DeployScript(script string) (string, string, error) {
 			return "", "", fmt.Errorf("runtime: script schema for %q does not match registered stream", c.Input)
 		}
 	}
-	dep, err := rt.deploy(c.Input, DeployRequest{Graph: c.Graph, Script: script}, "", nil)
+	dep, err := rt.deploy(c.Input, DeployRequest{Graph: c.Graph, Script: script}, "", "", nil)
 	if err != nil {
 		return "", "", err
 	}
@@ -433,20 +457,13 @@ func (rt *Runtime) Query(idOrHandle string) (Deployment, bool) {
 	return ds.view(), true
 }
 
-// forgetLocked unregisters a query's id, handle and restored-handle
-// alias. Caller holds rt.mu.
+// forgetLocked unregisters a query's id and handle. Caller holds rt.mu.
 func (rt *Runtime) forgetLocked(ds *depState) {
 	delete(rt.deps, ds.id)
 	delete(rt.deps, ds.handle)
-	if al, ok := rt.aliases[ds.id]; ok {
-		delete(rt.deps, al)
-		delete(rt.aliases, ds.id)
-	}
 }
 
-// Withdraw stops a deployed query by runtime id or handle. Handles
-// issued directly by a shard backend are routed by trial, so the PEP's
-// withdraw-by-whatever-it-stored behaviour keeps working.
+// Withdraw stops a deployed query by runtime id or handle.
 func (rt *Runtime) Withdraw(idOrHandle string) error {
 	rt.mu.Lock()
 	ds, ok := rt.deps[idOrHandle]
@@ -455,11 +472,6 @@ func (rt *Runtime) Withdraw(idOrHandle string) error {
 	}
 	rt.mu.Unlock()
 	if !ok {
-		for _, s := range rt.shards {
-			if err := s.be.Withdraw(idOrHandle); err == nil {
-				return nil
-			}
-		}
 		return fmt.Errorf("runtime: unknown query %q", idOrHandle)
 	}
 	rt.noteQueryWithdrawn(ds.id)
@@ -625,19 +637,13 @@ func (s *Subscription) Close() {
 }
 
 // Subscribe attaches a consumer to a query's output by runtime id or
-// handle (handles issued directly by shard backends also resolve). A
-// merged subscription attaches every live part on a healthy shard up
+// handle. A merged subscription attaches every live part on a healthy shard up
 // front, and fails when some partition has none; a later failover or
 // re-adoption needs no re-subscription, because the runtime splices the
 // promoted part in.
 func (rt *Runtime) Subscribe(idOrHandle string) (*Subscription, error) {
 	ds, ok := rt.lookupDep(idOrHandle)
 	if !ok {
-		for _, s := range rt.shards {
-			if sub, err := s.be.Subscribe(idOrHandle); err == nil {
-				return &Subscription{C: sub.Tuples(), parts: []BackendSubscription{sub}}, nil
-			}
-		}
 		return nil, fmt.Errorf("runtime: unknown query %q", idOrHandle)
 	}
 	if ds.ms != nil {
@@ -695,7 +701,7 @@ func (rt *Runtime) Subscribe(idOrHandle string) (*Subscription, error) {
 // shard drain is briefly paused, replication is flushed so the target
 // holds the identical tuple flow, the query's window state is exported
 // (dsms.QueryState — over the dsms.migrate verb for remote shards) and
-// imported into a fresh part on the target replacing its standby, the
+// put with the part's name on the target, replacing its standby; the
 // migrated part becomes the primary and live subscriptions are spliced
 // onto it, and the old primary part stays on as its shard's standby.
 // Emission continuity is guaranteed by the subscription watermark: the
@@ -721,14 +727,11 @@ func (rt *Runtime) MigrateQuery(idOrHandle string, target int) error {
 		return fmt.Errorf("runtime: shard %d is not a replica of stream %q", target, r.name)
 	}
 	ds.mu.Lock()
-	src, replaceID := -1, ""
+	src := -1
 	var from part
 	for _, pt := range ds.parts {
 		if pt.primary {
 			src, from = pt.shard, pt
-		}
-		if pt.shard == target {
-			replaceID = pt.dep.ID
 		}
 	}
 	ds.mu.Unlock()
@@ -751,11 +754,11 @@ func (rt *Runtime) MigrateQuery(idOrHandle string, target int) error {
 	if err != nil {
 		return fmt.Errorf("runtime: export from shard %d: %w", src, err)
 	}
-	moved, err := rt.shards[target].be.ImportQuery(from.req, replaceID, st)
+	moved, err := rt.shards[target].be.PutPart(from.dep.ID, from.req, st)
 	if err != nil {
 		return fmt.Errorf("runtime: import on shard %d: %w", target, err)
 	}
-	// The import withdrew the target's standby, closing its channels:
+	// The put replaced the target's standby, closing its channels:
 	// the migrated part goes in not-live, so promotion splices it into
 	// the live subscriptions. The old primary stays live as a standby
 	// (its state is current, and the replicated flow keeps it warm).

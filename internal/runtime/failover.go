@@ -3,13 +3,17 @@ package runtime
 import (
 	"fmt"
 	"slices"
+	"strconv"
+
+	"repro/internal/telemetry"
 )
 
 // This file is the self-healing control plane for replicated streams:
 // failoverShard promotes a replicated stream's most caught-up healthy
-// follower when its primary's shard dies, and readoptShard rebuilds a
-// shard's streams, query parts and replication membership when a
-// restarted dsmsd answers the health probe again.
+// follower when its primary's shard dies, and readoptShard brings a
+// shard's streams, query parts and replication membership back in line
+// with the runtime's tables when a restarted dsmsd (or a healed
+// partition) answers the health probe again.
 // Both run on health-hook goroutines, never on the publish hot path.
 
 // failoverShard reacts to shard i entering fail-fast mode: every
@@ -85,7 +89,7 @@ func (rt *Runtime) promote(r *route, fi int) {
 		ds.mu.Lock()
 		k, j := ds.find(p, fi), ds.find(p, -1)
 		if k < 0 && j >= 0 {
-			if nd, err := rt.shards[fi].be.Deploy(ds.parts[j].req); err == nil {
+			if nd, err := rt.shards[fi].be.PutPart(ds.parts[j].dep.ID, ds.parts[j].req, nil); err == nil {
 				ds.parts = append(ds.parts, part{p: p, shard: fi, req: ds.parts[j].req, dep: nd})
 				k = len(ds.parts) - 1
 			}
@@ -97,13 +101,15 @@ func (rt *Runtime) promote(r *route, fi int) {
 	}
 }
 
-// readoptShard rebuilds shard i's state after its backend came back
-// (typically a restarted dsmsd answering the health probe): streams it
-// hosts are re-created — with a surviving equal-schema stream adopted
-// in place — its query parts are redeployed, replication membership is
-// resumed, and finally the shard leaves fail-fast mode. An error
-// re-marks the backend down, so the next probe tick retries the whole
-// sequence.
+// readoptShard brings shard i back in line with the runtime's tables
+// after its backend came back (a restarted dsmsd, or one a partition
+// hid, answering the health probe): streams it hosts are re-created —
+// with a surviving equal-schema stream adopted in place — the parts the
+// tables want there are put and the runtime's parts no table holds are
+// deleted, replication membership is resumed, and finally the shard
+// leaves fail-fast mode. Puts and deletes are by name, so this
+// converges whatever the backend still runs. An error re-marks the
+// backend down, so the next probe tick retries the whole sequence.
 func (rt *Runtime) readoptShard(i int) error {
 	rt.mu.RLock()
 	routes := make([]*route, 0, len(rt.routes))
@@ -141,25 +147,16 @@ func (rt *Runtime) readoptShard(i int) error {
 		}
 	}
 
-	// 2. Query parts: withdraw every part id held for the shard, in every
-	// query, before redeploying any. A shard whose engine survived (a
-	// network partition, not a restart) still runs the old parts, and a
-	// restarted dsmsd numbers queries from q00001 again, so a fresh part
-	// could take an id the table still holds for an older one.
-	deps := rt.depList()
-	for _, ds := range deps {
-		ds.mu.Lock()
-		for _, pt := range ds.parts {
-			if pt.shard == i {
-				_ = be.Withdraw(pt.dep.ID)
-			}
-		}
-		ds.mu.Unlock()
-	}
-	for _, ds := range deps {
+	// 2. Query parts: put every part the tables want here (replacing a
+	// survivor of the same name), then delete what a withdraw during the
+	// outage left behind.
+	for _, ds := range rt.depList() {
 		if err := rt.readoptParts(ds, i); err != nil {
 			return err
 		}
+	}
+	if err := rt.deleteOrphans(i); err != nil {
+		return fmt.Errorf("runtime: readopt shard %d: %w", i, err)
 	}
 
 	// 3. Replication membership: rejoin this shard where it follows,
@@ -188,10 +185,10 @@ func (rt *Runtime) readoptShard(i int) error {
 	return nil
 }
 
-// readoptParts redeploys query ds's parts on re-adopted shard i, whose
-// old parts readoptShard has already withdrawn, and places any part the
-// shard should hold but never got (it was down when the query
-// deployed). A part on the shard serving its partition is promoted:
+// readoptParts puts query ds's parts on re-adopted shard i, replacing
+// any the shard still runs, including a part it should hold but never
+// got (it was down when the query deployed). A part on the shard
+// serving its partition is promoted:
 // live again, with an empty window — the documented degraded restart.
 // A follower's part stays not-live: replication warms it going
 // forward, but its state gap means output for gap-spanning windows
@@ -208,7 +205,7 @@ func (rt *Runtime) readoptParts(ds *depState, i int) error {
 		if j < 0 || (primary != i && !slices.Contains(followers, i)) {
 			continue
 		}
-		nd, err := be.Deploy(ds.parts[j].req)
+		nd, err := be.PutPart(ds.parts[j].dep.ID, ds.parts[j].req, nil)
 		if err != nil {
 			if primary == i {
 				return fmt.Errorf("runtime: readopt shard %d: query %s partition %d: %w", i, ds.id, p, err)
@@ -228,4 +225,63 @@ func (rt *Runtime) readoptParts(ds *depState, i int) error {
 		}
 	}
 	return nil
+}
+
+// deleteOrphans deletes every part on shard i that is in this runtime's
+// namespace (see partName) but that no part table holds there: left
+// running by a withdraw while the shard was down, or by an earlier life
+// of the runtime. Each deletion counts in
+// exacml_orphan_parts_deleted_total.
+func (rt *Runtime) deleteOrphans(i int) error {
+	be := rt.shards[i].be
+	names, err := be.ListParts()
+	if err != nil {
+		return err
+	}
+	// The deploys in flight are read after the listing and before the
+	// tables: a listed part was put before, so its query is deploying,
+	// deployed, or gone. held keys part names and deploying query ids,
+	// which cannot collide.
+	rt.mu.RLock()
+	held := make(map[string]bool, len(rt.deploying))
+	for id := range rt.deploying {
+		held[id] = true
+	}
+	rt.mu.RUnlock()
+	for _, ds := range rt.depList() {
+		ds.mu.Lock()
+		for _, pt := range ds.parts {
+			if pt.shard == i {
+				held[pt.dep.ID] = true
+			}
+		}
+		ds.mu.Unlock()
+	}
+	for _, name := range names {
+		id, ours := rt.partQuery(name)
+		if !ours || held[name] || held[id] {
+			continue
+		}
+		// A racing teardown may have deleted it already.
+		if be.DeletePart(name) == nil {
+			rt.count("exacml_orphan_parts_deleted_total",
+				"Parts no table holds, deleted from a shard at re-adoption or boot.",
+				telemetry.L("shard", strconv.Itoa(i)))
+		}
+	}
+	return nil
+}
+
+// DeleteOrphanParts deletes, on every healthy shard, the parts of this
+// runtime's namespace that no table holds (the sweep re-adoption ends
+// with). core.Boot runs it at startup, after the durable restore if
+// there is one, so a dsmsd that survived the runtime's previous life
+// runs only what the catalog holds; a shard it cannot reach sweeps at
+// its re-adoption instead.
+func (rt *Runtime) DeleteOrphanParts() {
+	for i, s := range rt.shards {
+		if s.failedErr() == nil && s.be.Healthy() {
+			_ = rt.deleteOrphans(i)
+		}
+	}
 }

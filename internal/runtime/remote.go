@@ -305,11 +305,11 @@ func (b *RemoteBackend) tryReadopt() {
 // do runs one idempotent RPC against the backend, redialing and
 // re-issuing once if the connection died under it. Only safe for
 // operations whose duplicate execution is harmless (schema lookups,
-// pings, flushes): a connection can die after the server applied the
-// request but before the response arrived. The call timeout rides on
-// the connection's read/write deadlines (set at dial), so a stalled
-// dsmsd fails the call with protocol.ErrClosed without any watchdog
-// goroutine.
+// pings, flushes, named puts): a connection can die after the server
+// applied the request but before the response arrived. The call
+// timeout rides on the connection's read/write deadlines (set at dial),
+// so a stalled dsmsd fails the call with protocol.ErrClosed without any
+// watchdog goroutine.
 func (b *RemoteBackend) do(op func(c *dsmsd.Client) error) error {
 	var lastErr error
 	for try := 0; try < 2; try++ {
@@ -330,10 +330,10 @@ func (b *RemoteBackend) do(op func(c *dsmsd.Client) error) error {
 // doOnce runs one side-effecting RPC exactly once: on connection death
 // the error is surfaced (and accounted by the caller) rather than the
 // request re-sent, because the server may already have applied it —
-// re-issuing an ingest would duplicate tuples, a deploy would orphan a
-// query, a create would falsely report "already exists". The dead
-// connection is dropped so the next operation redials (with the
-// bounded budget that eventually declares the backend down).
+// re-issuing an ingest would duplicate tuples, a create would falsely
+// report "already exists". The dead connection is dropped so the next
+// operation redials (with the bounded budget that eventually declares
+// the backend down).
 func (b *RemoteBackend) doOnce(op func(c *dsmsd.Client) error) error {
 	cli, err := b.client()
 	if err != nil {
@@ -433,27 +433,37 @@ func (b *RemoteBackend) IngestBatch(streamName string, ts []stream.Tuple, sp *te
 	return err
 }
 
-// Deploy implements ShardBackend. Remote deployment needs the script
-// form: compiled graphs do not cross the wire.
-func (b *RemoteBackend) Deploy(req DeployRequest) (BackendDeployment, error) {
+// PutPart implements ShardBackend. Remote deployment needs the script
+// form: compiled graphs do not cross the wire. A put is idempotent by
+// name, so a call whose connection died is re-issued.
+func (b *RemoteBackend) PutPart(name string, req DeployRequest, st *dsms.QueryState) (BackendDeployment, error) {
 	if req.Script == "" {
 		return BackendDeployment{}, fmt.Errorf("runtime: remote shard %s: deploy requires a StreamSQL script (use DeployScript)", b.addr)
 	}
 	var out BackendDeployment
-	err := b.doOnce(func(c *dsmsd.Client) error {
-		resp, err := c.DeployScriptStaged(req.Script, req.Stage)
-		if err != nil {
-			return err
-		}
-		out = BackendDeployment{ID: resp.QueryID, Handle: resp.Handle, OutputSchema: resp.OutputSchema}
-		return nil
+	err := b.do(func(c *dsmsd.Client) error {
+		resp, err := c.Put(dsmsd.DeployReq{Name: name, Script: req.Script, Stage: req.Stage, State: st})
+		out = BackendDeployment{ID: resp.QueryID, OutputSchema: resp.OutputSchema}
+		return err
 	})
 	return out, err
 }
 
-// Withdraw implements ShardBackend.
-func (b *RemoteBackend) Withdraw(idOrHandle string) error {
-	return b.doOnce(func(c *dsmsd.Client) error { return c.Withdraw(idOrHandle) })
+// DeletePart implements ShardBackend. At most once: a repeat after an
+// applied delete would report the part unknown.
+func (b *RemoteBackend) DeletePart(name string) error {
+	return b.doOnce(func(c *dsmsd.Client) error { return c.Withdraw(name) })
+}
+
+// ListParts implements ShardBackend.
+func (b *RemoteBackend) ListParts() ([]string, error) {
+	var names []string
+	err := b.do(func(c *dsmsd.Client) error {
+		n, err := c.ListParts()
+		names = n
+		return err
+	})
+	return names, err
 }
 
 // Replicate implements ShardBackend: it ships a contiguous run of a
@@ -474,45 +484,14 @@ func (b *RemoteBackend) Replicate(streamName string, log, base uint64, reset boo
 // ExportQueryState implements ShardBackend: it serializes a deployed
 // query's window state off the dsmsd for migration (read-only, so
 // retried on connection death).
-func (b *RemoteBackend) ExportQueryState(idOrHandle string) (*dsms.QueryState, error) {
+func (b *RemoteBackend) ExportQueryState(name string) (*dsms.QueryState, error) {
 	var st *dsms.QueryState
 	err := b.do(func(c *dsmsd.Client) error {
-		s, err := c.MigrateExport(idOrHandle)
+		s, err := c.MigrateExport(name)
 		st = s
 		return err
 	})
 	return st, err
-}
-
-// ImportQuery implements ShardBackend: deploy req's script on the
-// dsmsd and install st into the fresh query, optionally withdrawing
-// replaceID (a standby part being promoted in place) first. At most
-// once: a duplicate would orphan a query.
-func (b *RemoteBackend) ImportQuery(req DeployRequest, replaceID string, st *dsms.QueryState) (BackendDeployment, error) {
-	if req.Script == "" {
-		return BackendDeployment{}, fmt.Errorf("runtime: remote shard %s: migrate requires a StreamSQL script", b.addr)
-	}
-	var out BackendDeployment
-	err := b.doOnce(func(c *dsmsd.Client) error {
-		resp, err := c.MigrateImport(req.Script, replaceID, st, req.Stage)
-		if err != nil {
-			return err
-		}
-		out = BackendDeployment{ID: resp.QueryID, Handle: resp.Handle, OutputSchema: resp.OutputSchema}
-		return nil
-	})
-	return out, err
-}
-
-// QueryCount implements ShardBackend (0 when unreachable).
-func (b *RemoteBackend) QueryCount() int {
-	var n int
-	_ = b.do(func(c *dsmsd.Client) error {
-		count, err := c.QueryCount()
-		n = count
-		return err
-	})
-	return n
 }
 
 // Flush implements ShardBackend.
@@ -562,7 +541,7 @@ func (b *RemoteBackend) removeSub(s *remoteSub) {
 // subscription per connection, so each subscription gets a dedicated
 // connection whose pushed tuples are buffered into a channel; a full
 // buffer drops tuples, mirroring the in-process subscription contract.
-func (b *RemoteBackend) Subscribe(idOrHandle string) (BackendSubscription, error) {
+func (b *RemoteBackend) Subscribe(name string) (BackendSubscription, error) {
 	b.mu.Lock()
 	down, closed := b.downErr, b.closed
 	b.mu.Unlock()
@@ -592,7 +571,7 @@ func (b *RemoteBackend) Subscribe(idOrHandle string) (BackendSubscription, error
 		}
 	})
 	rpc.SetOnClose(func(error) { rs.closeCh() })
-	if _, err := rpc.Call(dsmsd.MsgSubscribe, dsmsd.SubscribeReq{IDOrHandle: idOrHandle}); err != nil {
+	if _, err := rpc.Call(dsmsd.MsgSubscribe, dsmsd.SubscribeReq{IDOrHandle: name}); err != nil {
 		_ = rpc.Close()
 		return nil, err
 	}

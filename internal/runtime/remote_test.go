@@ -397,11 +397,11 @@ func TestDownedShardFailsFastUntilReadopted(t *testing.T) {
 
 			// Deploy fails on the dead shard and leaves nothing behind on
 			// the healthy one.
-			before := rt.Backend(0).QueryCount()
+			before := len(listParts(t, rt.Backend(0)))
 			if _, _, err := rt.DeployScript(tc.script); err == nil || !strings.Contains(err.Error(), "shard 1") {
 				t.Fatalf("deploy with shard 1 down: err = %v, want one naming shard 1", err)
 			}
-			if got := rt.Backend(0).QueryCount(); got != before {
+			if got := len(listParts(t, rt.Backend(0))); got != before {
 				t.Errorf("healthy shard runs %d queries after the failed deploy, want %d (rollback)", got, before)
 			}
 			if rt.QueryCount() != 0 {
@@ -443,7 +443,7 @@ func TestDownedShardFailsFastUntilReadopted(t *testing.T) {
 			if d, ok := rt.Query(id); !ok || len(d.Parts) != 2 {
 				t.Fatalf("deployment %+v, want one part per shard", d)
 			}
-			if got := rt.Backend(1).QueryCount(); got != 1 {
+			if got := len(listParts(t, rt.Backend(1))); got != 1 {
 				t.Errorf("re-adopted shard runs %d queries, want 1", got)
 			}
 			if v, err := publish(); err != nil || v.Accepted != 64 {

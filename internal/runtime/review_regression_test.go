@@ -120,25 +120,22 @@ func (b *restartableBackend) StreamSchema(name string) (*stream.Schema, error) {
 func (b *restartableBackend) IngestBatch(name string, ts []stream.Tuple, sp *telemetry.Span) error {
 	return b.cur().IngestBatch(name, ts, sp)
 }
-func (b *restartableBackend) Deploy(req runtime.DeployRequest) (runtime.BackendDeployment, error) {
-	return b.cur().Deploy(req)
+func (b *restartableBackend) PutPart(name string, req runtime.DeployRequest, st *dsms.QueryState) (runtime.BackendDeployment, error) {
+	return b.cur().PutPart(name, req, st)
 }
-func (b *restartableBackend) Withdraw(id string) error { return b.cur().Withdraw(id) }
-func (b *restartableBackend) Subscribe(id string) (runtime.BackendSubscription, error) {
-	return b.cur().Subscribe(id)
+func (b *restartableBackend) DeletePart(name string) error { return b.cur().DeletePart(name) }
+func (b *restartableBackend) ListParts() ([]string, error) { return b.cur().ListParts() }
+func (b *restartableBackend) Subscribe(name string) (runtime.BackendSubscription, error) {
+	return b.cur().Subscribe(name)
 }
-func (b *restartableBackend) QueryCount() int { return b.cur().QueryCount() }
-func (b *restartableBackend) Healthy() bool   { return b.cur().Healthy() }
-func (b *restartableBackend) Flush() error    { return b.cur().Flush() }
-func (b *restartableBackend) Close() error    { return b.cur().Close() }
+func (b *restartableBackend) Healthy() bool { return b.cur().Healthy() }
+func (b *restartableBackend) Flush() error  { return b.cur().Flush() }
+func (b *restartableBackend) Close() error  { return b.cur().Close() }
 func (b *restartableBackend) Replicate(name string, log, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
 	return b.cur().Replicate(name, log, base, reset, ts)
 }
 func (b *restartableBackend) ExportQueryState(id string) (*dsms.QueryState, error) {
 	return b.cur().ExportQueryState(id)
-}
-func (b *restartableBackend) ImportQuery(req runtime.DeployRequest, replaceID string, st *dsms.QueryState) (runtime.BackendDeployment, error) {
-	return b.cur().ImportQuery(req, replaceID, st)
 }
 
 // TestTrimmedLogFollowerRestartResync: a follower restarts empty after

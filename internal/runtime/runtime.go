@@ -390,9 +390,11 @@ type Runtime struct {
 	routes  map[string]*route
 	pending map[string]bool      // stream names being registered (backend RPC in flight)
 	deps    map[string]*depState // keyed by runtime id and by handle
-	aliases map[string]string    // restored query id -> pre-restart handle alias in deps
-	nextDep int
-	closed  bool
+	// deploying holds the ids whose parts are being put, before their
+	// depState is in deps: an orphan sweep must not delete those parts.
+	deploying map[string]bool
+	nextDep   int
+	closed    bool
 }
 
 // New builds a runtime with opts.Shards engine shards (or one shard
@@ -481,14 +483,14 @@ func NewWithBackends(name string, opts Options, backends []ShardBackend) *Runtim
 	opts.Shards = len(backends)
 	opts = opts.withDefaults()
 	rt := &Runtime{
-		name:    name,
-		opts:    opts,
-		shards:  make([]*shard, len(backends)),
-		start:   time.Now(),
-		routes:  map[string]*route{},
-		pending: map[string]bool{},
-		deps:    map[string]*depState{},
-		aliases: map[string]string{},
+		name:      name,
+		opts:      opts,
+		shards:    make([]*shard, len(backends)),
+		start:     time.Now(),
+		routes:    map[string]*route{},
+		pending:   map[string]bool{},
+		deps:      map[string]*depState{},
+		deploying: map[string]bool{},
 	}
 	for i, be := range backends {
 		rt.shards[i] = newShard(i, be, opts.QueueSize, opts.BatchSize, opts.Policy, opts.BlockClass)
@@ -653,8 +655,9 @@ func (rt *Runtime) FailShard(i int, err error) {
 }
 
 // ReadoptShard re-runs the re-adoption sequence for shard i — streams
-// re-created (surviving copies adopted), query parts redeployed,
-// replication membership resumed, fail-fast mode lifted — as the remote
+// re-created (surviving copies adopted), query parts put back, parts no
+// table holds deleted, replication membership resumed, fail-fast mode
+// lifted — as the remote
 // health probe does when a restarted dsmsd answers again. Exposed for
 // custom backends wired via NewWithBackends, whose health tracking
 // lives outside the runtime; pair it with FailShard.
@@ -1415,11 +1418,13 @@ func (rt *Runtime) Stats() metrics.RuntimeStats {
 	return st
 }
 
-// QueryCount sums running queries across all shard backends.
+// QueryCount sums the parts running on every shard backend (an
+// unreachable one counts none).
 func (rt *Runtime) QueryCount() int {
 	n := 0
 	for _, s := range rt.shards {
-		n += s.be.QueryCount()
+		names, _ := s.be.ListParts()
+		n += len(names)
 	}
 	return n
 }

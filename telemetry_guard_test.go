@@ -49,7 +49,10 @@ func newGuardEngine(t *testing.T, tel bool) (*dsms.Engine, []stream.Tuple) {
 
 // guardAllocs measures allocs/op of the single-tuple ingest path.
 // (Ingest itself allocates its one-element batch slice; what telemetry
-// must not do is add to that.)
+// must not do is add to that.) Each op flushes the engine, so the query
+// goroutine has released batch n (and finished its span) back to the
+// pools before ingest n+1 takes one: a pool miss then means a leak, not
+// a publisher running ahead of the query.
 func guardAllocs(t *testing.T, tel bool) float64 {
 	t.Helper()
 	eng, tuples := newGuardEngine(t, tel)
@@ -61,20 +64,19 @@ func guardAllocs(t *testing.T, tel bool) float64 {
 	}
 	eng.Flush()
 	i := 0
-	avg := testing.AllocsPerRun(4096, func() {
+	return testing.AllocsPerRun(4096, func() {
 		if err := eng.Ingest("s", tuples[i%len(tuples)]); err != nil {
 			t.Fatal(err)
 		}
+		eng.Flush()
 		i++
 	})
-	eng.Flush()
-	return avg
 }
 
 // TestEngineTelemetryIngestZeroAlloc pins the instrumentation to zero
 // added allocations per ingest: allocs/op with telemetry enabled must
 // equal the plain path's. Sampled spans are pool-recycled; the small
-// tolerance absorbs the occasional cross-goroutine pool miss (one span
+// tolerance absorbs a pool emptied by a garbage collection (one span
 // struct per ~1024 tuples at the default sampling rate).
 func TestEngineTelemetryIngestZeroAlloc(t *testing.T) {
 	plain := guardAllocs(t, false)
