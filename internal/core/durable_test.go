@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -117,6 +118,43 @@ func startDSMSD(t *testing.T) *dsmsd.Server {
 	t.Cleanup(srv.Engine.Close)
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// partOutput subscribes to part name on be and returns the part's
+// output through a buffered channel that closes when the part ends;
+// the subscription closes with the test.
+func partOutput(t *testing.T, be runtime.ShardBackend, name string) (<-chan stream.Tuple, error) {
+	var (
+		mu    sync.Mutex
+		ended bool
+	)
+	out := make(chan stream.Tuple, 1<<10)
+	push := func(ts []stream.Tuple) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, tu := range ts {
+			if ended {
+				return
+			}
+			select {
+			case out <- tu:
+			default: // dropped, as a full engine subscription drops
+			}
+		}
+	}
+	closeFn, err := be.Subscribe(name, push, func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if !ended {
+			ended = true
+			close(out)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(closeFn)
+	return out, nil
 }
 
 // listParts names the parts a backend runs.
@@ -367,12 +405,11 @@ func TestBootRecoveryReplicatedFailover(t *testing.T) {
 		if n := len(listParts(t, rt.Backend(i))); n != 1 {
 			t.Fatalf("shard %d runs %d parts, want 1", i, n)
 		}
-		bs, err := rt.Backend(i).Subscribe(d.Parts[0].ID)
+		out, err := partOutput(t, rt.Backend(i), d.Parts[0].ID)
 		if err != nil {
 			t.Fatalf("subscribe shard %d part: %v", i, err)
 		}
-		defer bs.Close()
-		parts = append(parts, bs.Tuples())
+		parts = append(parts, out)
 	}
 	sub, err := fwA2.Subscribe(handle)
 	if err != nil {

@@ -238,14 +238,14 @@ type deployedQuery struct {
 	in    chan batchMsg
 	done  chan struct{}
 	subMu sync.Mutex
-	subs  map[*Subscription]struct{}
-	// subsClosed (guarded by subMu) marks that Withdraw has closed the
-	// subscriber set: a Subscribe that resolved the query just before
+	subs  map[*sink]struct{}
+	// subsClosed (guarded by subMu) marks that the query stopped and
+	// ended its sinks: an Attach that resolved the query just before
 	// must fail instead of attaching to a dead query forever.
 	subsClosed bool
 	// subsSnap mirrors subs for the per-batch lock-free read in run;
-	// rebuilt under subMu on subscribe/unsubscribe.
-	subsSnap atomic.Pointer[[]*Subscription]
+	// rebuilt under subMu on attach/detach.
+	subsSnap atomic.Pointer[[]*sink]
 	engine   *Engine
 
 	// sendMu guards in against the close in Withdraw: senders hold the
@@ -253,6 +253,12 @@ type deployedQuery struct {
 	// never takes it, so blocked senders always drain.
 	sendMu sync.RWMutex
 	closed bool
+}
+
+// sink is one consumer of a query's output; see Engine.Attach.
+type sink struct {
+	push func([]stream.Tuple)
+	end  func()
 }
 
 // send enqueues a batch of tuples unless the query has been withdrawn,
@@ -270,18 +276,21 @@ func (q *deployedQuery) send(m batchMsg) bool {
 	return true
 }
 
-// Subscription delivers a query's output tuples. Ordinary
-// subscriptions drop tuples (counted in Dropped) when the consumer
-// falls more than the buffer size behind. Subscriptions to staged
-// queries are lossless: their output is a partial-aggregate or relay
-// record stream whose consumer (the runtime merge stage) cannot
-// tolerate holes — a lost watermark stalls global finalization
-// forever — so a full buffer blocks the query worker instead,
-// propagating backpressure to the publish path.
+// Subscription delivers a query's output tuples through a channel, a
+// consumer attached with Engine.Attach. Ordinary subscriptions drop
+// tuples (counted in Dropped) when the consumer falls more than the
+// buffer size behind. Subscriptions to staged queries are lossless:
+// their output is a partial-aggregate or relay record stream whose
+// consumer (a runtime merge stage, over a dsmsd connection) cannot
+// tolerate holes — a lost watermark stalls global finalization forever
+// — so a full buffer blocks the query worker instead, propagating
+// backpressure to the publish path.
 type Subscription struct {
 	C <-chan stream.Tuple
 
 	c       chan stream.Tuple
+	e       *Engine
+	detach  func()
 	done    chan struct{} // non-nil selects lossless mode
 	mu      sync.Mutex
 	cond    *sync.Cond // signals sending == 0 (lossless close handshake)
@@ -298,22 +307,18 @@ func (s *Subscription) Dropped() uint64 {
 	return s.dropped
 }
 
-// pushBatch delivers a whole output batch, reporting how many tuples
-// were shed. Per tuple the drop-when-full semantics are unchanged: a
-// tuple that does not fit in the buffer is counted in Dropped, never
-// blocked on. In lossless mode a full buffer blocks until the consumer
-// drains or the subscription closes, and nothing is ever shed; the
-// blocking send happens outside s.mu so close() can always interrupt
-// it via the done channel.
-func (s *Subscription) pushBatch(ts []stream.Tuple) (dropped uint64) {
-	if len(ts) == 0 {
-		return 0
-	}
+// push delivers a whole output batch. Per tuple, a tuple that does not
+// fit in the buffer is counted in Dropped, never blocked on. In
+// lossless mode a full buffer blocks until the consumer drains or the
+// subscription closes, and nothing is ever shed; the blocking send
+// happens outside s.mu so close() can always interrupt it via the done
+// channel.
+func (s *Subscription) push(ts []stream.Tuple) {
 	if s.done != nil {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			return 0
+			return
 		}
 		s.sending++
 		s.mu.Unlock()
@@ -331,22 +336,27 @@ func (s *Subscription) pushBatch(ts []stream.Tuple) (dropped uint64) {
 			s.cond.Broadcast()
 		}
 		s.mu.Unlock()
-		return 0
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0
+		return
 	}
+	var dropped uint64
 	for _, t := range ts {
 		select {
 		case s.c <- t:
 		default:
-			s.dropped++
 			dropped++
 		}
 	}
-	return dropped
+	if dropped > 0 {
+		s.dropped += dropped
+		if tel := s.e.tel.Load(); tel != nil {
+			tel.subDropped.Add(dropped)
+		}
+	}
 }
 
 func (s *Subscription) close() {
@@ -358,7 +368,7 @@ func (s *Subscription) close() {
 	s.closed = true
 	if s.done != nil {
 		// Wake blocked senders and wait for them to leave the channel
-		// before closing it; new pushBatch calls see closed first.
+		// before closing it; new push calls see closed first.
 		close(s.done)
 		for s.sending > 0 {
 			s.cond.Wait()
@@ -515,7 +525,7 @@ func (e *Engine) register(name string, g *QueryGraph) (q, old *deployedQuery, er
 		pipe:   pipe,
 		in:     make(chan batchMsg, 1024),
 		done:   make(chan struct{}),
-		subs:   map[*Subscription]struct{}{},
+		subs:   map[*sink]struct{}{},
 		engine: e,
 	}
 	q.updateSubsSnapLocked()
@@ -527,10 +537,10 @@ func (e *Engine) register(name string, g *QueryGraph) (q, old *deployedQuery, er
 	return q, old, nil
 }
 
-// updateSubsSnapLocked rebuilds the subscriber snapshot; the caller
-// holds subMu.
+// updateSubsSnapLocked rebuilds the sink snapshot; the caller holds
+// subMu.
 func (q *deployedQuery) updateSubsSnapLocked() {
-	subs := make([]*Subscription, 0, len(q.subs))
+	subs := make([]*sink, 0, len(q.subs))
 	for s := range q.subs {
 		subs = append(subs, s)
 	}
@@ -539,14 +549,12 @@ func (q *deployedQuery) updateSubsSnapLocked() {
 
 // run is the query's mailbox loop: sealed columnar batches flow
 // through the compiled columnar program (selection vectors over shared
-// typed vectors — the batch itself is never mutated) and each output
-// batch is delivered to every subscriber under one lock acquisition.
-// Output rows are only materialized when a subscriber exists; without
-// one the pipeline just counts. Subscribers come from an atomic
-// snapshot so pipeline execution never touches subMu; a push racing
-// Unsubscribe is discarded by pushBatch's own closed check. Operator
-// errors drop the batch's outputs — after deploy-time validation they
-// are unreachable for conforming tuples.
+// typed vectors — the batch itself is never mutated) and each non-empty
+// output batch is pushed to every sink. Output rows are only
+// materialized when a sink exists; without one the pipeline just
+// counts. Sinks come from an atomic snapshot so pipeline execution
+// never touches subMu. Operator errors drop the batch's outputs — after
+// deploy-time validation they are unreachable for conforming tuples.
 func (q *deployedQuery) run() {
 	for m := range q.in {
 		if m.snap != nil {
@@ -561,18 +569,14 @@ func (q *deployedQuery) run() {
 		sp.End(telemetry.StagePipeline)
 		if err == nil {
 			sp.Begin(telemetry.StagePush)
-			var dropped uint64
-			for _, s := range subs {
-				dropped += s.pushBatch(outs)
+			if len(outs) > 0 {
+				for _, s := range subs {
+					s.push(outs)
+				}
 			}
 			sp.End(telemetry.StagePush)
-			if tel := q.engine.tel.Load(); tel != nil {
-				if nout > 0 {
-					tel.outputs.Add(uint64(nout))
-				}
-				if dropped > 0 {
-					tel.subDropped.Add(dropped)
-				}
+			if tel := q.engine.tel.Load(); tel != nil && nout > 0 {
+				tel.outputs.Add(uint64(nout))
 			}
 		}
 		cb.Release()
@@ -622,7 +626,7 @@ func (e *Engine) unregisterLocked(id string) *deployedQuery {
 }
 
 // stop ends an unregistered query: its mailbox drains and closes, then
-// every subscription closes.
+// every sink ends.
 func (q *deployedQuery) stop() {
 	q.sendMu.Lock()
 	q.closed = true
@@ -630,13 +634,14 @@ func (q *deployedQuery) stop() {
 	q.sendMu.Unlock()
 	<-q.done
 	q.subMu.Lock()
-	for s := range q.subs {
-		s.close()
-	}
-	q.subs = map[*Subscription]struct{}{}
+	subs := q.subs
+	q.subs = nil
 	q.subsClosed = true
 	q.updateSubsSnapLocked()
 	q.subMu.Unlock()
+	for s := range subs {
+		s.end()
+	}
 }
 
 // Query returns the deployment for an ID or handle.
@@ -667,38 +672,62 @@ func (e *Engine) Queries() []string {
 	return out
 }
 
-// Subscribe attaches a consumer to a query's output stream.
+// Attach registers a consumer of a query's output, by id or handle:
+// the query goroutine calls push with each non-empty output batch, and
+// end once when the query stops. It is the one delivery primitive;
+// Subscribe is built on it. The batch slice is reused for the next
+// batch, so push keeps copies of the tuples, not the slice. A push that
+// blocks holds up the query and, through its mailbox, the publish path:
+// the backpressure a lossless consumer wants, and what every other
+// consumer must avoid. detach unregisters the consumer; a push or end
+// already under way may still finish.
+func (e *Engine) Attach(idOrHandle string, push func([]stream.Tuple), end func()) (detach func(), err error) {
+	q, err := e.lookupQuery(idOrHandle)
+	if err != nil {
+		return nil, err
+	}
+	return q.attach(push, end)
+}
+
+func (q *deployedQuery) attach(push func([]stream.Tuple), end func()) (detach func(), err error) {
+	s := &sink{push: push, end: end}
+	q.subMu.Lock()
+	defer q.subMu.Unlock()
+	if q.subsClosed {
+		// The query stopped between the registry lookup and here.
+		return nil, fmt.Errorf("dsms: %w %q", ErrUnknownQuery, q.dep.ID)
+	}
+	q.subs[s] = struct{}{}
+	q.updateSubsSnapLocked()
+	return func() {
+		q.subMu.Lock()
+		delete(q.subs, s)
+		q.updateSubsSnapLocked()
+		q.subMu.Unlock()
+	}, nil
+}
+
+// Subscribe attaches a buffered channel to a query's output stream.
 func (e *Engine) Subscribe(idOrHandle string) (*Subscription, error) {
 	q, err := e.lookupQuery(idOrHandle)
 	if err != nil {
 		return nil, err
 	}
 	c := make(chan stream.Tuple, DefaultSubscriptionBuffer)
-	s := &Subscription{C: c, c: c}
+	s := &Subscription{C: c, c: c, e: e}
 	if q.graph != nil && q.graph.Stage != nil {
 		s.done = make(chan struct{})
 		s.cond = sync.NewCond(&s.mu)
 	}
-	q.subMu.Lock()
-	if q.subsClosed {
-		// The query was withdrawn between the registry lookup and here.
-		q.subMu.Unlock()
-		return nil, fmt.Errorf("dsms: %w %q", ErrUnknownQuery, idOrHandle)
+	if s.detach, err = q.attach(s.push, s.close); err != nil {
+		return nil, err
 	}
-	q.subs[s] = struct{}{}
-	q.updateSubsSnapLocked()
-	q.subMu.Unlock()
 	return s, nil
 }
 
-// Unsubscribe detaches a consumer.
-func (e *Engine) Unsubscribe(idOrHandle string, s *Subscription) {
-	if q, err := e.lookupQuery(idOrHandle); err == nil {
-		q.subMu.Lock()
-		delete(q.subs, s)
-		q.updateSubsSnapLocked()
-		q.subMu.Unlock()
-	}
+// Unsubscribe detaches a consumer and closes its channel.
+func (e *Engine) Unsubscribe(_ string, s *Subscription) {
+	s.detach()
 	s.close()
 }
 

@@ -356,8 +356,8 @@ func (s *Server) handlePing(_ *protocol.Message, _ *protocol.Conn) (any, error) 
 }
 
 // handleSubscribe hijacks the connection: an acknowledging ".ok" frame
-// is followed by MsgTuple pushes until the subscription or connection
-// dies.
+// is followed by MsgTuple pushes until the subscription ends or the
+// peer hangs up.
 func (s *Server) handleSubscribe(m *protocol.Message, conn *protocol.Conn) (any, error) {
 	req, err := protocol.Decode[SubscribeReq](m)
 	if err != nil {
@@ -378,7 +378,17 @@ func (s *Server) handleSubscribe(m *protocol.Message, conn *protocol.Conn) (any,
 	}
 	go func() {
 		defer s.Engine.Unsubscribe(req.IDOrHandle, sub)
-		for t := range sub.C {
+		for {
+			var t stream.Tuple
+			select {
+			case tu, ok := <-sub.C:
+				if !ok {
+					return
+				}
+				t = tu
+			case <-conn.Done():
+				return
+			}
 			push, err := protocol.Encode(MsgTuple, m.ID, t)
 			if err != nil {
 				return

@@ -176,15 +176,17 @@ func Decode[T any](m *Message) (T, error) {
 
 // Conn wraps a net.Conn with buffered, mutex-protected frame I/O.
 type Conn struct {
-	raw net.Conn
-	r   *bufio.Reader
-	wmu sync.Mutex
-	w   *bufio.Writer
+	raw  net.Conn
+	r    *bufio.Reader
+	wmu  sync.Mutex
+	w    *bufio.Writer
+	once sync.Once
+	done chan struct{}
 }
 
 // NewConn wraps a net.Conn.
 func NewConn(c net.Conn) *Conn {
-	return &Conn{raw: c, r: bufio.NewReader(c), w: bufio.NewWriter(c)}
+	return &Conn{raw: c, r: bufio.NewReader(c), w: bufio.NewWriter(c), done: make(chan struct{})}
 }
 
 // Send writes one frame and flushes.
@@ -226,7 +228,15 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline
 func (c *Conn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadline(t) }
 
 // Close closes the underlying connection.
-func (c *Conn) Close() error { return c.raw.Close() }
+func (c *Conn) Close() error {
+	c.once.Do(func() { close(c.done) })
+	return c.raw.Close()
+}
+
+// Done is closed once Close is called. A server closes a connection
+// when its peer hangs up, so a hijacked connection's pusher can stop
+// without waiting for its next write to fail.
+func (c *Conn) Done() <-chan struct{} { return c.done }
 
 // RemoteAddr exposes the peer address.
 func (c *Conn) RemoteAddr() net.Addr { return c.raw.RemoteAddr() }

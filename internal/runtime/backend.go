@@ -3,7 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/dsms"
 	"repro/internal/stream"
@@ -18,18 +17,6 @@ type BackendDeployment struct {
 	ID string
 	// OutputSchema is the schema of emitted tuples.
 	OutputSchema *stream.Schema
-}
-
-// BackendSubscription is a live attachment to a query's output on one
-// shard backend.
-type BackendSubscription interface {
-	// Tuples delivers the query's output; the channel is closed when
-	// the subscription (or its backend connection) dies.
-	Tuples() <-chan stream.Tuple
-	// Dropped counts tuples discarded because the consumer lagged.
-	Dropped() uint64
-	// Close detaches the subscription.
-	Close()
 }
 
 // DeployRequest carries a continuous query in both of its forms: the
@@ -115,8 +102,15 @@ type ShardBackend interface {
 	DeletePart(name string) error
 	// ListParts names the parts running on the backend, sorted.
 	ListParts() ([]string, error)
-	// Subscribe attaches a consumer to a part's output.
-	Subscribe(name string) (BackendSubscription, error)
+	// Subscribe attaches a consumer to a part's output: push receives
+	// its output batches one call at a time — on the engine's query
+	// goroutine, or on the subscription connection's read loop — and
+	// end is called once when the part stops or the connection dies,
+	// never when Subscribe fails. push keeps copies of the tuples, not
+	// the reused slice, and blocks only where holding up the part is
+	// intended. The returned closeFn detaches the consumer; a push or
+	// end under way when it is called may still finish.
+	Subscribe(name string, push func([]stream.Tuple), end func()) (closeFn func(), err error)
 	// Healthy reports whether the backend is believed reachable.
 	Healthy() bool
 	// Flush blocks until the backend's pipelines have quiesced.
@@ -206,13 +200,10 @@ func (b *LocalBackend) ExportQueryState(name string) (*dsms.QueryState, error) {
 	return b.eng.ExportQueryState(name)
 }
 
-// Subscribe implements ShardBackend.
-func (b *LocalBackend) Subscribe(name string) (BackendSubscription, error) {
-	sub, err := b.eng.Subscribe(name)
-	if err != nil {
-		return nil, err
-	}
-	return &localSub{eng: b.eng, key: name, sub: sub}, nil
+// Subscribe implements ShardBackend: push and end are registered with
+// the engine.
+func (b *LocalBackend) Subscribe(name string, push func([]stream.Tuple), end func()) (func(), error) {
+	return b.eng.Attach(name, push, end)
 }
 
 // Healthy implements ShardBackend; an in-process engine is always
@@ -229,20 +220,6 @@ func (b *LocalBackend) Flush() error {
 func (b *LocalBackend) Close() error {
 	b.eng.Close()
 	return nil
-}
-
-// localSub adapts a dsms.Subscription to BackendSubscription.
-type localSub struct {
-	eng  *dsms.Engine
-	key  string
-	sub  *dsms.Subscription
-	once sync.Once
-}
-
-func (s *localSub) Tuples() <-chan stream.Tuple { return s.sub.C }
-func (s *localSub) Dropped() uint64             { return s.sub.Dropped() }
-func (s *localSub) Close() {
-	s.once.Do(func() { s.eng.Unsubscribe(s.key, s.sub) })
 }
 
 var _ ShardBackend = (*LocalBackend)(nil)

@@ -3,6 +3,7 @@ package runtime_test
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -240,7 +241,7 @@ func TestShardBackendConformance(t *testing.T) {
 				"IngestBatch":      c.be.IngestBatch("ghost", tuples(0, 1), nil),
 				"Replicate":        func() error { _, err := c.be.Replicate("ghost", conformLog, 0, false, tuples(0, 1)); return err }(),
 				"DeletePart":       c.be.DeletePart("q99999"),
-				"Subscribe":        func() error { _, err := c.be.Subscribe("q99999"); return err }(),
+				"Subscribe":        func() error { _, err := partOutput(t, c.be, "q99999"); return err }(),
 				"ExportQueryState": func() error { _, err := c.be.ExportQueryState("q99999"); return err }(),
 			} {
 				if !c.notFound(err) {
@@ -316,18 +317,17 @@ func importRun(t *testing.T, src, dst conformant, replace bool) {
 	if got := dst.seq(t, "s"); got != cut {
 		t.Fatalf("stream sequence after the import = %d, want %d (the exported position)", got, cut)
 	}
-	sub, err := dst.be.Subscribe(moved.ID)
+	out, err := partOutput(t, dst.be, moved.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Close()
 	if err := dst.be.IngestBatch("s", tuples(cut, total-cut), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := dst.be.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	sameEmissions(t, collectEmissionsN(t, sub.Tuples(), len(want)-1), want[1:])
+	sameEmissions(t, collectEmissionsN(t, out, len(want)-1), want[1:])
 }
 
 // unmigratedEmissions runs conformScript over input on one engine.
@@ -341,13 +341,61 @@ func unmigratedEmissions(t *testing.T, input []stream.Tuple) []stream.Tuple {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := ref.be.Subscribe(d.ID)
+	out, err := partOutput(t, ref.be, d.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Close()
 	if err := ref.be.IngestBatch("s", input, nil); err != nil {
 		t.Fatal(err)
 	}
-	return collectEmissionsN(t, sub.Tuples(), len(input)/4)
+	return collectEmissionsN(t, out, len(input)/4)
+}
+
+// partOutput subscribes to part name on be and returns the part's
+// output through a buffered channel that closes when the part ends. The
+// subscription closes with the test, and a push that did not fit the
+// buffer fails it.
+func partOutput(t *testing.T, be runtime.ShardBackend, name string) (<-chan stream.Tuple, error) {
+	t.Helper()
+	var (
+		mu    sync.Mutex
+		ended bool
+		lost  int
+	)
+	out := make(chan stream.Tuple, 1<<12)
+	push := func(ts []stream.Tuple) {
+		mu.Lock()
+		defer mu.Unlock()
+		if ended {
+			return
+		}
+		for _, tu := range ts {
+			select {
+			case out <- tu:
+			default:
+				lost++
+			}
+		}
+	}
+	end := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if !ended {
+			ended = true
+			close(out)
+		}
+	}
+	closeFn, err := be.Subscribe(name, push, end)
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() {
+		closeFn()
+		mu.Lock()
+		defer mu.Unlock()
+		if lost > 0 {
+			t.Errorf("part %s: %d emissions overflowed the test buffer", name, lost)
+		}
+	})
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/dsms"
 	"repro/internal/stream"
 	"repro/internal/streamql"
+	"repro/internal/telemetry"
 )
 
 // Deployment is a continuous query running on the runtime.
@@ -41,8 +43,8 @@ func (d Deployment) Shards() []int { return append([]int(nil), d.shards...) }
 // shape. Each partition (a single-shard stream is one) has
 // one primary part on the shard serving it and warm standbys on the
 // followers its replication feeds. ms is the merge stage of a staged
-// global aggregate, nil otherwise; subs are the live merged
-// subscriptions a promoted or re-adopted part is spliced into.
+// global aggregate, nil otherwise; subs are the live subscriptions a
+// promoted or re-adopted part is spliced into.
 type depState struct {
 	id, handle string
 	r          *route
@@ -352,17 +354,10 @@ func (rt *Runtime) doneDeploying(id string) {
 func (rt *Runtime) attachLocked(ds *depState, pt part) error {
 	be := rt.shards[pt.shard].be
 	if ds.ms != nil {
-		bs, err := be.Subscribe(pt.dep.ID)
-		if err != nil {
-			return err
-		}
-		ds.ms.attachSource(pt.p, bs)
-		return nil
+		return ds.ms.attach(be, pt.dep.ID, pt.p)
 	}
 	for sub := range ds.subs {
-		if bs, err := be.Subscribe(pt.dep.ID); err == nil {
-			sub.attach(bs, pt.p)
-		}
+		_ = sub.attach(be, pt.dep.ID, pt.p)
 	}
 	return nil
 }
@@ -478,20 +473,27 @@ func (rt *Runtime) Withdraw(idOrHandle string) error {
 	return rt.teardown(ds)
 }
 
-// Subscription delivers a runtime query's output tuples. A query with
-// one part and no replicas hands out its backend channel directly (a
-// re-adopted part cannot be spliced into it: the consumer sees the
-// close and re-subscribes). A staged global aggregate hands out one
-// output of its merge stage. Every other query gets a merged channel
-// fed by one forwarder per live part; per-key ordering is preserved
-// (all tuples of a key flow through one partition), global interleaving
-// across partitions is not.
+// Subscription delivers a runtime query's output tuples through one
+// buffer, C, of dsms.DefaultSubscriptionBuffer slots. Its sources push
+// into it directly: each live part of the query, from its engine's
+// query goroutine or its dsmsd connection's read loop, or, for a
+// staged global aggregate, the query's merge stage. A push never
+// blocks: a tuple that does not fit is dropped and counted, in Dropped
+// and in exacml_subscription_dropped_total, so every emission of an
+// in-process part is either delivered or counted once. A non-staged
+// part on a dsmsd reaches C through that dsmsd's own engine
+// subscription, whose sheds count only in the dsmsd's
+// exacml_engine_subscription_dropped_total, not here. C closes when
+// the last source ends — the query is withdrawn, its stream dropped,
+// the runtime closed — or on Close. Per-key ordering is preserved (all tuples of a key flow
+// through one partition), global interleaving across partitions is
+// not.
 //
 // Where a partition has replicas, its primary and standby parts process
 // the same tuple flow and emit identical output sequences, so the
 // subscription keeps one watermark per partition and delivers each
-// emission exactly once, in order, from whichever part it reaches first
-// — and when the primary dies mid-stream, the standby's copies of the
+// emission once, in order, from whichever part pushes it first — and
+// when the primary dies mid-stream, the standby's copies of the
 // in-flight emissions fill the hole instead of the subscription
 // restarting from an empty window. Only live parts feed it (see part).
 // The watermark orders emissions by their mark: the Seq, then the
@@ -500,29 +502,30 @@ func (rt *Runtime) Withdraw(idOrHandle string) error {
 // each emission with the position of the window's last tuple, and
 // consecutive windows can share that tuple — but the mark does, and
 // every replica computes the same marks, because it emits the same
-// sequence. Global aggregates over partitioned streams bypass the
-// watermark: their merge stage already delivers one exactly-once
-// sequence. Without replicas there is nothing to dedup and no watermark
-// runs. TestSubscriptionWatermarkAssumption pins this contract.
+// sequence. A dropped emission advances the watermark too, so a
+// standby's copy of it is neither delivered nor counted again. Global
+// aggregates over partitioned streams bypass the watermark: their
+// merge stage already delivers one exactly-once sequence. Without
+// replicas there is nothing to dedup and no watermark runs.
+// TestSubscriptionWatermarkAssumption pins this contract.
 type Subscription struct {
 	C <-chan stream.Tuple
 
-	merged chan stream.Tuple
-	once   sync.Once
-	detach func(*Subscription)
+	c       chan stream.Tuple
+	dropTel *telemetry.Counter
+	once    sync.Once
+	detach  func(*Subscription)
 
-	mu     sync.Mutex
-	parts  []BackendSubscription
-	active int  // forwarders still running
-	ended  bool // merged closed (all forwarders exited)
-	closed bool // Close called
-
-	// Replica dedup: marks[p] is partition p's watermark, nil when the
-	// query's partitions have no replicas. sendMu serializes each check
-	// with its delivery, so two replicas' forwarders cannot reorder
-	// emissions.
-	sendMu sync.Mutex
-	marks  []emitMark
+	// mu serializes every push with Close, so nothing is sent on a
+	// closed C, and each replica's watermark check with its delivery.
+	mu       sync.Mutex
+	closed   bool // C closed
+	sources  int  // attached sources not yet ended
+	dropped  uint64
+	closeFns []func() // detach the attached parts
+	// marks[p] is partition p's watermark, nil when the query's
+	// partitions have no replicas.
+	marks []emitMark
 }
 
 // emitMark orders one source's emissions: its Seq, then its ordinal
@@ -532,112 +535,136 @@ type emitMark struct {
 	ord int
 }
 
+// next is the mark of the source's emission after m, with Seq seq.
+func (m emitMark) next(seq uint64) emitMark {
+	if seq == m.seq {
+		return emitMark{seq, m.ord + 1}
+	}
+	return emitMark{seq, 1}
+}
+
 func (m emitMark) after(o emitMark) bool {
 	return m.seq > o.seq || m.seq == o.seq && m.ord > o.ord
 }
 
-// Dropped sums the tuples discarded across the underlying
-// subscriptions because the consumer lagged.
+func (rt *Runtime) newSubscription() *Subscription {
+	c := make(chan stream.Tuple, dsms.DefaultSubscriptionBuffer)
+	return &Subscription{C: c, c: c, dropTel: rt.reg.Counter("exacml_subscription_dropped_total",
+		"Output tuples a runtime subscription shed because its consumer lagged behind its buffer.")}
+}
+
+// Dropped reports how many tuples were discarded because the consumer
+// lagged.
 func (s *Subscription) Dropped() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var n uint64
-	for _, p := range s.parts {
-		n += p.Dropped()
-	}
-	return n
+	return s.dropped
 }
 
-// attach adds one backend subscription, partition p's part output, as a
-// source and starts its forwarder. A subscription that is closed or
-// ended refuses it, and the backend subscription is closed.
-func (s *Subscription) attach(bs BackendSubscription, p int) {
-	s.mu.Lock()
-	if s.closed || s.ended {
-		s.mu.Unlock()
-		bs.Close()
+// sendLocked delivers ts without blocking, counting what does not fit.
+// Caller holds s.mu.
+func (s *Subscription) sendLocked(ts []stream.Tuple) {
+	if s.closed {
 		return
 	}
-	s.parts = append(s.parts, bs)
-	s.active++
-	s.mu.Unlock()
-	var wm *emitMark
-	if s.marks != nil {
-		wm = &s.marks[p]
+	var dropped uint64
+	for i := range ts {
+		select {
+		case s.c <- ts[i]:
+		default:
+			dropped++
+		}
 	}
-	go s.forward(bs, wm)
+	if dropped > 0 {
+		s.dropped += dropped
+		s.dropTel.Add(dropped)
+	}
 }
 
-// forward pumps one source into the merged channel, through the
-// partition's watermark wm when it has replicas (wm non-nil).
-func (s *Subscription) forward(bs BackendSubscription, wm *emitMark) {
-	var m emitMark
-	for t := range bs.Tuples() {
-		if wm == nil {
-			s.merged <- t
-			continue
-		}
-		if t.Seq == m.seq {
-			m.ord++
-		} else {
-			m = emitMark{seq: t.Seq, ord: 1}
-		}
-		s.sendMu.Lock()
-		if m.after(*wm) {
-			*wm = m
-			s.merged <- t
-		}
-		s.sendMu.Unlock()
-	}
+// end ends one source; C closes with the last.
+func (s *Subscription) end() {
 	s.mu.Lock()
-	s.active--
-	if s.active == 0 && !s.ended {
-		// Every source died (withdrawn query, dead connections): end the
-		// merged stream so consumers' range loops terminate, matching
-		// the single-part behaviour.
-		s.ended = true
-		close(s.merged)
+	defer s.mu.Unlock()
+	if s.sources--; s.sources == 0 && !s.closed {
+		s.closed = true
+		close(s.c)
 	}
-	s.mu.Unlock()
 }
 
-// Close detaches the subscription from every shard; C is closed once
-// all buffered tuples have been forwarded.
+// errSubscriptionClosed refuses a part to a subscription whose C has
+// already closed.
+var errSubscriptionClosed = errors.New("runtime: subscription closed")
+
+// attach subscribes to part name on be as a source of partition p,
+// through the partition's watermark when it has replicas. It returns
+// nil only when the part became a source; a closed subscription
+// refuses the part.
+func (s *Subscription) attach(be ShardBackend, name string, p int) error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return errSubscriptionClosed
+	}
+	s.sources++
+	s.mu.Unlock()
+	var m emitMark
+	push := func(ts []stream.Tuple) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.marks == nil {
+			s.sendLocked(ts)
+			return
+		}
+		for i := range ts {
+			if m = m.next(ts[i].Seq); m.after(s.marks[p]) {
+				s.marks[p] = m
+				s.sendLocked(ts[i : i+1])
+			}
+		}
+	}
+	closeFn, err := be.Subscribe(name, push, sync.OnceFunc(s.end))
+	s.mu.Lock()
+	if err != nil {
+		// The part never became a source: take back its count, but
+		// leave C to the sources that did attach.
+		s.sources--
+		s.mu.Unlock()
+		return err
+	}
+	if s.closed {
+		s.mu.Unlock()
+		closeFn()
+		return errSubscriptionClosed
+	}
+	s.closeFns = append(s.closeFns, closeFn)
+	s.mu.Unlock()
+	return nil
+}
+
+// Close detaches the subscription from every source and closes C; the
+// tuples already buffered in C can still be read.
 func (s *Subscription) Close() {
 	s.once.Do(func() {
 		s.mu.Lock()
-		s.closed = true
-		parts := append([]BackendSubscription(nil), s.parts...)
-		drain := false
-		if s.merged != nil && !s.ended {
-			if s.active == 0 {
-				s.ended = true
-				close(s.merged)
-			} else {
-				drain = true
-			}
+		if !s.closed {
+			s.closed = true
+			close(s.c)
 		}
+		closeFns := s.closeFns
+		s.closeFns = nil
 		s.mu.Unlock()
 		if s.detach != nil {
 			s.detach(s)
 		}
-		for _, p := range parts {
-			p.Close()
-		}
-		if drain {
-			// Unblock forwarders stuck sending into the merged buffer
-			// when the consumer is gone: drain until the last forwarder
-			// closes the channel.
-			go func() {
-				for range s.merged {
-				}
-			}()
+		for _, closeFn := range closeFns {
+			closeFn()
 		}
 	})
 }
 
 // Subscribe attaches a consumer to a query's output by runtime id or
-// handle. A merged subscription attaches every live part on a healthy shard up
+// handle. A staged global aggregate's subscription is fed by its merge
+// stage. Any other attaches every live part on a healthy shard up
 // front, and fails when some partition has none; a later failover or
 // re-adoption needs no re-subscription, because the runtime splices the
 // promoted part in.
@@ -646,39 +673,31 @@ func (rt *Runtime) Subscribe(idOrHandle string) (*Subscription, error) {
 	if !ok {
 		return nil, fmt.Errorf("runtime: unknown query %q", idOrHandle)
 	}
+	sub := rt.newSubscription()
 	if ds.ms != nil {
-		mo, err := ds.ms.newOutput()
-		if err != nil {
+		if err := ds.ms.subscribe(sub); err != nil {
 			return nil, err
 		}
-		return &Subscription{C: mo.Tuples(), parts: []BackendSubscription{mo}}, nil
+		return sub, nil
 	}
-	replicated := ds.r.repl != nil || ds.r.subs != nil
-	// ds.mu is held from reading the table to registering the
-	// subscription, so a promotion cannot splice its part in between
-	// and miss this subscriber.
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if len(ds.parts) == 1 && !replicated {
-		pt := ds.parts[0]
-		bs, err := rt.shards[pt.shard].be.Subscribe(pt.dep.ID)
-		if err != nil {
-			return nil, err
-		}
-		return &Subscription{C: bs.Tuples(), parts: []BackendSubscription{bs}}, nil
-	}
-	out := make(chan stream.Tuple, dsms.DefaultSubscriptionBuffer)
-	sub := &Subscription{C: out, merged: out}
-	if replicated {
+	if ds.r.repl != nil || ds.r.subs != nil {
 		sub.marks = make([]emitMark, ds.r.partitions())
 	}
+	// ds.mu is held from reading the table to registering the
+	// subscription, so a promotion cannot splice its part in between
+	// and miss this subscriber. The subscription holds one source of
+	// its own until every part is attached, so C cannot close while a
+	// part that ended or failed to attach leaves none counted yet.
+	sub.sources = 1
+	defer sub.end()
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
 	covered := make([]bool, ds.r.partitions())
 	for _, pt := range ds.parts {
 		if !pt.live || rt.shards[pt.shard].failedErr() != nil {
 			continue
 		}
-		if bs, err := rt.shards[pt.shard].be.Subscribe(pt.dep.ID); err == nil {
-			sub.attach(bs, pt.p)
+		if sub.attach(rt.shards[pt.shard].be, pt.dep.ID, pt.p) == nil {
 			covered[pt.p] = true
 		}
 	}
@@ -758,9 +777,9 @@ func (rt *Runtime) MigrateQuery(idOrHandle string, target int) error {
 	if err != nil {
 		return fmt.Errorf("runtime: import on shard %d: %w", target, err)
 	}
-	// The put replaced the target's standby, closing its channels:
-	// the migrated part goes in not-live, so promotion splices it into
-	// the live subscriptions. The old primary stays live as a standby
+	// The put replaced the target's standby, ending its sources: the
+	// migrated part goes in not-live, so promotion splices it into the
+	// live subscriptions. The old primary stays live as a standby
 	// (its state is current, and the replicated flow keeps it warm).
 	ds.mu.Lock()
 	k := ds.find(0, target)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dsms"
 	"repro/internal/stream"
@@ -286,10 +285,14 @@ func (m *mergeAlg) release(p int, at uint64) error {
 	return nil
 }
 
-// mergeStage runs a mergeAlg for a staged deployment: per-source pumps
-// decode the parts' record streams into events, each followed by an
-// observation of the route's stamp frontier, and ms.mu serializes the
-// steps, so emissions leave in one order. Deliveries never block.
+// mergeStage runs a mergeAlg for a staged deployment: the parts push
+// their record streams straight into ingest — from their engines' query
+// goroutines, or their dsmsd connections' read loops — which decodes
+// each record into an event, followed by an observation of the route's
+// stamp frontier, and ms.mu serializes the steps, so emissions leave in
+// one order, pushed into each subscriber's buffer. Only ms.mu holds up
+// a part, and its holder never blocks, so a slow merge backs up into
+// the parts, losslessly, and from a dsmsd over TCP.
 type mergeStage struct {
 	rt *Runtime
 	r  *route // parent partitioned route (stamp-frontier source)
@@ -297,38 +300,10 @@ type mergeStage struct {
 	mu     sync.Mutex
 	alg    *mergeAlg
 	obs    []uint64 // frontier observation scratch
-	outs   map[*mergeOut]struct{}
-	srcs   []BackendSubscription
+	subs   map[*Subscription]struct{}
+	srcs   []func() // closeFns of the attached parts
 	closed bool
 	failed error
-}
-
-// mergeOut is one subscriber's view of the merged output; it satisfies
-// BackendSubscription so the runtime Subscription machinery can wrap it
-// unchanged. Deliveries never block: a lagging consumer loses tuples
-// and sees them counted in Dropped, mirroring engine subscriptions.
-type mergeOut struct {
-	ms      *mergeStage
-	ch      chan stream.Tuple
-	dropped atomic.Uint64
-	once    sync.Once
-}
-
-func (o *mergeOut) Tuples() <-chan stream.Tuple { return o.ch }
-
-func (o *mergeOut) Dropped() uint64 { return o.dropped.Load() }
-
-func (o *mergeOut) Close() {
-	o.ms.mu.Lock()
-	if o.ms.outs != nil {
-		delete(o.ms.outs, o)
-	}
-	o.ms.mu.Unlock()
-	o.closeCh()
-}
-
-func (o *mergeOut) closeCh() {
-	o.once.Do(func() { close(o.ch) })
 }
 
 // newMergeStage builds the stage for a staged deployment of g over
@@ -338,7 +313,7 @@ func newMergeStage(rt *Runtime, r *route, mode dsms.StageMode, g *dsms.QueryGrap
 		rt:   rt,
 		r:    r,
 		obs:  make([]uint64, r.partitions()),
-		outs: map[*mergeOut]struct{}{},
+		subs: map[*Subscription]struct{}{},
 	}
 	g0 := r.stampFrontier(ms.obs)
 	alg, err := newMergeAlg(mode, g, r.schema, DefaultMergeBuffer, g0, ms.obs)
@@ -349,58 +324,66 @@ func newMergeStage(rt *Runtime, r *route, mode dsms.StageMode, g *dsms.QueryGrap
 	return ms, nil
 }
 
-// attachSource wires one backend subscription (a partition part's
-// record stream) into the stage and starts its pump. Safe to call for
-// primary and standby parts alike: records dedup by content (settle
-// position), so redundant sources only add resilience.
-func (ms *mergeStage) attachSource(p int, bs BackendSubscription) {
-	ms.mu.Lock()
-	if ms.closed || ms.failed != nil {
-		ms.mu.Unlock()
-		bs.Close()
-		return
+// attach subscribes the stage to part name on be, partition p's record
+// stream. Safe to call for primary and standby parts alike: records
+// dedup by content (settle position), so redundant sources only add
+// resilience, and a source that ends leaves the others feeding.
+func (ms *mergeStage) attach(be ShardBackend, name string, p int) error {
+	closeFn, err := be.Subscribe(name, func(ts []stream.Tuple) { ms.ingest(p, ts) }, func() {})
+	if err != nil {
+		return err
 	}
-	ms.srcs = append(ms.srcs, bs)
-	ms.mu.Unlock()
-	go func() {
-		for t := range bs.Tuples() {
-			ms.ingest(p, t)
-		}
-	}()
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if ms.closed || ms.failed != nil {
+		closeFn()
+		return nil
+	}
+	ms.srcs = append(ms.srcs, closeFn)
+	return nil
 }
 
-// newOutput registers a subscriber channel.
-func (ms *mergeStage) newOutput() (*mergeOut, error) {
+// subscribe makes the stage s's one source.
+func (ms *mergeStage) subscribe(s *Subscription) error {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	if ms.failed != nil {
-		return nil, fmt.Errorf("runtime: merge stage failed: %w", ms.failed)
+		return fmt.Errorf("runtime: merge stage failed: %w", ms.failed)
 	}
 	if ms.closed {
-		return nil, fmt.Errorf("runtime: query withdrawn")
+		return fmt.Errorf("runtime: query withdrawn")
 	}
-	o := &mergeOut{ms: ms, ch: make(chan stream.Tuple, dsms.DefaultSubscriptionBuffer)}
-	ms.outs[o] = struct{}{}
-	return o, nil
+	s.sources = 1
+	s.detach = ms.dropSub
+	ms.subs[s] = struct{}{}
+	return nil
 }
 
-// ingest steps the algebra with one record from partition p, then with
-// a fresh observation of the stamp frontier.
-func (ms *mergeStage) ingest(p int, t stream.Tuple) {
+func (ms *mergeStage) dropSub(s *Subscription) {
+	ms.mu.Lock()
+	delete(ms.subs, s)
+	ms.mu.Unlock()
+}
+
+// ingest steps the algebra with each record of a batch from partition
+// p, each followed by a fresh observation of the stamp frontier.
+func (ms *mergeStage) ingest(p int, ts []stream.Tuple) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	if ms.closed || ms.failed != nil {
-		return
-	}
-	ev, err := ms.alg.decode(p, t)
-	if err == nil {
-		err = ms.stepLocked(ev)
-	}
-	if err == nil {
-		err = ms.stepLocked(mergeEvent{p: -1, pos: ms.r.stampFrontier(ms.obs), a: ms.obs})
-	}
-	if err != nil {
-		ms.failLocked(err)
+	for _, t := range ts {
+		if ms.closed || ms.failed != nil {
+			return
+		}
+		ev, err := ms.alg.decode(p, t)
+		if err == nil {
+			err = ms.stepLocked(ev)
+		}
+		if err == nil {
+			err = ms.stepLocked(mergeEvent{p: -1, pos: ms.r.stampFrontier(ms.obs), a: ms.obs})
+		}
+		if err != nil {
+			ms.failLocked(err)
+		}
 	}
 }
 
@@ -410,21 +393,19 @@ func (ms *mergeStage) stepLocked(ev mergeEvent) error {
 		ms.rt.count("exacml_merge_forced_total",
 			"Merge-stage releases forced by the reorder-buffer bound (DefaultMergeBuffer).")
 	}
-	for _, t := range emit {
-		ms.rt.count("exacml_merge_emissions_total",
-			"Global aggregate emissions produced by runtime merge stages.")
-		for o := range ms.outs {
-			select {
-			case o.ch <- t:
-			default:
-				o.dropped.Add(1)
-			}
+	if len(emit) > 0 {
+		ms.rt.reg.Counter("exacml_merge_emissions_total",
+			"Global aggregate emissions produced by runtime merge stages.").Add(uint64(len(emit)))
+		for s := range ms.subs {
+			s.mu.Lock()
+			s.sendLocked(emit)
+			s.mu.Unlock()
 		}
 	}
 	return err
 }
 
-// failLocked poisons the stage: sources detach, outputs close, and
+// failLocked poisons the stage: sources detach, subscriptions end, and
 // future subscribes report the error. A decode or merge error means
 // the record streams are corrupt; emitting more would be guessing.
 func (ms *mergeStage) failLocked(err error) {
@@ -451,16 +432,16 @@ func (ms *mergeStage) close() {
 func (ms *mergeStage) teardownLocked() {
 	srcs := ms.srcs
 	ms.srcs = nil
-	outs := ms.outs
-	ms.outs = nil
-	// Closing sources ends their pumps; do it off the lock — a remote
+	subs := ms.subs
+	ms.subs = nil
+	// Closing sources detaches them; do it off the lock — a remote
 	// subscription close can block on the network.
 	go func() {
-		for _, s := range srcs {
-			s.Close()
+		for _, closeFn := range srcs {
+			closeFn()
 		}
 	}()
-	for o := range outs {
-		o.closeCh()
+	for s := range subs {
+		s.end()
 	}
 }

@@ -677,27 +677,24 @@ func TestMergeBufferForcesReleaseAndCounts(t *testing.T) {
 	}
 	defer ms.close()
 	ms.alg.bound = bound
-	out, err := ms.newOutput()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := stageOutput(t, rt, ms)
 	forced := reg.Counter("exacml_merge_forced_total", "")
 	deliver := func(p int) {
 		for _, batch := range recs[p] {
 			for _, rec := range batch {
-				ms.ingest(p, rec)
+				ms.ingest(p, []stream.Tuple{rec})
 			}
 		}
 	}
 
 	deliver(0)
-	if forced.Load() == 0 || len(out.ch) == 0 {
-		t.Fatalf("partition 1 held: %d emissions, forced_total %d — the stage is waiting on the laggard past its buffer bound", len(out.ch), forced.Load())
+	if forced.Load() == 0 || len(out) == 0 {
+		t.Fatalf("partition 1 held: %d emissions, forced_total %d — the stage is waiting on the laggard past its buffer bound", len(out), forced.Load())
 	}
 	deliver(1)
 	var got []stream.Tuple
-	for len(out.ch) > 0 {
-		got = append(got, <-out.ch)
+	for len(out) > 0 {
+		got = append(got, <-out)
 	}
 	// A window released whole counts `size` tuples; one released short
 	// went out through the forced path and must have been counted.
@@ -711,4 +708,16 @@ func TestMergeBufferForcesReleaseAndCounts(t *testing.T) {
 		t.Errorf("%d of %d emissions are short of their window, %d forced releases were counted", short, len(got), forced.Load())
 	}
 	t.Logf("%d emissions, %d short, forced_total %d", len(got), short, forced.Load())
+}
+
+// stageOutput subscribes to merge stage ms as a runtime subscription
+// does and returns the subscription's buffer.
+func stageOutput(t *testing.T, rt *Runtime, ms *mergeStage) <-chan stream.Tuple {
+	t.Helper()
+	sub := rt.newSubscription()
+	if err := ms.subscribe(sub); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sub.Close)
+	return sub.C
 }

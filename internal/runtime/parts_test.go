@@ -324,8 +324,7 @@ func TestWithdrawWhileDownHandleStopsServing(t *testing.T) {
 					t.Errorf("withdrawn handle %s still subscribes", dep.Handle)
 				}
 				for k, p := range dep.Parts {
-					if bs, err := rt.Backend(dep.Shards()[k]).Subscribe(p.ID); err == nil {
-						bs.Close()
+					if _, err := partOutput(t, rt.Backend(dep.Shards()[k]), p.ID); err == nil {
 						t.Errorf("shard %d still serves withdrawn part %s", dep.Shards()[k], p.ID)
 					}
 				}

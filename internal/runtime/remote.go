@@ -42,10 +42,6 @@ type RemoteOptions struct {
 	// and routes a hung-but-connected dsmsd into the same
 	// reconnect/down machinery as a closed one.
 	CallTimeout time.Duration
-	// SubBuffer is the per-subscription channel capacity (default
-	// dsms.DefaultSubscriptionBuffer). A full buffer drops tuples,
-	// counted in BackendSubscription.Dropped.
-	SubBuffer int
 	// OnDown is the failover hook: invoked once per down transition,
 	// with the error, when the backend exhausts its reconnect budget
 	// and declares the dsmsd process unreachable. The runtime wires
@@ -90,9 +86,6 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 	if o.CallTimeout == 0 {
 		o.CallTimeout = DefaultCallTimeout
 	}
-	if o.SubBuffer <= 0 {
-		o.SubBuffer = dsms.DefaultSubscriptionBuffer
-	}
 	return o
 }
 
@@ -122,7 +115,7 @@ type RemoteBackend struct {
 	dialed  bool // a connection has succeeded at least once
 	downErr error
 	closed  bool
-	subs    map[*remoteSub]struct{} // live dedicated subscription connections
+	subs    map[*protocol.Client]struct{} // live dedicated subscription connections
 
 	// downNotified re-arms the OnDown notification across re-adoption
 	// cycles: true from the moment OnDown is scheduled until the next
@@ -140,7 +133,7 @@ func NewRemoteBackend(addr string, opts RemoteOptions) *RemoteBackend {
 	b := &RemoteBackend{
 		addr:      addr,
 		opts:      opts.withDefaults(),
-		subs:      map[*remoteSub]struct{}{},
+		subs:      map[*protocol.Client]struct{}{},
 		probeStop: make(chan struct{}),
 		probeDone: make(chan struct{}),
 	}
@@ -501,9 +494,8 @@ func (b *RemoteBackend) Flush() error {
 
 // Close implements ShardBackend: stops the probe, drops the RPC
 // connection and tears down every dedicated subscription connection —
-// closing each subscription's tuple channel, so consumers ranging over
-// it terminate exactly as they would when a local engine closes. The
-// dsmsd process itself is left to its owner.
+// ending each subscription exactly as a local engine's close ends its
+// consumers. The dsmsd process itself is left to its owner.
 func (b *RemoteBackend) Close() error {
 	b.mu.Lock()
 	if b.closed {
@@ -513,16 +505,16 @@ func (b *RemoteBackend) Close() error {
 	b.closed = true
 	cli := b.cli
 	b.cli = nil
-	subs := make([]*remoteSub, 0, len(b.subs))
-	for s := range b.subs {
-		subs = append(subs, s)
+	subs := make([]*protocol.Client, 0, len(b.subs))
+	for rpc := range b.subs {
+		subs = append(subs, rpc)
 	}
 	b.subs = nil
 	b.mu.Unlock()
 	close(b.probeStop)
 	<-b.probeDone
-	for _, s := range subs {
-		_ = s.rpc.Close()
+	for _, rpc := range subs {
+		_ = rpc.Close()
 	}
 	if cli != nil {
 		return cli.Close()
@@ -530,18 +522,21 @@ func (b *RemoteBackend) Close() error {
 	return nil
 }
 
-// removeSub forgets a subscription the consumer closed itself.
-func (b *RemoteBackend) removeSub(s *remoteSub) {
+// removeSub forgets a subscription connection the consumer closed
+// itself.
+func (b *RemoteBackend) removeSub(rpc *protocol.Client) {
 	b.mu.Lock()
-	delete(b.subs, s)
+	delete(b.subs, rpc)
 	b.mu.Unlock()
 }
 
 // Subscribe implements ShardBackend. The dsmsd protocol carries one
 // subscription per connection, so each subscription gets a dedicated
-// connection whose pushed tuples are buffered into a channel; a full
-// buffer drops tuples, mirroring the in-process subscription contract.
-func (b *RemoteBackend) Subscribe(name string) (BackendSubscription, error) {
+// connection whose read loop decodes each pushed tuple and hands it to
+// push in a reused one-tuple batch. Nothing is buffered here: a push
+// that blocks holds the read loop, and TCP carries the backpressure to
+// the dsmsd's writer.
+func (b *RemoteBackend) Subscribe(name string, push func([]stream.Tuple), end func()) (func(), error) {
 	b.mu.Lock()
 	down, closed := b.downErr, b.closed
 	b.mu.Unlock()
@@ -555,7 +550,7 @@ func (b *RemoteBackend) Subscribe(name string) (BackendSubscription, error) {
 	if err != nil {
 		return nil, b.connErr("runtime: remote shard %s: subscribe: %w", err)
 	}
-	rs := &remoteSub{owner: b, rpc: rpc, ch: make(chan stream.Tuple, b.opts.SubBuffer)}
+	one := make([]stream.Tuple, 1)
 	rpc.SetPush(func(m *protocol.Message) {
 		if m.Type != dsmsd.MsgTuple {
 			return
@@ -564,13 +559,9 @@ func (b *RemoteBackend) Subscribe(name string) (BackendSubscription, error) {
 		if err != nil {
 			return
 		}
-		select {
-		case rs.ch <- t:
-		default:
-			rs.dropped.Add(1)
-		}
+		one[0] = t
+		push(one)
 	})
-	rpc.SetOnClose(func(error) { rs.closeCh() })
 	if _, err := rpc.Call(dsmsd.MsgSubscribe, dsmsd.SubscribeReq{IDOrHandle: name}); err != nil {
 		_ = rpc.Close()
 		return nil, err
@@ -582,9 +573,17 @@ func (b *RemoteBackend) Subscribe(name string) (BackendSubscription, error) {
 		_ = rpc.Close()
 		return nil, b.connErr("runtime: remote shard %s: %w", errors.New("backend closed"))
 	}
-	b.subs[rs] = struct{}{}
+	b.subs[rpc] = struct{}{}
 	b.mu.Unlock()
-	return rs, nil
+	// Installed last, so a failed Subscribe never ends; on a connection
+	// already dead it runs at once.
+	rpc.SetOnClose(func(error) { end() })
+	// Closing tears down the dedicated connection; end runs from its
+	// OnClose.
+	return func() {
+		b.removeSub(rpc)
+		_ = rpc.Close()
+	}, nil
 }
 
 // dialSubscribe opens the dedicated per-subscription connection,
@@ -598,30 +597,6 @@ func (b *RemoteBackend) dialSubscribe() (*protocol.Client, error) {
 		return nil, err
 	}
 	return protocol.NewClient(protocol.NewConn(nc)), nil
-}
-
-// remoteSub is a subscription served over a dedicated dsmsd
-// connection.
-type remoteSub struct {
-	owner   *RemoteBackend
-	rpc     *protocol.Client
-	ch      chan stream.Tuple
-	dropped atomic.Uint64
-	once    sync.Once
-}
-
-func (s *remoteSub) Tuples() <-chan stream.Tuple { return s.ch }
-func (s *remoteSub) Dropped() uint64             { return s.dropped.Load() }
-
-// closeCh closes the tuple channel exactly once; driven by the
-// connection's OnClose so pushes can never race the close.
-func (s *remoteSub) closeCh() { s.once.Do(func() { close(s.ch) }) }
-
-// Close tears down the dedicated connection; the tuple channel closes
-// via the connection's OnClose.
-func (s *remoteSub) Close() {
-	s.owner.removeSub(s)
-	_ = s.rpc.Close()
 }
 
 var _ ShardBackend = (*RemoteBackend)(nil)

@@ -89,10 +89,13 @@ func TestReadoptPromotedPrimaryNotSelfFollower(t *testing.T) {
 }
 
 // restartableBackend delegates to a swappable LocalBackend, so a test
-// can model a follower process that dies and restarts empty.
+// can model a follower process that dies and restarts empty. While
+// refuseSubscribe is set, Subscribe fails as a dial to a dying process
+// would.
 type restartableBackend struct {
-	mu    sync.Mutex
-	inner *runtime.LocalBackend
+	mu              sync.Mutex
+	inner           *runtime.LocalBackend
+	refuseSubscribe atomic.Bool
 }
 
 func (b *restartableBackend) cur() *runtime.LocalBackend {
@@ -125,8 +128,11 @@ func (b *restartableBackend) PutPart(name string, req runtime.DeployRequest, st 
 }
 func (b *restartableBackend) DeletePart(name string) error { return b.cur().DeletePart(name) }
 func (b *restartableBackend) ListParts() ([]string, error) { return b.cur().ListParts() }
-func (b *restartableBackend) Subscribe(name string) (runtime.BackendSubscription, error) {
-	return b.cur().Subscribe(name)
+func (b *restartableBackend) Subscribe(name string, push func([]stream.Tuple), end func()) (func(), error) {
+	if b.refuseSubscribe.Load() {
+		return nil, errors.New("injected subscribe failure")
+	}
+	return b.cur().Subscribe(name, push, end)
 }
 func (b *restartableBackend) Healthy() bool { return b.cur().Healthy() }
 func (b *restartableBackend) Flush() error  { return b.cur().Flush() }

@@ -8,7 +8,7 @@
 // (Options.Backends). Streams are hash-partitioned across shards by
 // name, or — when registered with a partition key — row-by-row by the
 // key attribute's value, in which case continuous queries are deployed
-// on every shard and their outputs merged transparently.
+// on every shard and every part pushes into each subscription.
 //
 // On top of the shard queues sits an admission-control layer: every
 // stream registers with a priority Class (BestEffort / Normal /
@@ -283,7 +283,7 @@ type route struct {
 	// that G, which is what the merge stage's effective watermark needs
 	// (see stampFrontier). The values are atomics so the merge stage
 	// can read them WITHOUT the lock: a publisher blocked on a full
-	// shard queue holds stampMu, and the merge pump is part of the very
+	// shard queue holds stampMu, and the merge stage runs on the very
 	// consumer chain that drains that queue — taking stampMu there
 	// would close a deadlock cycle.
 	stampMu sync.Mutex
