@@ -15,6 +15,7 @@ package dsmsd
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"sync/atomic"
 	"time"
@@ -172,6 +173,13 @@ type SubscribeReq struct {
 	IDOrHandle string `json:"id_or_handle"`
 }
 
+// PingResp answers MsgPing with the server's boot: a random id minted
+// per server life, so a peer can tell a restarted process on the same
+// address from the one it knew.
+type PingResp struct {
+	Boot uint64 `json:"boot"`
+}
+
 // Server wraps a dsms.Engine with the socket protocol.
 type Server struct {
 	Engine *dsms.Engine
@@ -183,12 +191,13 @@ type Server struct {
 	ConnectDelay time.Duration
 	firstDeploys atomic.Int64
 	boundAddr    string
+	boot         uint64 // see PingResp
 }
 
 // NewServer builds the service around an engine. profile, when non-nil,
 // injects simulated network latency on every request/response pair.
 func NewServer(engine *dsms.Engine, profile *netsim.Profile) *Server {
-	s := &Server{Engine: engine, srv: protocol.NewServer()}
+	s := &Server{Engine: engine, srv: protocol.NewServer(), boot: rand.Uint64() | 1}
 	if profile != nil {
 		s.srv.Delay = profile.RoundTrip
 	}
@@ -352,7 +361,7 @@ func (s *Server) handleListParts(_ *protocol.Message, _ *protocol.Conn) (any, er
 }
 
 func (s *Server) handlePing(_ *protocol.Message, _ *protocol.Conn) (any, error) {
-	return struct{}{}, nil
+	return PingResp{Boot: s.boot}, nil
 }
 
 // handleSubscribe hijacks the connection: an acknowledging ".ok" frame
@@ -546,10 +555,11 @@ func (c *Client) ListParts() ([]string, error) {
 	return resp.Names, nil
 }
 
-// Ping checks liveness of the connection and the remote engine.
-func (c *Client) Ping() error {
-	_, err := c.rpc.Call(MsgPing, struct{}{})
-	return err
+// Ping checks liveness of the connection and the remote engine, and
+// returns the server's boot (see PingResp).
+func (c *Client) Ping() (uint64, error) {
+	resp, err := protocol.CallDecode[PingResp](c.rpc, MsgPing, struct{}{})
+	return resp.Boot, err
 }
 
 // Subscribe attaches this client to a query output; tuples arrive via

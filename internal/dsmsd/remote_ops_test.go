@@ -12,7 +12,7 @@ import (
 func TestRemoteEngineOps(t *testing.T) {
 	srv, cli := startServer(t)
 
-	if err := cli.Ping(); err != nil {
+	if _, err := cli.Ping(); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
 	if err := cli.CreateStream("s", testSchema()); err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/dsms"
@@ -115,7 +116,8 @@ func RunFailoverBlastRadius(o FailoverOptions) (FailoverResult, error) {
 		}
 	}()
 
-	readopted := make(chan struct{}, 1)
+	readopted := make(chan struct{})
+	markReadopted := sync.OnceFunc(func() { close(readopted) })
 	rt := runtime.New("failover-bench", runtime.Options{
 		Replication: 2,
 		Backends: []runtime.BackendSpec{
@@ -124,12 +126,10 @@ func RunFailoverBlastRadius(o FailoverOptions) (FailoverResult, error) {
 				ReconnectBackoff: 2 * time.Millisecond,
 				HealthInterval:   5 * time.Millisecond,
 				CallTimeout:      2 * time.Second,
-				OnReadopt: func() error {
-					select {
-					case readopted <- struct{}{}:
-					default:
+				OnHealthEvent: func(event string, err error) {
+					if event == "readopted" && err == nil {
+						markReadopted()
 					}
-					return nil
 				},
 			}},
 			{}, // local follower / failover target

@@ -4,44 +4,176 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 
+	"repro/internal/audit"
 	"repro/internal/telemetry"
 )
 
-// This file is the self-healing control plane for replicated streams:
-// failoverShard promotes a replicated stream's most caught-up healthy
-// follower when its primary's shard dies, and readoptShard brings a
-// shard's streams, query parts and replication membership back in line
-// with the runtime's tables when a restarted dsmsd (or a healed
-// partition) answers the health probe again.
-// Both run on health-hook goroutines, never on the publish hot path.
+// This file is the self-healing control plane. Every health transition
+// of a shard — its remote backend's, or FailShard and ReadoptShard —
+// is an event on the shard's health stream, applied one at a time in
+// order off the publish path, so a re-adoption never overlaps the
+// failover it ends, and a shard comes back as a follower wherever
+// another can serve: leadership moves only by promotion.
 
-// failoverShard reacts to shard i entering fail-fast mode: every
-// replicated stream whose current primary lives on i is promoted to
-// its most caught-up healthy follower, and shipping to i (as a
-// follower of other streams) is suspended until re-adoption.
-func (rt *Runtime) failoverShard(i int) {
+// healthEvent is one health transition; an operator call waits on done.
+type healthEvent struct {
+	kind string
+	err  error
+	done chan error
+}
+
+// healthStream applies one shard's events in order on one goroutine,
+// started when an event reaches an empty queue and gone once it is
+// empty again (Runtime.Close fences it). post never blocks: a backend
+// posts under its own lock, and publishes never wait on the stream.
+type healthStream struct {
+	mu    sync.Mutex
+	q     []healthEvent
+	apply func(healthEvent) error
+}
+
+func (h *healthStream) post(ev healthEvent) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.q = append(h.q, ev); len(h.q) == 1 {
+		go h.drain()
+	}
+}
+
+// drain applies the queued events in order; each leaves q once applied.
+func (h *healthStream) drain() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for len(h.q) > 0 {
+		ev := h.q[0]
+		h.mu.Unlock()
+		err := h.apply(ev)
+		if ev.done != nil {
+			ev.done <- err
+		}
+		h.mu.Lock()
+		h.q = h.q[1:]
+	}
+}
+
+// applyHealth records one event of shard i (counter and audit chain,
+// in stream order), applies it, and tells the backend's observer. An
+// event of no kind is a fence: it applies once every earlier one has.
+func (rt *Runtime) applyHealth(i int, ev healthEvent) error {
+	if ev.kind == "" {
+		return nil
+	}
+	rt.noteHealthEvent(i, ev.kind, ev.err)
+	s, err := rt.shards[i], ev.err
+	rb, _ := s.be.(*RemoteBackend)
+	switch ev.kind {
+	case "down":
+		rt.failoverShard(i, ev.err)
+	case "readopted":
+		if s.failedErr() != nil {
+			rt.depose(i, rt.replRoutes())
+		}
+		if err = rt.readoptShard(i); err != nil && rb != nil {
+			rb.readoptFailed(err)
+		}
+	}
+	if rb != nil && rb.opts.OnHealthEvent != nil {
+		rb.opts.OnHealthEvent(ev.kind, err)
+	}
+	return err
+}
+
+// noteHealthEvent counts a shard's health transition and, unless it is
+// a per-attempt dial, appends it to the audit chain.
+func (rt *Runtime) noteHealthEvent(shard int, event string, err error) {
+	rt.reg.Counter("exacml_shard_health_events_total",
+		"Shard health transitions, by shard and event "+
+			"(dial, connected, reconnected, down, readopted).",
+		telemetry.L("shard", strconv.Itoa(shard)), telemetry.L("event", event)).Inc()
+	if event == "dial" || rt.opts.Audit == nil {
+		return
+	}
+	detail := ""
+	if err != nil {
+		detail = err.Error()
+	}
+	_, _ = rt.opts.Audit.Append(audit.Event{
+		Kind:     "health",
+		Resource: fmt.Sprintf("shard/%d", shard),
+		Action:   event,
+		Detail:   detail,
+	})
+}
+
+// FailShard puts shard i into fail-fast mode with err, as its remote
+// backend's "down" does: each replicated stream it serves as primary
+// fails over to a healthy follower. It returns once applied.
+func (rt *Runtime) FailShard(i int, err error) {
+	_ = rt.await(i, healthEvent{kind: "down", err: err})
+}
+
+// ReadoptShard re-adopts shard i, as its remote backend's "readopted"
+// does: a failed shard is deposed wherever a healthy follower can take
+// over, then brought in line with the tables (readoptShard). It returns
+// the re-adoption's error once applied.
+func (rt *Runtime) ReadoptShard(i int) error {
+	if i < 0 || i >= len(rt.shards) {
+		return fmt.Errorf("runtime: shard %d out of range", i)
+	}
+	return rt.await(i, healthEvent{kind: "readopted"})
+}
+
+func (rt *Runtime) await(i int, ev healthEvent) error {
+	ev.done = make(chan error, 1)
+	rt.shards[i].health.post(ev)
+	return <-ev.done
+}
+
+// routeList snapshots the routes keep selects.
+func (rt *Runtime) routeList(keep func(*route) bool) []*route {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	var out []*route
+	for _, r := range rt.routes {
+		if keep(r) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// replRoutes lists the replicated routes.
+func (rt *Runtime) replRoutes() []*route {
+	return rt.routeList(func(r *route) bool { return r.repl != nil })
+}
+
+// failoverShard applies a "down" of shard i: fail-fast mode, shipping
+// to it as a follower suspended until re-adoption, and every stream it
+// serves as primary promoted.
+func (rt *Runtime) failoverShard(i int, err error) {
+	rt.shards[i].fail(err)
 	// Fence: the failed shard's worker may be mid-batch. fail() makes
 	// the rest of its queue error out fast, so this wait is short — and
 	// after it no late successful ingest can append to a replication
 	// log whose tail the promotion below has already flushed.
 	rt.shards[i].waitDrained()
-	rt.mu.RLock()
-	routes := make([]*route, 0, len(rt.routes))
-	for _, r := range rt.routes {
-		if r.repl != nil {
-			routes = append(routes, r)
-		}
-	}
-	rt.mu.RUnlock()
+	routes := rt.replRoutes()
 	for _, r := range routes {
 		r.repl.pauseFollower(i)
-		// fmu serializes promotion: two shards failing concurrently
-		// re-check the current primary under the lock, so the second
-		// failover sees the first one's promotion and either leaves it
-		// alone (new primary healthy) or promotes onward from it.
+	}
+	rt.depose(i, routes)
+}
+
+// depose promotes each route whose current primary is shard i to its
+// most caught-up healthy follower; a route with none keeps i. fmu
+// serializes this with other shards' health goroutines, and the
+// primary is re-read under it.
+func (rt *Runtime) depose(i int, routes []*route) {
+	for _, r := range routes {
 		r.fmu.Lock()
-		if rt.shards[r.primaryShard()].failedErr() != nil {
+		if r.primaryShard() == i {
 			rt.promoteRouteLocked(r)
 		}
 		r.fmu.Unlock()
@@ -108,15 +240,10 @@ func (rt *Runtime) promote(r *route, fi int) {
 // tables want there are put and the runtime's parts no table holds are
 // deleted, replication membership is resumed, and finally the shard
 // leaves fail-fast mode. Puts and deletes are by name, so this
-// converges whatever the backend still runs. An error re-marks the
-// backend down, so the next probe tick retries the whole sequence.
+// converges whatever the backend still runs. An error leaves the shard
+// failed (and a remote backend down, so its probe retries).
 func (rt *Runtime) readoptShard(i int) error {
-	rt.mu.RLock()
-	routes := make([]*route, 0, len(rt.routes))
-	for _, r := range rt.routes {
-		routes = append(routes, r)
-	}
-	rt.mu.RUnlock()
+	routes := rt.routeList(func(*route) bool { return true })
 	be := rt.shards[i].be
 
 	// 1. Streams: re-create everything this shard hosts (partitioned

@@ -42,34 +42,13 @@ type RemoteOptions struct {
 	// and routes a hung-but-connected dsmsd into the same
 	// reconnect/down machinery as a closed one.
 	CallTimeout time.Duration
-	// OnDown is the failover hook: invoked once per down transition,
-	// with the error, when the backend exhausts its reconnect budget
-	// and declares the dsmsd process unreachable. The runtime wires
-	// this to the owning shard so publishes fail fast with correct
-	// accounting and replicated streams promote a follower. A backend
-	// that is later re-adopted (see OnReadopt) re-arms the
-	// notification, so a second crash fires OnDown again.
-	OnDown func(err error)
-	// OnReadopt is the self-healing hook: while down, the background
-	// probe keeps trying to redial, and when a dial succeeds — the
-	// dsmsd was restarted, or a partition healed — the backend clears
-	// its down state and invokes OnReadopt on a fresh goroutine. The
-	// runtime wires this to re-create the shard's streams (idempotent
-	// against surviving dsmsd state via the already_exists adoption in
-	// CreateStream), redeploy lost query parts and lift the shard's
-	// fail-fast mode. Returning an error
-	// re-marks the backend down so the next probe tick retries the
-	// whole re-adoption.
-	OnReadopt func() error
-	// OnHealthEvent observes connection-health transitions for
-	// telemetry: "dial" (one per connect attempt, err carries the
-	// failure of the previous attempt or nil), "connected" (first
-	// successful dial), "reconnected" (a later redial succeeded),
-	// "down" (same instant the OnDown hook is scheduled) and
-	// "readopted" (a downed backend came back; OnReadopt is scheduled).
-	// The hook may be called with the backend's internal lock held: it
-	// must be fast and must not call back into the backend. Expensive
-	// work (audit appends) belongs on a fresh goroutine.
+	// OnHealthEvent observes the shard's health transitions, called
+	// after the owning runtime applied each, in order, on the shard's
+	// health goroutine: "dial" (per connect attempt; err is the previous
+	// attempt's failure), "connected", "reconnected" (the same dsmsd
+	// process), "down" (budget spent, a restarted process reached, or
+	// FailShard) and "readopted" (answered again, or ReadoptShard; err
+	// is the re-adoption's). It must not call FailShard or ReadoptShard.
 	OnHealthEvent func(event string, err error)
 }
 
@@ -93,34 +72,31 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 // through internal/protocol. The connection is established lazily and
 // re-established on failure with a bounded, backed-off retry budget; a
 // background probe pings the server so failures are detected even
-// between publishes. Once the budget is exhausted the backend is
-// declared down — every subsequent operation fails fast with an error
-// wrapping protocol.ErrClosed (client.ErrConnClosed), and the OnDown
-// hook fires so the owning shard can fail its streams fast (and promote
-// the replicated ones).
+// between publishes. Once the budget is exhausted — or a redial reaches
+// a restarted process, told apart by its boot (dsmsd.PingResp) — the
+// backend is declared down: every subsequent operation fails fast with
+// an error wrapping protocol.ErrClosed (client.ErrConnClosed).
 //
 // Down is sticky but not terminal: the probe keeps redialing while
 // down, and a successful dial — the dsmsd was restarted, or a
-// partition healed — re-adopts the process: the down state clears,
-// operations flow again and the OnReadopt hook lets the owning runtime
-// restore streams and queries (health event "readopted"). With the
-// probe disabled (HealthInterval < 0) nothing redials, and down is
-// effectively terminal as it was before re-adoption existed.
+// partition healed — re-adopts the process: the down state clears and
+// operations flow again. With the probe disabled (HealthInterval < 0)
+// nothing redials, and down is terminal.
+//
+// Every transition is posted under the backend's lock, so in the order
+// the state changed, to the owning runtime's health stream for the
+// shard, which applies them (see failover.go).
 type RemoteBackend struct {
 	addr string
 	opts RemoteOptions
 
 	mu      sync.Mutex
 	cli     *dsmsd.Client
-	dialed  bool // a connection has succeeded at least once
+	boot    uint64 // the boot of the process last connected to; 0 before any
 	downErr error
 	closed  bool
 	subs    map[*protocol.Client]struct{} // live dedicated subscription connections
-
-	// downNotified re-arms the OnDown notification across re-adoption
-	// cycles: true from the moment OnDown is scheduled until the next
-	// successful re-adoption. Guarded by mu.
-	downNotified bool
+	post    func(event string, err error) // the owning runtime's health stream; nil until wired
 
 	healthy   atomic.Bool
 	probeStop chan struct{}
@@ -166,9 +142,26 @@ func (b *RemoteBackend) connErr(format string, err error) error {
 	return fmt.Errorf(format, b.addr, fmt.Errorf("%w: %v", protocol.ErrClosed, err))
 }
 
+// dial connects to the dsmsd and reads its boot.
+func (b *RemoteBackend) dial() (*dsmsd.Client, uint64, error) {
+	cli, err := dsmsd.DialTimeout(b.addr, b.opts.CallTimeout)
+	if err != nil {
+		return nil, 0, err
+	}
+	if b.opts.CallTimeout > 0 {
+		cli.SetCallTimeout(b.opts.CallTimeout)
+	}
+	boot, err := cli.Ping()
+	if err != nil {
+		_ = cli.Close()
+		return nil, 0, err
+	}
+	return cli, boot, nil
+}
+
 // client returns the live connection, dialing with the bounded retry
-// budget when necessary. Exhausting the budget declares the backend
-// down.
+// budget when necessary. Exhausting the budget, or reaching a
+// restarted process, declares the backend down.
 func (b *RemoteBackend) client() (*dsmsd.Client, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -189,21 +182,25 @@ func (b *RemoteBackend) client() (*dsmsd.Client, error) {
 			backoff *= 2
 		}
 		b.healthEvent("dial", lastErr)
-		cli, err := dsmsd.DialTimeout(b.addr, b.opts.CallTimeout)
-		if err == nil {
-			if b.opts.CallTimeout > 0 {
-				cli.SetCallTimeout(b.opts.CallTimeout)
-			}
-			if b.dialed {
-				b.healthEvent("reconnected", nil)
-			} else {
-				b.healthEvent("connected", nil)
-			}
-			b.cli = cli
-			b.dialed = true
-			return cli, nil
+		cli, boot, err := b.dial()
+		if err != nil {
+			lastErr = err
+			continue
 		}
-		lastErr = err
+		if b.boot != 0 && boot != b.boot {
+			// The process the shard's state lived on is gone: the shard
+			// is down, and comes back through re-adoption.
+			_ = cli.Close()
+			b.markDownLocked(b.connErr("runtime: remote shard %s: %w", errors.New("dsmsd restarted")))
+			return nil, b.downErr
+		}
+		if b.boot != 0 {
+			b.healthEvent("reconnected", nil)
+		} else {
+			b.healthEvent("connected", nil)
+		}
+		b.cli, b.boot = cli, boot
+		return cli, nil
 	}
 	b.markDownLocked(b.connErr("runtime: remote shard %s unreachable: %w", lastErr))
 	return nil, b.downErr
@@ -220,79 +217,59 @@ func (b *RemoteBackend) dropClient(cli *dsmsd.Client) {
 	_ = cli.Close()
 }
 
-// healthEvent notifies the health observer; safe with b.mu held (the
-// hook contract forbids calling back into the backend).
+// setPost wires the backend's transitions to its shard's health stream.
+func (b *RemoteBackend) setPost(post func(event string, err error)) {
+	b.mu.Lock()
+	b.post = post
+	b.mu.Unlock()
+}
+
+// healthEvent posts a transition; the caller holds b.mu, so posts are
+// in the order the state changed.
 func (b *RemoteBackend) healthEvent(event string, err error) {
-	if hook := b.opts.OnHealthEvent; hook != nil {
-		hook(event, err)
+	if b.post != nil {
+		b.post(event, err)
 	}
 }
 
-// markDownLocked records the down error and schedules the OnDown hook
-// (once per down transition); the caller holds b.mu. The probe keeps
-// redialing while down — see tryReadopt.
+// markDownLocked records the down error and posts "down"; the caller
+// holds b.mu. The probe keeps redialing while down — see tryReadopt.
 func (b *RemoteBackend) markDownLocked(err error) {
 	b.downErr = err
 	b.healthy.Store(false)
 	b.healthEvent("down", err)
-	if !b.downNotified {
-		b.downNotified = true
-		if hook := b.opts.OnDown; hook != nil {
-			// Invoke outside the lock: the hook typically takes the
-			// owning shard's mutex.
-			go hook(err)
-		}
+}
+
+// readoptFailed puts the backend down again when the runtime could not
+// restore the shard's state on the re-adopted process, so the next
+// probe tick retries the whole re-adoption.
+func (b *RemoteBackend) readoptFailed(err error) {
+	b.mu.Lock()
+	if !b.closed && b.downErr == nil {
+		b.markDownLocked(b.connErr("runtime: remote shard %s: re-adoption failed: %w", err))
 	}
+	b.mu.Unlock()
 }
 
 // tryReadopt attempts one redial of a downed backend. On success the
-// down state clears, the health observer sees "readopted" and the
-// OnReadopt hook runs on a fresh goroutine; if the hook reports that
-// restoring runtime state failed, the backend is re-marked down so the
-// next probe tick retries the whole cycle.
+// down state clears and "readopted" is posted.
 func (b *RemoteBackend) tryReadopt() {
-	cli, err := dsmsd.DialTimeout(b.addr, b.opts.CallTimeout)
+	cli, boot, err := b.dial()
 	if err != nil {
 		return
 	}
-	if b.opts.CallTimeout > 0 {
-		cli.SetCallTimeout(b.opts.CallTimeout)
-	}
-	if err := cli.Ping(); err != nil {
-		_ = cli.Close()
-		return
-	}
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed || b.downErr == nil {
-		b.mu.Unlock()
 		_ = cli.Close()
 		return
 	}
-	b.downErr = nil
-	b.downNotified = false
 	if b.cli != nil {
 		_ = b.cli.Close()
 	}
-	b.cli = cli
-	b.dialed = true
+	b.cli, b.boot, b.downErr = cli, boot, nil
 	b.healthy.Store(true)
 	b.healthEvent("readopted", nil)
-	hook := b.opts.OnReadopt
-	b.mu.Unlock()
-	if hook == nil {
-		return
-	}
-	go func() {
-		err := hook()
-		if err == nil {
-			return
-		}
-		b.mu.Lock()
-		if !b.closed && b.downErr == nil {
-			b.markDownLocked(b.connErr("runtime: remote shard %s: re-adoption failed: %w", err))
-		}
-		b.mu.Unlock()
-	}()
 }
 
 // do runs one idempotent RPC against the backend, redialing and
@@ -341,7 +318,7 @@ func (b *RemoteBackend) doOnce(op func(c *dsmsd.Client) error) error {
 }
 
 // probe pings the server every HealthInterval so a dead dsmsd is
-// noticed (and the OnDown hook fired) even while no publishes flow.
+// declared down even while no publishes flow.
 // While the backend is down the probe becomes the re-adoption loop:
 // each tick attempts one redial, and a success clears the down state
 // (see tryReadopt).
@@ -355,7 +332,7 @@ func (b *RemoteBackend) probe() {
 			return
 		case <-t.C:
 			b.mu.Lock()
-			virgin := !b.dialed && b.downErr == nil
+			virgin := b.boot == 0 && b.downErr == nil
 			down := b.downErr != nil
 			b.mu.Unlock()
 			if down {
@@ -371,7 +348,10 @@ func (b *RemoteBackend) probe() {
 				// declared down while no publishes flow.
 				continue
 			}
-			_ = b.do(func(c *dsmsd.Client) error { return c.Ping() })
+			_ = b.do(func(c *dsmsd.Client) error {
+				_, err := c.Ping()
+				return err
+			})
 		}
 	}
 }

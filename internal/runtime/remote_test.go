@@ -341,7 +341,7 @@ func TestDownedShardFailsFastUntilReadopted(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, addr := startDSMSD(t, "remote-d", nil)
 			// Non-blocking sends: the restarted dsmsd's teardown at the end
-			// of the test fires the down hook a second time.
+			// of the test posts a second down.
 			down, readopted := make(chan struct{}, 1), make(chan struct{}, 1)
 			signal := func(c chan struct{}) {
 				select {
@@ -355,9 +355,14 @@ func TestDownedShardFailsFastUntilReadopted(t *testing.T) {
 					ReconnectBackoff: time.Millisecond,
 					HealthInterval:   3 * time.Millisecond,
 					CallTimeout:      2 * time.Second,
-					OnReadopt:        func() error { signal(readopted); return nil },
+					OnHealthEvent: func(event string, err error) {
+						if event == "down" {
+							signal(down)
+						} else if event == "readopted" && err == nil {
+							signal(readopted)
+						}
+					},
 				}}},
-				OnShardDown: func(int, error) { signal(down) },
 			})
 			defer rt.Close()
 

@@ -20,19 +20,23 @@ import (
 
 // heldBackend is a restartable backend whose next non-empty Replicate,
 // once armed, is held in flight until released and then fails in
-// transport: a follower killed mid-ship. It also reports how far the
-// shard worker's drain has come: a call entering IngestBatch proves
-// that every earlier call's tuples were appended to the replication
-// log, which the worker does right after each ingest.
+// transport: a follower killed mid-ship. Its next IngestBatch can be
+// held the same way: a primary killed mid-batch. It also reports how
+// far the shard worker's drain has come: a call entering IngestBatch
+// proves that every earlier call's tuples were appended to the
+// replication log, which the worker does right after each ingest.
 type heldBackend struct {
 	restartableBackend
-	hold     atomic.Bool
-	entered  chan struct{}
-	release  chan struct{}
-	mu       sync.Mutex
-	cond     *sync.Cond
-	ingested uint64 // tuples of finished IngestBatch calls
-	drained  uint64 // ingested, as of the latest call's entry
+	hold          atomic.Bool
+	entered       chan struct{}
+	release       chan struct{}
+	holdIngest    atomic.Bool
+	ingestEntered chan struct{}
+	ingestRelease chan struct{}
+	mu            sync.Mutex
+	cond          *sync.Cond
+	ingested      uint64 // tuples of finished IngestBatch calls
+	drained       uint64 // ingested, as of the latest call's entry
 }
 
 func newHeldBackend(name string) *heldBackend {
@@ -40,6 +44,8 @@ func newHeldBackend(name string) *heldBackend {
 		restartableBackend: restartableBackend{inner: runtime.NewLocalBackend(dsms.NewEngine(name))},
 		entered:            make(chan struct{}),
 		release:            make(chan struct{}),
+		ingestEntered:      make(chan struct{}),
+		ingestRelease:      make(chan struct{}),
 	}
 	b.cond = sync.NewCond(&b.mu)
 	return b
@@ -55,6 +61,12 @@ func (b *heldBackend) Replicate(name string, log, base uint64, reset bool, ts []
 }
 
 func (b *heldBackend) IngestBatch(name string, ts []stream.Tuple, sp *telemetry.Span) error {
+	if b.holdIngest.CompareAndSwap(true, false) {
+		close(b.ingestEntered)
+		<-b.ingestRelease
+		sp.Finish()
+		return errors.New("injected: connection died with the primary")
+	}
 	b.mu.Lock()
 	b.drained = b.ingested
 	b.cond.Broadcast()

@@ -180,10 +180,6 @@ type Options struct {
 	// further behind than the retained tail skips the gap (counted in
 	// ReplicaLag.Gaps) rather than stalling the primary.
 	ReplicationLog int
-	// OnShardDown, when non-nil, is invoked once per shard whose
-	// backend is declared down, with the shard index and terminal
-	// error (observability hook; called from a backend goroutine).
-	OnShardDown func(shard int, err error)
 	// Metrics, when non-nil, receives the runtime's metric families
 	// (shard and stream accounting, health events) and, through New,
 	// enables engine telemetry on every local shard; the publish-path
@@ -194,9 +190,11 @@ type Options struct {
 	// (rounded up to a power of two; default DefaultTraceSampleEvery).
 	// Ignored without Metrics.
 	TraceSampleEvery int
-	// Audit, when non-nil, receives a Kind "health" event per remote
-	// shard health transition (connected / reconnected / down), feeding
-	// the same hash chain the access decisions land on.
+	// Audit, when non-nil, receives a Kind "health" event per shard
+	// health transition (connected / reconnected / down / readopted),
+	// appended by the shard's health goroutine in the order the
+	// transitions apply, on the same hash chain the access decisions
+	// land on.
 	Audit *audit.Log
 	// Catalog, when non-nil, observes every committed control-plane
 	// mutation (stream DDL, durable admission swaps, query deploys and
@@ -404,9 +402,6 @@ type Runtime struct {
 // named "<name>-<i>".
 func New(name string, opts Options) *Runtime {
 	opts = opts.withDefaults()
-	// Remote failover hooks close over rt, assigned below before any
-	// backend operation (and therefore any hook firing) can happen.
-	var rt *Runtime
 	backends := make([]ShardBackend, opts.Shards)
 	for i := range backends {
 		var spec BackendSpec
@@ -428,53 +423,17 @@ func New(name string, opts Options) *Runtime {
 			backends[i] = NewLocalBackend(eng)
 			continue
 		}
-		ropts := spec.Remote
-		idx, userDown := i, ropts.OnDown
-		// Chain the failover hook: put the owning shard into fail-fast
-		// mode, then notify the runtime's and the caller's observers.
-		ropts.OnDown = func(err error) {
-			rt.FailShard(idx, err)
-			if h := rt.opts.OnShardDown; h != nil {
-				h(idx, err)
-			}
-			if userDown != nil {
-				userDown(err)
-			}
-		}
-		// Chain the re-adoption hook: rebuild the shard's streams, query
-		// parts and replication membership, then run the caller's hook;
-		// an error from either re-marks the backend down so the next
-		// probe tick retries.
-		userReadopt := ropts.OnReadopt
-		ropts.OnReadopt = func() error {
-			if err := rt.readoptShard(idx); err != nil {
-				return err
-			}
-			if userReadopt != nil {
-				return userReadopt()
-			}
-			return nil
-		}
-		// Chain the health observer: feed the runtime's telemetry and
-		// audit trail, then the caller's hook.
-		userHealth := ropts.OnHealthEvent
-		ropts.OnHealthEvent = func(event string, err error) {
-			rt.noteHealthEvent(idx, event, err)
-			if userHealth != nil {
-				userHealth(event, err)
-			}
-		}
-		backends[i] = NewRemoteBackend(spec.Addr, ropts)
+		backends[i] = NewRemoteBackend(spec.Addr, spec.Remote)
 	}
-	rt = NewWithBackends(name, opts, backends)
-	return rt
+	return NewWithBackends(name, opts, backends)
 }
 
 // NewWithBackends builds a runtime over caller-supplied backends (one
 // shard slot each, at least one); tests and embedders use it to inject
-// custom ShardBackend implementations. Remote failover hooks are the
-// caller's responsibility here — wire RemoteOptions.OnDown to
-// Runtime.FailShard if fail-fast semantics are wanted.
+// custom ShardBackend implementations. A *RemoteBackend among them
+// posts its health transitions to its shard's health stream, as under
+// New; other backends' health is the caller's to report through
+// FailShard and ReadoptShard.
 func NewWithBackends(name string, opts Options, backends []ShardBackend) *Runtime {
 	if len(backends) == 0 {
 		panic("runtime: NewWithBackends needs at least one backend")
@@ -499,6 +458,12 @@ func NewWithBackends(name string, opts Options, backends []ShardBackend) *Runtim
 		rt.reg = opts.Metrics
 		rt.tracer = telemetry.NewPublishTracer(rt.reg, opts.TraceSampleEvery)
 		rt.reg.RegisterCollector(rt.collectStats)
+	}
+	for i, s := range rt.shards {
+		s.health = &healthStream{apply: func(ev healthEvent) error { return rt.applyHealth(i, ev) }}
+		if rb, ok := s.be.(*RemoteBackend); ok {
+			rb.setPost(func(event string, err error) { s.health.post(healthEvent{kind: event, err: err}) })
+		}
 	}
 	return rt
 }
@@ -558,15 +523,7 @@ func (rt *Runtime) collectStats(g *telemetry.Gather) {
 		g.Counter("exacml_class_ingested_total",
 			"Tuples ingested, by priority class.", c.Ingested, lab)
 	}
-	rt.mu.RLock()
-	var repls []*route
-	for _, r := range rt.routes {
-		if r.repl != nil {
-			repls = append(repls, r)
-		}
-	}
-	rt.mu.RUnlock()
-	for _, r := range repls {
+	for _, r := range rt.replRoutes() {
 		for _, l := range r.repl.lag() {
 			labs := []telemetry.Label{
 				telemetry.L("stream", r.name),
@@ -593,33 +550,6 @@ func (rt *Runtime) count(name, help string, labels ...telemetry.Label) {
 	rt.reg.Counter(name, help, labels...).Inc()
 }
 
-// noteHealthEvent feeds a remote shard's health transition into the
-// metric registry and, for real transitions (not per-attempt dials),
-// the audit chain. The append runs on a fresh goroutine because the
-// hook can fire with the backend's mutex held and must be fast, while
-// an append writes the log and runs its observers (the governor).
-func (rt *Runtime) noteHealthEvent(shard int, event string, err error) {
-	rt.reg.Counter("exacml_shard_health_events_total",
-		"Remote shard connection-health transitions, by shard and event "+
-			"(dial, connected, reconnected, down).",
-		telemetry.L("shard", strconv.Itoa(shard)), telemetry.L("event", event)).Inc()
-	if event == "dial" || rt.opts.Audit == nil {
-		return
-	}
-	detail := ""
-	if err != nil {
-		detail = err.Error()
-	}
-	go func() {
-		_, _ = rt.opts.Audit.Append(audit.Event{
-			Kind:     "health",
-			Resource: fmt.Sprintf("shard/%d", shard),
-			Action:   event,
-			Detail:   detail,
-		})
-	}()
-}
-
 // Health reports nil when every shard backend is believed reachable,
 // or the first shard's failure; the ops listener's /readyz endpoint is
 // wired to it.
@@ -643,30 +573,6 @@ func (rt *Runtime) NumShards() int { return len(rt.shards) }
 // is gone: callers that need the in-process engine — tests, mostly —
 // can type-assert to *LocalBackend and use its Engine method.)
 func (rt *Runtime) Backend(i int) ShardBackend { return rt.shards[i].be }
-
-// FailShard puts shard i into fail-fast mode with the given terminal
-// error, as the remote failover hook does; exposed for custom backends
-// wired via NewWithBackends. Replicated streams whose current primary
-// lives on the failed shard are failed over to their most caught-up
-// healthy follower before FailShard returns.
-func (rt *Runtime) FailShard(i int, err error) {
-	rt.shards[i].fail(err)
-	rt.failoverShard(i)
-}
-
-// ReadoptShard re-runs the re-adoption sequence for shard i — streams
-// re-created (surviving copies adopted), query parts put back, parts no
-// table holds deleted, replication membership resumed, fail-fast mode
-// lifted — as the remote
-// health probe does when a restarted dsmsd answers again. Exposed for
-// custom backends wired via NewWithBackends, whose health tracking
-// lives outside the runtime; pair it with FailShard.
-func (rt *Runtime) ReadoptShard(i int) error {
-	if i < 0 || i >= len(rt.shards) {
-		return fmt.Errorf("runtime: shard %d out of range", i)
-	}
-	return rt.readoptShard(i)
-}
 
 func hashString(s string) uint32 {
 	h := fnv.New32a()
@@ -1296,17 +1202,9 @@ func (rt *Runtime) Flush() {
 	for _, s := range rt.shards {
 		s.flush()
 	}
-	rt.mu.RLock()
-	var repls []*route
-	for _, r := range rt.routes {
-		if r.repl != nil {
-			repls = append(repls, r)
-		}
-	}
-	rt.mu.RUnlock()
 	healthy := func(i int) bool { return rt.shards[i].failedErr() == nil }
 	flushed := map[int]bool{}
-	for _, r := range repls {
+	for _, r := range rt.replRoutes() {
 		r.repl.waitIdle(healthy)
 		for _, fi := range r.replicas {
 			if healthy(fi) && !flushed[fi] {
@@ -1365,17 +1263,9 @@ func (rt *Runtime) Stats() metrics.RuntimeStats {
 		st.Shards = append(st.Shards, s.snapshot(sec))
 	}
 
-	rt.mu.RLock()
-	routes := make([]*route, 0, len(rt.routes))
-	for _, r := range rt.routes {
-		// Internal sub-routes share their parent's counters; listing
-		// them would multiply the parent's row per partition.
-		if r.internal {
-			continue
-		}
-		routes = append(routes, r)
-	}
-	rt.mu.RUnlock()
+	// Internal sub-routes share their parent's counters; listing them
+	// would multiply the parent's row per partition.
+	routes := rt.routeList(func(r *route) bool { return !r.internal })
 	byClass := map[string]*metrics.ClassStat{}
 	for _, r := range routes {
 		shed := r.counters.shed.Load()
@@ -1439,10 +1329,6 @@ func (rt *Runtime) Close() {
 		return
 	}
 	rt.closed = true
-	routes := make([]*route, 0, len(rt.routes))
-	for _, r := range rt.routes {
-		routes = append(routes, r)
-	}
 	rt.mu.Unlock()
 	for _, ds := range rt.depList() {
 		_ = rt.teardown(ds)
@@ -1450,11 +1336,16 @@ func (rt *Runtime) Close() {
 	// Stop replication shippers before the backends close underneath
 	// them (a shipper racing a closing backend would just error-retry
 	// until stopped, but stopping first is quieter).
-	for _, r := range routes {
+	for _, r := range rt.replRoutes() {
 		r.repl.close()
 	}
 	for _, s := range rt.shards {
 		s.close()
+	}
+	// Closed backends post nothing more; an event still applying runs
+	// against the closed shards and shippers.
+	for i := range rt.shards {
+		_ = rt.await(i, healthEvent{})
 	}
 }
 

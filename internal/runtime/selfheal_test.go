@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coarsetime"
 	"repro/internal/dsmsd"
 	"repro/internal/netsim"
 	"repro/internal/runtime"
@@ -41,6 +42,7 @@ func publishStamped(rt *runtime.Runtime, name string, seq *int, n int) (runtime.
 // it to the full flow — after which the stream can still fail over
 // onto it. The kill and restart fire at scripted publish counts.
 func TestRestartedFollowerReadoption(t *testing.T) {
+	noGoroutineLeak(t)
 	srv, addr := startDSMSD(t, "follower", nil)
 	var srv2 *dsmsd.Server
 	readopted := make(chan struct{}, 8)
@@ -54,12 +56,13 @@ func TestRestartedFollowerReadoption(t *testing.T) {
 				ReconnectBackoff: time.Millisecond,
 				HealthInterval:   3 * time.Millisecond,
 				CallTimeout:      2 * time.Second,
-				OnReadopt: func() error {
-					select {
-					case readopted <- struct{}{}:
-					default:
+				OnHealthEvent: func(event string, err error) {
+					if event == "readopted" && err == nil {
+						select {
+						case readopted <- struct{}{}:
+						default:
+						}
 					}
-					return nil
 				},
 			}},
 		},
@@ -84,9 +87,10 @@ func TestRestartedFollowerReadoption(t *testing.T) {
 			srv.Engine.Close()
 		}},
 		netsim.Event{At: 12, Name: "restart-follower", Do: func() {
-			// Wait for the probe to declare the follower down first: a
-			// restart faster than down detection is the reconnect path
-			// (exercised by the replica-gap resync), not re-adoption.
+			// Wait for the probe to declare the follower down first, so
+			// the restart is found by the probe's redial (a restart
+			// faster than down detection is found by its new boot
+			// instead: see the restart-at-kill case below).
 			deadline := time.Now().Add(5 * time.Second)
 			for rt.Stats().Shards[1].Healthy {
 				if time.Now().After(deadline) {
@@ -153,17 +157,38 @@ func TestRestartedFollowerReadoption(t *testing.T) {
 // radius: publishes error only during the down-detection window (all
 // accounted — the invariant holds), the query fails over to the warm
 // local standby, and the subscription sees every ingested tuple
-// exactly once, in order, across the cut.
+// exactly once, in order, across the cut. In the restart-at-kill case
+// an empty dsmsd takes the killed one's address at once, before down
+// detection has run: the backend tells it from the killed process by
+// its boot, so the query still fails over, and the restarted process
+// rejoins as a follower rather than serving the stream empty.
 func TestRemotePrimaryFailoverBlastRadius(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		restart bool
+	}{{"kill", false}, {"restart-at-kill", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			noGoroutineLeak(t)
+			remoteFailover(t, tc.restart)
+		})
+	}
+}
+
+func remoteFailover(t *testing.T, restart bool) {
 	srv, addr := startDSMSD(t, "primary", nil)
 	defer srv.Close()
 	defer srv.Engine.Close()
+	opts := fastRemote()
+	if restart {
+		// The probe re-adopts the restarted process.
+		opts.HealthInterval = 3 * time.Millisecond
+	}
 
 	rt := runtime.New("blast", runtime.Options{
 		Replication: 2,
 		Backends: []runtime.BackendSpec{
-			{Addr: addr, Remote: fastRemote()}, // shard 0: remote, owns the stream
-			{},                                 // shard 1: local follower
+			{Addr: addr, Remote: opts}, // shard 0: remote, owns the stream
+			{},                         // shard 1: local follower
 		},
 	})
 	defer rt.Close()
@@ -198,11 +223,16 @@ func TestRemotePrimaryFailoverBlastRadius(t *testing.T) {
 	// Phase 2: kill the primary and keep publishing. Early batches are
 	// accepted into the dead shard's queue and die at drain time (or
 	// are refused once fail-fast engages) — all accounted as errors —
-	// until the reconnect budget burns, OnDown fires and the stream
-	// fails over. Recovery is observed structurally: the query's
-	// active part lands on the follower shard.
+	// until the backend is declared down and the stream fails over.
+	// Recovery is observed structurally: the query's active part lands
+	// on the follower shard.
 	srv.Close()
 	srv.Engine.Close()
+	if restart {
+		srv2 := restartDSMSD(t, addr)
+		defer srv2.Close()
+		defer srv2.Engine.Close()
+	}
 	recovered := false
 	for attempt := 0; attempt < 2000 && !recovered; attempt++ {
 		if _, err := publishStamped(rt, name, &seq, 10); err != nil {
@@ -214,6 +244,15 @@ func TestRemotePrimaryFailoverBlastRadius(t *testing.T) {
 	}
 	if !recovered {
 		t.Fatal("query never failed over to the follower after primary death")
+	}
+	if restart {
+		deadline := time.Now().Add(10 * time.Second)
+		for !rt.Stats().Shards[0].Healthy {
+			if time.Now().After(deadline) {
+				t.Fatal("restarted dsmsd was never re-adopted")
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 
 	// Phase 3: steady flow on the promoted follower.
@@ -251,6 +290,11 @@ func TestRemotePrimaryFailoverBlastRadius(t *testing.T) {
 	d, ok := rt.Query(id)
 	if !ok || d.Shards()[0] != 1 {
 		t.Fatalf("query after failover = %+v (ok=%v), want it on shard 1", d, ok)
+	}
+	if restart {
+		if l := replicaLagOf(rt, name, 0); len(rt.ReplicaLag(name)) != 1 || l.Shard != 0 || l.Lag != 0 || l.Paused {
+			t.Errorf("replicas after Flush: %+v, want shard 0 rejoined as a caught-up follower", rt.ReplicaLag(name))
+		}
 	}
 	got := collectEmissions(t, sub, int(ingested))
 	if len(got) != int(ingested) {
@@ -300,18 +344,34 @@ func TestStalledRemoteNoGoroutineLeak(t *testing.T) {
 		rt.Close()
 	}
 
-	// Settle: connection readers and probe goroutines unwind
-	// asynchronously after Close.
+	checkGoroutinesSettle(t, before, 5)
+}
+
+// checkGoroutinesSettle fails the test unless the goroutine count falls
+// to at most before+slack within 10s: connection readers, probes and
+// health goroutines unwind asynchronously after Close.
+func checkGoroutinesSettle(t *testing.T, before, slack int) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if n := stdruntime.NumGoroutine(); n <= before+5 {
-			break
+		n := stdruntime.NumGoroutine()
+		if n <= before+slack {
+			return
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines: %d before, %d after stalled-backend churn\n%s",
-				before, stdruntime.NumGoroutine(), buf[:stdruntime.Stack(buf, true)])
+			t.Fatalf("goroutines: %d before, %d after\n%s", before, n, buf[:stdruntime.Stack(buf, true)])
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// noGoroutineLeak checks, once the test and its deferred closes are
+// done, that everything it started has exited. The baseline is taken
+// with the process-wide clock running: the first publish starts it for
+// good.
+func noGoroutineLeak(t *testing.T) {
+	coarsetime.NowMillis()
+	before := stdruntime.NumGoroutine()
+	t.Cleanup(func() { checkGoroutinesSettle(t, before, 0) })
 }

@@ -100,6 +100,7 @@ type shard struct {
 	// offered == ingested + dropped + errors invariant keeps holding.
 	failErr error
 	done    chan struct{}
+	health  *healthStream // set by NewWithBackends
 
 	// counters; guarded by mu
 	offered  uint64

@@ -276,7 +276,8 @@ func TestTelemetryReadyzAndHealthEvents(t *testing.T) {
 		t.Error("no down health event exported")
 	}
 
-	// Health audit events append on a fresh goroutine; poll briefly.
+	// Health audit events append on the shard's health goroutine; poll
+	// briefly.
 	want := map[string]bool{"connected": false, "down": false}
 	auditDeadline := time.Now().Add(5 * time.Second)
 	for {
