@@ -332,7 +332,7 @@ func benchEngineThroughput(b *testing.B, tel bool, g *dsms.QueryGraph) {
 // BenchmarkEngineFilterThroughput, the single-thread Engine.Ingest
 // baseline: with 4 shards and batch ≥ 64 the batched path sustains
 // ≥2× the baseline even on one core (batching amortizes the engine
-// lock and mailbox), and scales further with GOMAXPROCS.
+// lock), and scales further with GOMAXPROCS.
 func BenchmarkShardedIngest(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		for _, batch := range []int{1, 64, 256} {

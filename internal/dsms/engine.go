@@ -38,7 +38,9 @@ var (
 // assignment and the deployed-query snapshot live in each inputStream
 // (its own lock plus an atomic snapshot), so concurrent publishers to
 // different streams never contend; the registry lock is only read-held
-// for the name lookup.
+// for the name lookup. A deployed query owns no goroutine: the
+// publisher that seals a batch runs it through every query on the
+// stream before its call returns.
 type Engine struct {
 	name  string
 	clock atomic.Pointer[func() int64] // arrival clock in Unix millis; injectable for tests
@@ -58,14 +60,6 @@ type Engine struct {
 	// tel is the metric/trace bundle installed by EnableTelemetry; nil
 	// (the default) keeps the hot path free of telemetry work.
 	tel atomic.Pointer[engineTelemetry]
-
-	// inflight tracks tuples handed to query goroutines but not yet
-	// fully processed, enabling the deterministic Flush used by tests
-	// and benchmarks. The counter is atomic; the condvar is only taken
-	// on the zero transition and by Flush itself.
-	inflight atomic.Int64
-	idleMu   sync.Mutex
-	idle     *sync.Cond
 }
 
 // NewEngine creates an engine with the given name (the authority part of
@@ -83,7 +77,6 @@ func NewEngine(name string) *Engine {
 	defaultClock := coarsetime.NowMillis
 	e.clock.Store(&defaultClock)
 	e.updateStreamsSnapLocked()
-	e.idle = sync.NewCond(&e.idleMu)
 	return e
 }
 
@@ -104,9 +97,11 @@ func (e *Engine) SetClock(clock func() int64) {
 
 // inputStream is one named stream. The query registry map is guarded
 // by Engine.mu; snap mirrors it for lock-free readers on the publish
-// path. sealMu is the only per-tuple lock a publisher takes, and it is
+// path. sealMu is the only per-batch lock a publisher takes, and it is
 // private to the stream: publishers to different streams proceed fully
-// in parallel.
+// in parallel. It is held from a batch's seal through its last query's
+// push, so the stream's batches run through its queries one at a time,
+// in Seq order.
 type inputStream struct {
 	name   string
 	schema *stream.Schema
@@ -125,7 +120,7 @@ type inputStream struct {
 	applied uint64
 
 	// pool recycles the stream's columnar batches: a batch returns here
-	// when the last query releases it, so the steady state allocates no
+	// once its last query has run, so the steady state allocates no
 	// batch storage. Oversized batches are dropped instead of pooled to
 	// bound the high-water mark (see putBatch).
 	pool sync.Pool
@@ -141,9 +136,7 @@ func (is *inputStream) getBatch() *stream.ColBatch {
 	if cb, ok := is.pool.Get().(*stream.ColBatch); ok {
 		return cb
 	}
-	cb := stream.NewColBatch(is.schema)
-	cb.OnRelease = is.putBatch
-	return cb
+	return stream.NewColBatch(is.schema)
 }
 
 func (is *inputStream) putBatch(cb *stream.ColBatch) {
@@ -162,17 +155,14 @@ func (is *inputStream) updateSnapLocked() {
 	is.snap.Store(&qs)
 }
 
-// seal assigns sequence numbers and arrival timestamps to a loaded
-// columnar batch and snapshots the queries deployed on the stream, all
-// in one short per-stream critical section. Transposition/validation
-// happens before seal, outside any lock; a concurrent DropStream (or
-// drop-and-recreate) is caught via the gone flag instead of ingesting
-// into a stale stream.
-func (is *inputStream) seal(clock func() int64, cb *stream.ColBatch) ([]*deployedQuery, error) {
-	is.sealMu.Lock()
+// sealLocked assigns sequence numbers and arrival timestamps to a
+// loaded columnar batch. Transposition/validation happens before seal,
+// outside any lock; a concurrent DropStream (or drop-and-recreate) is
+// caught via the gone flag instead of ingesting into a stale stream.
+// The caller holds is.sealMu.
+func (is *inputStream) sealLocked(clock func() int64, cb *stream.ColBatch) error {
 	if is.gone {
-		is.sealMu.Unlock()
-		return nil, fmt.Errorf("dsms: stream %q was replaced during ingest", is.name)
+		return fmt.Errorf("dsms: stream %q was replaced during ingest", is.name)
 	}
 	seq := is.seq
 	now := int64(-1)
@@ -201,9 +191,7 @@ func (is *inputStream) seal(clock func() int64, cb *stream.ColBatch) ([]*deploye
 		}
 	}
 	is.seq = seq
-	targets := *is.snap.Load()
-	is.sealMu.Unlock()
-	return targets, nil
+	return nil
 }
 
 // Deployment describes a running continuous query.
@@ -218,62 +206,34 @@ type Deployment struct {
 	OutputSchema *stream.Schema
 }
 
-// batchMsg is one mailbox entry: a sealed columnar batch (shared,
-// reference-counted — the query releases it after its pipeline pass)
-// plus, when the batch was sampled by the publish tracer, the span that
-// travels with it (the channel handoff orders the stamps across
-// goroutines). A message with snap set carries no tuples: it is a state
-// export/import control message executed by the query goroutine itself,
-// ordered against batches (see querystate.go).
-type batchMsg struct {
-	cb   *stream.ColBatch
-	sp   *telemetry.Span
-	snap *stateSnap
-}
-
 type deployedQuery struct {
 	dep   Deployment
 	graph *QueryGraph
-	pipe  *pipeline
-	in    chan batchMsg
-	done  chan struct{}
+	is    *inputStream
+
+	// mu covers one pipeline pass, so a Withdraw or state export of
+	// this query waits only for this query's batch in progress. stopped
+	// (guarded by mu) makes the passes of batches sealed before the
+	// Withdraw skip the query.
+	mu      sync.Mutex
+	pipe    *pipeline
+	stopped bool
+
 	subMu sync.Mutex
 	subs  map[*sink]struct{}
 	// subsClosed (guarded by subMu) marks that the query stopped and
 	// ended its sinks: an Attach that resolved the query just before
 	// must fail instead of attaching to a dead query forever.
 	subsClosed bool
-	// subsSnap mirrors subs for the per-batch lock-free read in run;
-	// rebuilt under subMu on attach/detach.
+	// subsSnap mirrors subs for the per-batch lock-free read in
+	// process; rebuilt under subMu on attach/detach.
 	subsSnap atomic.Pointer[[]*sink]
-	engine   *Engine
-
-	// sendMu guards in against the close in Withdraw: senders hold the
-	// read lock, the closer the write lock. The consumer goroutine
-	// never takes it, so blocked senders always drain.
-	sendMu sync.RWMutex
-	closed bool
 }
 
 // sink is one consumer of a query's output; see Engine.Attach.
 type sink struct {
 	push func([]stream.Tuple)
 	end  func()
-}
-
-// send enqueues a batch of tuples unless the query has been withdrawn,
-// reporting whether the batch was accepted. The mailbox carries whole
-// batches so a publisher pays one channel operation per batch, not per
-// tuple; the batch is sealed (immutable) by the time it is sent and is
-// shared between every query on the stream.
-func (q *deployedQuery) send(m batchMsg) bool {
-	q.sendMu.RLock()
-	defer q.sendMu.RUnlock()
-	if q.closed {
-		return false
-	}
-	q.in <- m
-	return true
 }
 
 // Subscription delivers a query's output tuples through a channel, a
@@ -283,8 +243,8 @@ func (q *deployedQuery) send(m batchMsg) bool {
 // their output is a partial-aggregate or relay record stream whose
 // consumer (a runtime merge stage, over a dsmsd connection) cannot
 // tolerate holes — a lost watermark stalls global finalization forever
-// — so a full buffer blocks the query worker instead, propagating
-// backpressure to the publish path.
+// — so a full buffer blocks the publisher that sealed the batch
+// instead, propagating backpressure to the publish path.
 type Subscription struct {
 	C <-chan stream.Tuple
 
@@ -455,11 +415,12 @@ func (e *Engine) Deploy(g *QueryGraph) (Deployment, error) { return e.Put("", g,
 // Put starts g as the query named name, replacing the query already
 // running under that name, so a put is idempotent by name; an empty
 // name takes the next free "qNNNNN". A non-nil st is installed into the
-// fresh query — the receiving half of a live migration and of a
-// durable restore: a st.InputSeq > 0 fast-forwards the input stream's
-// sequence counter so emission provenance continues the source lineage
-// (a counter already past it is left alone), and a state that does not
-// install withdraws the fresh query again.
+// fresh query before it sees a batch — the receiving half of a live
+// migration and of a durable restore: a st.InputSeq > 0 fast-forwards
+// the input stream's sequence counter so emission provenance continues
+// the source lineage (a counter already past it is left alone). A
+// state that does not install fails the put, and the query already
+// running under name keeps running.
 func (e *Engine) Put(name string, g *QueryGraph, st *QueryState) (Deployment, error) {
 	if g == nil {
 		return Deployment{}, fmt.Errorf("dsms: nil query graph")
@@ -469,29 +430,20 @@ func (e *Engine) Put(name string, g *QueryGraph, st *QueryState) (Deployment, er
 			return Deployment{}, err
 		}
 	}
-	q, old, err := e.register(name, g)
-	if old != nil {
-		old.stop()
-	}
+	q, old, err := e.register(name, g, st)
 	if err != nil {
 		return Deployment{}, err
 	}
-	if st != nil {
-		res, err := q.snapshot(&stateSnap{install: st})
-		if err == nil {
-			err = res.err
-		}
-		if err != nil {
-			_ = e.Withdraw(q.dep.ID)
-			return Deployment{}, err
-		}
+	if old != nil {
+		old.stop()
 	}
 	return q.dep, nil
 }
 
-// register compiles g and starts it under name, unregistering the query
-// it replaces, which the caller stops.
-func (e *Engine) register(name string, g *QueryGraph) (q, old *deployedQuery, err error) {
+// register compiles g, installs st into it when non-nil, and registers
+// it under name, unregistering the query it replaces, which the caller
+// stops.
+func (e *Engine) register(name string, g *QueryGraph, st *QueryState) (q, old *deployedQuery, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -505,6 +457,11 @@ func (e *Engine) register(name string, g *QueryGraph) (q, old *deployedQuery, er
 	pipe, outSchema, err := buildPipeline(gg, is.schema)
 	if err != nil {
 		return nil, nil, err
+	}
+	if st != nil {
+		if err := pipe.importState(st); err != nil {
+			return nil, nil, err
+		}
 	}
 	// Deployed pipelines see the engine's live telemetry bundle (window
 	// emission counting); offline pipelines (RunGraphOnSlice) stay dark.
@@ -521,19 +478,16 @@ func (e *Engine) register(name string, g *QueryGraph) (q, old *deployedQuery, er
 			Input:        is.name,
 			OutputSchema: outSchema,
 		},
-		graph:  gg,
-		pipe:   pipe,
-		in:     make(chan batchMsg, 1024),
-		done:   make(chan struct{}),
-		subs:   map[*sink]struct{}{},
-		engine: e,
+		graph: gg,
+		is:    is,
+		pipe:  pipe,
+		subs:  map[*sink]struct{}{},
 	}
 	q.updateSubsSnapLocked()
 	e.queries[name] = q
 	e.byURI[q.dep.Handle] = name
 	is.queries[name] = q
 	is.updateSnapLocked()
-	go q.run()
 	return q, old, nil
 }
 
@@ -547,43 +501,31 @@ func (q *deployedQuery) updateSubsSnapLocked() {
 	q.subsSnap.Store(&subs)
 }
 
-// run is the query's mailbox loop: sealed columnar batches flow
-// through the compiled columnar program (selection vectors over shared
-// typed vectors — the batch itself is never mutated) and each non-empty
-// output batch is pushed to every sink. Output rows are only
+// process runs one sealed columnar batch through the query's compiled
+// columnar program (selection vectors over shared typed vectors — the
+// batch itself is never mutated) and pushes a non-empty output batch to
+// every sink, reporting the tuples emitted. Output rows are only
 // materialized when a sink exists; without one the pipeline just
-// counts. Sinks come from an atomic snapshot so pipeline execution
-// never touches subMu. Operator errors drop the batch's outputs — after
-// deploy-time validation they are unreachable for conforming tuples.
-func (q *deployedQuery) run() {
-	for m := range q.in {
-		if m.snap != nil {
-			m.snap.reply <- q.applySnap(m.snap)
-			continue
-		}
-		cb, sp := m.cb, m.sp
-		n := cb.Len()
-		subs := *q.subsSnap.Load()
-		sp.Begin(telemetry.StagePipeline)
-		outs, nout, err := q.pipe.processCols(cb, len(subs) > 0)
-		sp.End(telemetry.StagePipeline)
-		if err == nil {
-			sp.Begin(telemetry.StagePush)
-			if len(outs) > 0 {
-				for _, s := range subs {
-					s.push(outs)
-				}
-			}
-			sp.End(telemetry.StagePush)
-			if tel := q.engine.tel.Load(); tel != nil && nout > 0 {
-				tel.outputs.Add(uint64(nout))
-			}
-		}
-		cb.Release()
-		sp.Finish()
-		q.engine.taskDoneN(n)
+// counts. Sinks come from an atomic snapshot so the pass never touches
+// subMu. Operator errors drop the batch's outputs — after deploy-time
+// validation they are unreachable for conforming tuples. The caller
+// holds q.mu.
+func (q *deployedQuery) process(cb *stream.ColBatch, sp *telemetry.Span) int {
+	subs := *q.subsSnap.Load()
+	sp.Begin(telemetry.StagePipeline)
+	outs, nout, err := q.pipe.processCols(cb, len(subs) > 0)
+	sp.End(telemetry.StagePipeline)
+	if err != nil {
+		return 0
 	}
-	close(q.done)
+	sp.Begin(telemetry.StagePush)
+	if len(outs) > 0 {
+		for _, s := range subs {
+			s.push(outs)
+		}
+	}
+	sp.End(telemetry.StagePush)
+	return nout
 }
 
 // Withdraw stops a deployed query, identified by ID or handle URI, and
@@ -625,14 +567,12 @@ func (e *Engine) unregisterLocked(id string) *deployedQuery {
 	return q
 }
 
-// stop ends an unregistered query: its mailbox drains and closes, then
-// every sink ends.
+// stop ends an unregistered query: once its batch in progress, if
+// any, is through, no pass runs it again, and every sink ends.
 func (q *deployedQuery) stop() {
-	q.sendMu.Lock()
-	q.closed = true
-	close(q.in)
-	q.sendMu.Unlock()
-	<-q.done
+	q.mu.Lock()
+	q.stopped = true
+	q.mu.Unlock()
 	q.subMu.Lock()
 	subs := q.subs
 	q.subs = nil
@@ -673,14 +613,16 @@ func (e *Engine) Queries() []string {
 }
 
 // Attach registers a consumer of a query's output, by id or handle:
-// the query goroutine calls push with each non-empty output batch, and
-// end once when the query stops. It is the one delivery primitive;
-// Subscribe is built on it. The batch slice is reused for the next
-// batch, so push keeps copies of the tuples, not the slice. A push that
-// blocks holds up the query and, through its mailbox, the publish path:
-// the backpressure a lossless consumer wants, and what every other
-// consumer must avoid. detach unregisters the consumer; a push or end
-// already under way may still finish.
+// push is called with each non-empty output batch, and end once when
+// the query stops. It is the one delivery primitive; Subscribe is built
+// on it. push runs on the goroutine that sealed the batch, under the
+// stream's lock, so it must not call back into the engine for that
+// stream. The batch slice is reused for the next batch, so push keeps
+// copies of the tuples, not the slice. A push that blocks holds up the
+// publisher and every query on the stream: the backpressure a lossless
+// consumer wants, and what every other consumer must avoid. detach
+// unregisters the consumer; a push or end already under way may still
+// finish.
 func (e *Engine) Attach(idOrHandle string, push func([]stream.Tuple), end func()) (detach func(), err error) {
 	q, err := e.lookupQuery(idOrHandle)
 	if err != nil {
@@ -752,42 +694,13 @@ func (e *Engine) lookupStream(streamName string) (*inputStream, error) {
 // clockFn returns the current arrival clock.
 func (e *Engine) clockFn() func() int64 { return *e.clock.Load() }
 
-// dispatch hands one sealed columnar batch to the snapshot of deployed
-// queries. The batch's reference count is armed for all targets before
-// the first send (a fast query may release its reference while later
-// sends are still in flight); refused sends drop their reference here.
-// A sampled span rides with the first query that accepts the batch
-// (that query's goroutine finishes it); if every query refuses — or
-// none is deployed — the span is finished here so it still records its
-// seal stage.
-func (e *Engine) dispatch(targets []*deployedQuery, cb *stream.ColBatch, sp *telemetry.Span) {
-	n := cb.Len()
-	if len(targets) == 0 {
-		cb.SetRefs(1)
-		cb.Release()
-		sp.Finish()
-		return
-	}
-	cb.SetRefs(int32(len(targets)))
-	for _, q := range targets {
-		e.taskAddN(n)
-		if q.send(batchMsg{cb: cb, sp: sp}) {
-			sp = nil
-		} else {
-			// The query was withdrawn between the registry snapshot and
-			// the send; nothing to do.
-			e.taskDoneN(n)
-			cb.Release()
-		}
-	}
-	sp.Finish()
-}
-
 // Ingest appends a tuple to a named input stream, assigning its sequence
-// number and arrival timestamp, and dispatches it to every deployed
+// number and arrival timestamp, and runs it through every deployed
 // query on that stream. The expensive per-tuple validation runs outside
-// any lock; concurrent publishers to the same stream only serialize on
-// that stream's sequence assignment.
+// any lock; concurrent publishers to the same stream serialize on that
+// stream's lock from sequence assignment to the last query's push, so
+// on each stream every query sees the batches in Seq order. A call that
+// has returned has been processed: its outputs are pushed.
 //
 // The tuple's values are copied into a columnar batch during the call;
 // the caller keeps ownership of t.Values and may reuse it after Ingest
@@ -801,7 +714,9 @@ func (e *Engine) Ingest(streamName string, t stream.Tuple) error {
 // IngestBatch appends a batch of tuples to a named input stream with a
 // single pass through the stream's seal lock, preserving batch order.
 // The batch is validated as a whole: if any tuple fails normalization,
-// no tuple of the batch is ingested.
+// no tuple of the batch is ingested. As for Ingest, every query on the
+// stream sees its batches in Seq order, and a call that has returned
+// has been processed.
 //
 // The batch is copied into columnar form synchronously during the
 // call: the caller keeps ownership of ts and every tuple's value slice
@@ -825,7 +740,7 @@ func (e *Engine) IngestBatchPrevalidated(streamName string, ts []stream.Tuple) e
 // for an unsampled batch, continues through the engine's seal /
 // pipeline / push stages, and the engine's own sampling is suppressed
 // so the caller's sampling rate governs. The engine takes ownership of
-// the span (it is finished when the batch completes or errors out).
+// the span (it is finished before the call returns).
 func (e *Engine) IngestBatchTraced(streamName string, ts []stream.Tuple, sp *telemetry.Span) error {
 	return e.ingestBatch(streamName, ts, true, sp, true)
 }
@@ -863,59 +778,53 @@ func (e *Engine) ingestInto(is *inputStream, ts []stream.Tuple, prevalidated boo
 }
 
 // sealAndDispatch transposes one row batch into a pooled columnar
-// batch (validating and coercing in the same pass), seals it and
-// dispatches it, stamping the seal stage on a sampled span. The input
-// tuples are fully copied into the columnar batch, so the caller gets
-// its slice back regardless of outcome. The span is consumed: handed
-// to a query goroutine on success, finished here on error.
+// batch (validating and coercing in the same pass), seals it and runs
+// it through the stream's queries in one hold of the stream lock, then
+// returns the batch to the pool. A sampled span records the seal stage
+// and, summed over every query, the pipeline and push stages; it is
+// finished here on every path. The input tuples are fully copied into
+// the columnar batch, so the caller gets its slice back regardless of
+// outcome.
 func (e *Engine) sealAndDispatch(is *inputStream, ts []stream.Tuple, prevalidated bool, sp *telemetry.Span) error {
+	defer sp.Finish()
 	sp.Begin(telemetry.StageSeal)
 	cb := is.getBatch()
+	defer is.putBatch(cb)
 	if err := cb.LoadTuples(ts, prevalidated); err != nil {
 		// Validation is atomic: the stream's sequence counter was never
-		// touched, and the garbage batch goes straight back to the pool.
-		cb.SetRefs(1)
-		cb.Release()
+		// touched.
 		sp.CloseOpen()
-		sp.Finish()
 		return fmt.Errorf("dsms: %w", err)
 	}
-	targets, err := is.seal(e.clockFn(), cb)
-	if err != nil {
-		cb.SetRefs(1)
-		cb.Release()
+	is.sealMu.Lock()
+	defer is.sealMu.Unlock()
+	if err := is.sealLocked(e.clockFn(), cb); err != nil {
 		sp.CloseOpen()
-		sp.Finish()
 		return err
 	}
 	sp.End(telemetry.StageSeal)
-	e.dispatch(targets, cb, sp)
+	nout := 0
+	for _, q := range *is.snap.Load() {
+		q.mu.Lock()
+		if !q.stopped {
+			nout += q.process(cb, sp)
+		}
+		q.mu.Unlock()
+	}
+	if tel := e.tel.Load(); tel != nil && nout > 0 {
+		tel.outputs.Add(uint64(nout))
+	}
 	return nil
 }
 
-func (e *Engine) taskAddN(n int) {
-	e.inflight.Add(int64(n))
-}
-
-func (e *Engine) taskDoneN(n int) {
-	if n == 0 {
-		return
-	}
-	if e.inflight.Add(-int64(n)) == 0 {
-		e.idleMu.Lock()
-		e.idle.Broadcast()
-		e.idleMu.Unlock()
-	}
-}
-
-// Flush blocks until every ingested tuple has been fully processed by
-// all query pipelines. It makes tests and benchmarks deterministic.
+// Flush is a barrier: it returns once every batch already holding a
+// stream's lock when it is called has been processed. An ingest call is
+// processed when it returns, so only concurrent publishers need it.
 func (e *Engine) Flush() {
-	e.idleMu.Lock()
-	for e.inflight.Load() != 0 {
-		e.idle.Wait()
+	for _, is := range *e.streamsSnap.Load() {
+		is.sealMu.Lock()
+		is.sealMu.Unlock()
 	}
-	e.idleMu.Unlock()
 }
 
 // Close stops all queries and rejects further use.

@@ -9,7 +9,7 @@ import (
 )
 
 // operator is a runtime instance of a Box bound to a concrete input
-// schema. Operators are single-goroutine state machines: the engine
+// schema. Operators are sequential state machines: the query's lock
 // guarantees processBatch is never called concurrently for one
 // operator.
 type operator interface {
@@ -61,7 +61,7 @@ func newOperator(b *Box, in *stream.Schema) (operator, error) {
 }
 
 // pipeline is the compiled operator chain for one deployed query plus
-// the reusable batch buffer that lets whole mailbox batches flow
+// the reusable batch buffer that lets whole sealed batches flow
 // through the chain without per-tuple slice allocations.
 type pipeline struct {
 	ops []operator

@@ -24,9 +24,9 @@ var errSeqBehind = errors.New("sequence counter already ahead")
 //
 // Stateless operators (filter, map) carry nothing; an entry exists only
 // per aggregate operator, keyed by its position in the operator chain.
-// Export requires a quiesced query (the engine flushes before
-// snapshotting, and the snapshot itself runs inside the query's own
-// mailbox goroutine, so it can never observe a half-applied batch).
+// Export holds the stream's lock and the query's, so it never observes
+// a half-applied batch and InputSeq delimits exactly the tuples the
+// state covers.
 type QueryState struct {
 	// Query is the source query's id (informational).
 	Query string `json:"query,omitempty"`
@@ -82,7 +82,8 @@ type AggregateState struct {
 	LastArrival int64 `json:"last_arrival"`
 }
 
-// exportState snapshots the operator. Runs inside the query goroutine.
+// exportState snapshots the operator. The caller holds the query's
+// lock.
 func (a *aggregateOp) exportState() *AggregateState {
 	k := len(a.poss)
 	n := a.ring.n
@@ -114,8 +115,8 @@ func (a *aggregateOp) exportState() *AggregateState {
 	return st
 }
 
-// importState replaces the operator's state wholesale. Runs inside the
-// query goroutine.
+// importState replaces the operator's state wholesale, before the
+// query is registered.
 func (a *aggregateOp) importState(st *AggregateState) error {
 	k := len(a.poss)
 	n := len(st.Arrival)
@@ -178,67 +179,45 @@ func (a *aggregateOp) importState(st *AggregateState) error {
 	return nil
 }
 
-// stateSnap is the control message the export/import paths inject into
-// a query's mailbox: handled by the query goroutine itself, it is
-// ordered against batches, so a snapshot can never observe (or clobber)
-// a half-applied batch.
-type stateSnap struct {
-	install *QueryState // nil: export
-	reply   chan stateSnapResult
-}
-
-type stateSnapResult struct {
-	state *QueryState
-	err   error
-}
-
-// applySnap executes a state snapshot or install against the query's
-// operator chain. Runs inside the query goroutine.
-func (q *deployedQuery) applySnap(s *stateSnap) stateSnapResult {
-	if s.install == nil {
-		st := &QueryState{Query: q.dep.ID, Input: q.dep.Input}
-		for i, op := range q.pipe.ops {
-			if agg, ok := op.(*aggregateOp); ok {
-				st.Ops = append(st.Ops, OperatorState{Index: i, Aggregate: agg.exportState()})
-			}
+// exportState snapshots the pipeline's stateful operators. The caller
+// holds the query's lock.
+func (p *pipeline) exportState() *QueryState {
+	st := &QueryState{}
+	for i, op := range p.ops {
+		if agg, ok := op.(*aggregateOp); ok {
+			st.Ops = append(st.Ops, OperatorState{Index: i, Aggregate: agg.exportState()})
 		}
-		if q.pipe.stage != nil {
-			st.Ops = append(st.Ops, OperatorState{Index: len(q.pipe.ops), Stage: q.pipe.stage.exportState()})
-		}
-		return stateSnapResult{state: st}
 	}
-	for _, os := range s.install.Ops {
-		if os.Index == len(q.pipe.ops) && q.pipe.stage != nil {
+	if p.stage != nil {
+		st.Ops = append(st.Ops, OperatorState{Index: len(p.ops), Stage: p.stage.exportState()})
+	}
+	return st
+}
+
+// importState installs an exported state into a fresh pipeline.
+func (p *pipeline) importState(st *QueryState) error {
+	for _, os := range st.Ops {
+		if os.Index == len(p.ops) && p.stage != nil {
 			if os.Stage == nil {
-				return stateSnapResult{err: fmt.Errorf("dsms: operator %d is the stage, state carries none", os.Index)}
+				return fmt.Errorf("dsms: operator %d is the stage, state carries none", os.Index)
 			}
-			if err := q.pipe.stage.importState(os.Stage); err != nil {
-				return stateSnapResult{err: err}
+			if err := p.stage.importState(os.Stage); err != nil {
+				return err
 			}
 			continue
 		}
-		if os.Index < 0 || os.Index >= len(q.pipe.ops) {
-			return stateSnapResult{err: fmt.Errorf("dsms: state names operator %d, chain has %d", os.Index, len(q.pipe.ops))}
+		if os.Index < 0 || os.Index >= len(p.ops) {
+			return fmt.Errorf("dsms: state names operator %d, chain has %d", os.Index, len(p.ops))
 		}
-		agg, ok := q.pipe.ops[os.Index].(*aggregateOp)
+		agg, ok := p.ops[os.Index].(*aggregateOp)
 		if !ok || os.Aggregate == nil {
-			return stateSnapResult{err: fmt.Errorf("dsms: operator %d is not an aggregate", os.Index)}
+			return fmt.Errorf("dsms: operator %d is not an aggregate", os.Index)
 		}
 		if err := agg.importState(os.Aggregate); err != nil {
-			return stateSnapResult{err: err}
+			return err
 		}
 	}
-	return stateSnapResult{}
-}
-
-// snapshot routes a stateSnap through the query mailbox and waits for
-// the result.
-func (q *deployedQuery) snapshot(s *stateSnap) (stateSnapResult, error) {
-	s.reply = make(chan stateSnapResult, 1)
-	if !q.send(batchMsg{snap: s}) {
-		return stateSnapResult{}, fmt.Errorf("dsms: %w %q", ErrUnknownQuery, q.dep.ID)
-	}
-	return <-s.reply, nil
+	return nil
 }
 
 // lookupQuery resolves an id or handle to the live query.
@@ -253,26 +232,24 @@ func (e *Engine) lookupQuery(idOrHandle string) (*deployedQuery, error) {
 }
 
 // ExportQueryState serializes a deployed query's window state for
-// migration to another engine. The engine is flushed first and the
-// snapshot runs inside the query's own goroutine, so the state is
-// consistent with everything ingested before the call; the caller must
-// quiesce publishers for the exported InputSeq to exactly delimit the
-// tuples the state covers.
+// migration to another engine. It holds the input stream's lock and the
+// query's while it reads the state and the stream's sequence counter
+// together, so the exported InputSeq delimits exactly the tuples the
+// state covers.
 func (e *Engine) ExportQueryState(idOrHandle string) (*QueryState, error) {
 	q, err := e.lookupQuery(idOrHandle)
 	if err != nil {
 		return nil, err
 	}
-	e.Flush()
-	res, err := q.snapshot(&stateSnap{})
-	if err != nil {
-		return nil, err
+	q.is.sealMu.Lock()
+	defer q.is.sealMu.Unlock()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.stopped {
+		return nil, fmt.Errorf("dsms: %w %q", ErrUnknownQuery, q.dep.ID)
 	}
-	if res.err != nil {
-		return nil, res.err
-	}
-	st := res.state
-	st.InputSeq, _ = e.StreamSeq(q.dep.Input)
+	st := q.pipe.exportState()
+	st.Query, st.Input, st.InputSeq = q.dep.ID, q.dep.Input, q.is.seq
 	return st, nil
 }
 

@@ -39,6 +39,11 @@ type FailoverOptions struct {
 	NetworkSeed int64
 }
 
+// failoverPublishInterval paces the publish loop at one batch per
+// interval, so the tuples lost while the primary is down measure the
+// down-detection window rather than how fast an unpaced loop runs.
+const failoverPublishInterval = time.Millisecond
+
 func (o FailoverOptions) withDefaults() FailoverOptions {
 	if o.Tuples <= 0 {
 		o.Tuples = 30000
@@ -91,9 +96,11 @@ func (r FailoverResult) String() string {
 
 // RunFailoverBlastRadius runs the kill/promote/restart/re-adopt cycle
 // against a real dsmsd process over loopback and measures what the
-// outage cost. The kill and restart fire at deterministic logical
-// publish counts via netsim.Script; only the down-detection and
-// re-adoption latencies are wall-clock.
+// outage cost. Batches go out one per failoverPublishInterval. The
+// kill and restart fire at deterministic logical publish counts via
+// netsim.Script, and the restart waits until the query serves from the
+// promoted follower; only the down-detection and re-adoption latencies
+// are wall-clock.
 func RunFailoverBlastRadius(o FailoverOptions) (FailoverResult, error) {
 	o = o.withDefaults()
 
@@ -184,10 +191,11 @@ func RunFailoverBlastRadius(o FailoverOptions) (FailoverResult, error) {
 			killedAt = time.Now()
 		}},
 		netsim.Event{At: restartAt, Name: "restart-primary", Do: func() {
-			// Wait for the probe to notice the death, then rebind the
-			// same address with an empty replacement process.
+			// Wait for the failover to move the query's primary part to
+			// the follower, then rebind the same address with an empty
+			// replacement process.
 			deadline := time.Now().Add(5 * time.Second)
-			for rt.Stats().Shards[0].Healthy && time.Now().Before(deadline) {
+			for !servesFrom(rt, id, 1) && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
 			eng := dsms.NewEngine("failover-reborn")
@@ -219,12 +227,11 @@ func RunFailoverBlastRadius(o FailoverOptions) (FailoverResult, error) {
 		published += n
 		// First batch landing with the query on the follower marks the
 		// end of the failover window.
-		if res.FailoverLatency == 0 && !killedAt.IsZero() {
-			if d, ok := rt.Query(id); ok && d.Shards()[0] == 1 {
-				res.FailoverLatency = time.Since(killedAt)
-			}
+		if res.FailoverLatency == 0 && !killedAt.IsZero() && servesFrom(rt, id, 1) {
+			res.FailoverLatency = time.Since(killedAt)
 		}
 		fault.Advance(1)
+		time.Sleep(failoverPublishInterval)
 	}
 	if !fault.Done() {
 		return res, errors.New("experiments: fault script did not finish (kill/restart fractions out of range)")
@@ -235,7 +242,7 @@ func RunFailoverBlastRadius(o FailoverOptions) (FailoverResult, error) {
 	if res.FailoverLatency == 0 {
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			if d, ok := rt.Query(id); ok && d.Shards()[0] == 1 {
+			if servesFrom(rt, id, 1) {
 				res.FailoverLatency = time.Since(killedAt)
 				break
 			}
@@ -264,4 +271,10 @@ func RunFailoverBlastRadius(o FailoverOptions) (FailoverResult, error) {
 		return res, fmt.Errorf("failover accounting: %w", err)
 	}
 	return res, nil
+}
+
+// servesFrom reports whether query id's primary part is on shard.
+func servesFrom(rt *runtime.Runtime, id string, shard int) bool {
+	d, ok := rt.Query(id)
+	return ok && d.Shards()[0] == shard
 }

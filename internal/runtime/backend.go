@@ -81,14 +81,15 @@ type ShardBackend interface {
 	// StreamSchema returns a registered stream's schema.
 	StreamSchema(name string) (*stream.Schema, error)
 	// IngestBatch ships a schema-checked batch into the engine (the
-	// shard worker's drain path). The backend must be done with ts when
-	// the call returns — copied into the engine's columns, or serialized
-	// onto the wire — because the worker reuses the slice and its tuples
-	// for the next run. sp is the batch's publish-trace span, nil when
-	// unsampled: the backend owns it and must finish it exactly once on
-	// every path, stamping whichever stages it can see (seal / pipeline
-	// / push inside an in-process engine, one StageBackend interval
-	// around a remote RPC).
+	// shard worker's drain path). A call that has returned has been
+	// processed: every part on the stream has run the batch and pushed
+	// its output. The backend is done with ts by then, because the
+	// worker reuses the slice and its tuples for the next run. sp is
+	// the batch's publish-trace span, nil when unsampled: the backend
+	// owns it and must finish it exactly once on every path, stamping
+	// whichever stages it can see (seal / pipeline / push inside an
+	// in-process engine, one StageBackend interval around a remote
+	// RPC).
 	IngestBatch(streamName string, ts []stream.Tuple, sp *telemetry.Span) error
 	// PutPart runs req as the part named name, replacing the part
 	// already running under that name. A non-nil st is a previously
@@ -103,8 +104,9 @@ type ShardBackend interface {
 	// ListParts names the parts running on the backend, sorted.
 	ListParts() ([]string, error)
 	// Subscribe attaches a consumer to a part's output: push receives
-	// its output batches one call at a time — on the engine's query
-	// goroutine, or on the subscription connection's read loop — and
+	// its output batches one call at a time — on the goroutine whose
+	// ingest sealed the batch, or on the subscription connection's read
+	// loop — and
 	// end is called once when the part stops or the connection dies,
 	// never when Subscribe fails. push keeps copies of the tuples, not
 	// the reused slice, and blocks only where holding up the part is
@@ -113,13 +115,12 @@ type ShardBackend interface {
 	Subscribe(name string, push func([]stream.Tuple), end func()) (closeFn func(), err error)
 	// Healthy reports whether the backend is believed reachable.
 	Healthy() bool
-	// Flush blocks until the backend's pipelines have quiesced.
-	Flush() error
 	// Close releases the backend (engine shutdown / connection close).
 	Close() error
 	// Replicate applies a contiguous run of replication log log's
 	// tuples on a follower and returns the follower's applied position
-	// in that log, also when it refuses the run; see
+	// in that log, also when it refuses the run; like IngestBatch, a
+	// call that has returned has been processed. See
 	// dsms.Engine.Replicate for the log, dedup and reset contract.
 	Replicate(streamName string, log, base uint64, reset bool, ts []stream.Tuple) (uint64, error)
 	// ExportQueryState serializes a part's window state (see
@@ -209,12 +210,6 @@ func (b *LocalBackend) Subscribe(name string, push func([]stream.Tuple), end fun
 // Healthy implements ShardBackend; an in-process engine is always
 // reachable.
 func (b *LocalBackend) Healthy() bool { return true }
-
-// Flush implements ShardBackend.
-func (b *LocalBackend) Flush() error {
-	b.eng.Flush()
-	return nil
-}
 
 // Close implements ShardBackend.
 func (b *LocalBackend) Close() error {

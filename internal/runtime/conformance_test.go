@@ -324,9 +324,6 @@ func importRun(t *testing.T, src, dst conformant, replace bool) {
 	if err := dst.be.IngestBatch("s", tuples(cut, total-cut), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.be.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	sameEmissions(t, collectEmissionsN(t, out, len(want)-1), want[1:])
 }
 

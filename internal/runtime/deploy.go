@@ -475,8 +475,8 @@ func (rt *Runtime) Withdraw(idOrHandle string) error {
 
 // Subscription delivers a runtime query's output tuples through one
 // buffer, C, of dsms.DefaultSubscriptionBuffer slots. Its sources push
-// into it directly: each live part of the query, from its engine's
-// query goroutine or its dsmsd connection's read loop, or, for a
+// into it directly: each live part of the query, from the goroutine
+// that ingested the batch or its dsmsd connection's read loop, or, for a
 // staged global aggregate, the query's merge stage. A push never
 // blocks: a tuple that does not fit is dropped and counted, in Dropped
 // and in exacml_subscription_dropped_total, so every emission of an
@@ -763,11 +763,9 @@ func (rt *Runtime) MigrateQuery(idOrHandle string, target int) error {
 	if rt.shards[src].failedErr() != nil || rt.shards[target].failedErr() != nil {
 		return fmt.Errorf("runtime: migration needs both shard %d and shard %d healthy", src, target)
 	}
-	// Quiesce the flow and flush both engines, so source and target
-	// have processed the exact same tuple prefix.
+	// Quiesce the flow, so source and target have processed the exact
+	// same tuple prefix.
 	defer rt.quiesce(r, nil)()
-	_ = rt.shards[src].be.Flush()
-	_ = rt.shards[target].be.Flush()
 
 	st, err := rt.shards[src].be.ExportQueryState(from.dep.ID)
 	if err != nil {

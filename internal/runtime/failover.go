@@ -72,11 +72,15 @@ func (rt *Runtime) applyHealth(i int, ev healthEvent) error {
 	case "down":
 		rt.failoverShard(i, ev.err)
 	case "readopted":
-		if s.failedErr() != nil {
-			rt.depose(i, rt.replRoutes())
-		}
+		// Depose the failed shard itself first, wherever a healthy
+		// follower can serve, so it comes back as a follower; then let
+		// it take over the routes whose primary is still down.
+		rt.deposeFailedPrimaries()
 		if err = rt.readoptShard(i); err != nil && rb != nil {
 			rb.readoptFailed(err)
+		}
+		if err == nil {
+			rt.deposeFailedPrimaries()
 		}
 	}
 	if rb != nil && rb.opts.OnHealthEvent != nil {
@@ -164,6 +168,18 @@ func (rt *Runtime) failoverShard(i int, err error) {
 		r.repl.pauseFollower(i)
 	}
 	rt.depose(i, routes)
+}
+
+// deposeFailedPrimaries promotes a healthy follower on every replicated
+// route whose primary is failed: the level-triggered rule that lets a
+// follower re-adopted while its primary stays down take the stream
+// over, where the primary's own down found no healthy follower.
+func (rt *Runtime) deposeFailedPrimaries() {
+	for _, r := range rt.replRoutes() {
+		if p := r.primaryShard(); rt.shards[p].failedErr() != nil {
+			rt.depose(p, []*route{r})
+		}
+	}
 }
 
 // depose promotes each route whose current primary is shard i to its

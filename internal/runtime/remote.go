@@ -467,11 +467,6 @@ func (b *RemoteBackend) ExportQueryState(name string) (*dsms.QueryState, error) 
 	return st, err
 }
 
-// Flush implements ShardBackend.
-func (b *RemoteBackend) Flush() error {
-	return b.do(func(c *dsmsd.Client) error { return c.Flush() })
-}
-
 // Close implements ShardBackend: stops the probe, drops the RPC
 // connection and tears down every dedicated subscription connection —
 // ending each subscription exactly as a local engine's close ends its

@@ -135,7 +135,6 @@ func (b *restartableBackend) Subscribe(name string, push func([]stream.Tuple), e
 	return b.cur().Subscribe(name, push, end)
 }
 func (b *restartableBackend) Healthy() bool { return b.cur().Healthy() }
-func (b *restartableBackend) Flush() error  { return b.cur().Flush() }
 func (b *restartableBackend) Close() error  { return b.cur().Close() }
 func (b *restartableBackend) Replicate(name string, log, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
 	return b.cur().Replicate(name, log, base, reset, ts)

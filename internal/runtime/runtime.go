@@ -1192,26 +1192,19 @@ func (rt *Runtime) PublishBatchVerdict(streamName string, ts []stream.Tuple) (Pu
 	return v, firstErr
 }
 
-// Flush blocks until every queued tuple has been drained into the
-// engines and every engine pipeline has quiesced, making concurrent
-// publish tests and benchmarks deterministic. For replicated streams
-// it additionally waits until every follower on a healthy shard has
-// acknowledged the full log and the follower backends have quiesced,
-// so a post-Flush inspection sees identical primary and replica state.
+// Flush blocks until every queued tuple has been drained into, and so
+// processed by, the engines, making concurrent publish tests and
+// benchmarks deterministic. For replicated streams it additionally
+// waits until every follower on a healthy shard has acknowledged, and
+// so processed, the full log, so a post-Flush inspection sees
+// identical primary and replica state.
 func (rt *Runtime) Flush() {
 	for _, s := range rt.shards {
 		s.flush()
 	}
 	healthy := func(i int) bool { return rt.shards[i].failedErr() == nil }
-	flushed := map[int]bool{}
 	for _, r := range rt.replRoutes() {
 		r.repl.waitIdle(healthy)
-		for _, fi := range r.replicas {
-			if healthy(fi) && !flushed[fi] {
-				flushed[fi] = true
-				_ = rt.shards[fi].be.Flush()
-			}
-		}
 	}
 }
 

@@ -436,17 +436,15 @@ func (s *shard) run() {
 }
 
 // flush blocks until the queue is empty and the worker has handed every
-// popped item to the backend, then waits for the backend's own
-// pipelines to quiesce. A paused shard with queued items will block
-// until the runtime is resumed. A downed remote backend fails its
-// Flush immediately, so flush still terminates.
+// popped item to the backend; a returned ingest has been processed. A
+// paused shard with queued items will block until the runtime is
+// resumed.
 func (s *shard) flush() {
 	s.mu.Lock()
 	for (s.count > 0 || s.draining > 0) && !s.closed {
 		s.idle.Wait()
 	}
 	s.mu.Unlock()
-	_ = s.be.Flush()
 }
 
 func (s *shard) pause() {

@@ -1,9 +1,6 @@
 package stream
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Column is one typed vector of a ColBatch. Exactly one of the payload
 // slices is populated, chosen by Type: Ints carries int, timestamp
@@ -59,12 +56,10 @@ func (c *Column) Value(row int) Value {
 // every consumer indexes vectors directly instead of switching on a
 // tagged union per value.
 //
-// Ownership is reference-counted: the engine dispatches one batch to
-// every query deployed on a stream, each query releases it after its
-// pipeline pass, and the last release returns the batch to its pool via
-// OnRelease. Queries must never mutate a batch (they carry private
-// selection vectors instead); the seal path is the only writer, before
-// the first dispatch.
+// The engine runs one batch through every query deployed on a stream
+// and then returns it to the stream's pool. Queries must never mutate
+// a batch (they carry private selection vectors instead); the seal path
+// is the only writer, before the first query runs.
 type ColBatch struct {
 	Arrival []int64
 	Seq     []uint64
@@ -72,12 +67,6 @@ type ColBatch struct {
 
 	schema *Schema
 	n      int
-
-	refs atomic.Int32
-	// OnRelease, when set, is called exactly once per use cycle, when
-	// the last reference is released. The engine uses it to pool
-	// batches per input stream.
-	OnRelease func(*ColBatch)
 }
 
 // NewColBatch creates an empty batch laid out for the schema.
@@ -239,16 +228,4 @@ func (cb *ColBatch) MaterializeRows(cols []int, sel []int32, hdrs []Tuple, arena
 		})
 	}
 	return hdrs, arena
-}
-
-// SetRefs arms the reference count before dispatch: one reference per
-// consumer that will call Release.
-func (cb *ColBatch) SetRefs(n int32) { cb.refs.Store(n) }
-
-// Release drops one reference; the last one triggers OnRelease (pool
-// return).
-func (cb *ColBatch) Release() {
-	if cb.refs.Add(-1) == 0 && cb.OnRelease != nil {
-		cb.OnRelease(cb)
-	}
 }

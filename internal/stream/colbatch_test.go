@@ -195,27 +195,3 @@ func TestColBatchSelectionAndProjection(t *testing.T) {
 		}
 	}
 }
-
-// TestColBatchReleasePooling checks the refcount/OnRelease cycle: the
-// hook fires exactly once, on the last release.
-func TestColBatchReleasePooling(t *testing.T) {
-	s := MustSchema(Field{Name: "a", Type: TypeInt})
-	cb := NewColBatch(s)
-	released := 0
-	cb.OnRelease = func(got *ColBatch) {
-		if got != cb {
-			t.Fatal("OnRelease passed a different batch")
-		}
-		released++
-	}
-	cb.SetRefs(3)
-	cb.Release()
-	cb.Release()
-	if released != 0 {
-		t.Fatalf("released early after 2 of 3 releases")
-	}
-	cb.Release()
-	if released != 1 {
-		t.Fatalf("OnRelease fired %d times, want 1", released)
-	}
-}

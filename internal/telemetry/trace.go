@@ -9,7 +9,7 @@ import (
 
 // Publish-path stage indices, shared by the sharded runtime (which
 // stamps queue_wait and backend) and the dsms engine (seal, pipeline,
-// push) so one span can cross the queue and the mailbox without
+// push) so one span can cross the shard queue into the engine without
 // re-mapping.
 const (
 	// StageQueueWait: publish enqueue -> shard worker drain (includes
@@ -18,10 +18,11 @@ const (
 	// StageSeal: batch normalization plus per-stream sequence/arrival
 	// sealing.
 	StageSeal
-	// StagePipeline: the operator chain of the first deployed query the
-	// batch reaches.
+	// StagePipeline: the operator chains of every query deployed on the
+	// batch's stream, summed.
 	StagePipeline
-	// StagePush: delivery of pipeline outputs to subscribers.
+	// StagePush: delivery of every query's outputs to its consumers,
+	// summed.
 	StagePush
 	// StageBackend: the remote-shard RPC for batches bound for a dsmsd
 	// process (replaces seal/pipeline/push, which happen out-of-process).
@@ -137,8 +138,8 @@ func (tr *Tracer) SampleCrossing(before, after uint64) *Span {
 
 // Span is one sampled trace: per-stage start timestamps and durations.
 // A span travels with its batch across goroutines (publisher -> shard
-// worker -> query goroutine); every handoff happens through a mutex or
-// a channel, which orders the stamps. All methods are nil-safe.
+// worker, which runs the engine); every handoff happens through a mutex
+// or a channel, which orders the stamps. All methods are nil-safe.
 type Span struct {
 	tr    *Tracer
 	start [MaxSpanStages]int64
@@ -159,21 +160,23 @@ func (s *Span) Begin(stage int) {
 	}
 }
 
-// End stamps the end of a stage, recording its duration (clamped to at
+// End stamps the end of a stage, adding its duration (clamped to at
 // least 1ns so a recorded stage is distinguishable from an unreached
-// one). End without a matching Begin only advances the span's
-// end-to-end clock.
+// one) to what the stage already recorded: a stage begun and ended
+// once per query sums over the queries. End without a matching Begin
+// only advances the span's end-to-end clock.
 func (s *Span) End(stage int) {
 	if s == nil {
 		return
 	}
 	now := time.Now().UnixNano()
-	if st := s.start[stage]; st != 0 && s.dur[stage] == 0 {
+	if st := s.start[stage]; st != 0 {
 		d := now - st
 		if d <= 0 {
 			d = 1
 		}
-		s.dur[stage] = d
+		s.dur[stage] += d
+		s.start[stage] = 0
 	}
 	s.last = now
 }
@@ -186,7 +189,7 @@ func (s *Span) CloseOpen() {
 		return
 	}
 	for i := range s.start {
-		if s.start[i] != 0 && s.dur[i] == 0 {
+		if s.start[i] != 0 {
 			s.End(i)
 		}
 	}
