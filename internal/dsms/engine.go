@@ -230,10 +230,13 @@ type deployedQuery struct {
 	subsSnap atomic.Pointer[[]*sink]
 }
 
-// sink is one consumer of a query's output; see Engine.Attach.
+// sink is one consumer of a query's output; see Engine.Attach. wake,
+// when set, makes a push blocked on the consumer return for good; stop
+// calls it before it waits for the pass in progress.
 type sink struct {
 	push func([]stream.Tuple)
 	end  func()
+	wake func()
 }
 
 // Subscription delivers a query's output tuples through a channel, a
@@ -252,6 +255,7 @@ type Subscription struct {
 	e       *Engine
 	detach  func()
 	done    chan struct{} // non-nil selects lossless mode
+	wakeOne sync.Once     // closes done
 	mu      sync.Mutex
 	cond    *sync.Cond // signals sending == 0 (lossless close handshake)
 	sending int
@@ -319,6 +323,10 @@ func (s *Subscription) push(ts []stream.Tuple) {
 	}
 }
 
+// wake makes every lossless push return at once from now on, dropping
+// what it was sending: the query is stopping.
+func (s *Subscription) wake() { s.wakeOne.Do(func() { close(s.done) }) }
+
 func (s *Subscription) close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -329,7 +337,7 @@ func (s *Subscription) close() {
 	if s.done != nil {
 		// Wake blocked senders and wait for them to leave the channel
 		// before closing it; new push calls see closed first.
-		close(s.done)
+		s.wake()
 		for s.sending > 0 {
 			s.cond.Wait()
 		}
@@ -368,20 +376,29 @@ func (e *Engine) DropStream(name string) error {
 		e.mu.Unlock()
 		return fmt.Errorf("dsms: %w %q", ErrUnknownStream, name)
 	}
-	var ids []string
-	for id := range is.queries {
-		ids = append(ids, id)
-	}
 	delete(e.streams, key)
 	e.updateStreamsSnapLocked()
 	e.mu.Unlock()
+	e.retire(is)
+	return nil
+}
+
+// retire withdraws every query of an unregistered stream. It halts them
+// first, since a push blocked on a lossless consumer holds the stream's
+// lock, then marks the stream gone under that lock, so a publisher that
+// resolved it before it was unregistered fails its seal instead of
+// silently dropping.
+func (e *Engine) retire(is *inputStream) {
+	qs := *is.snap.Load()
+	for _, q := range qs {
+		q.halt()
+	}
 	is.sealMu.Lock()
 	is.gone = true
 	is.sealMu.Unlock()
-	for _, id := range ids {
-		_ = e.Withdraw(id)
+	for _, q := range qs {
+		_ = e.Withdraw(q.dep.ID)
 	}
-	return nil
 }
 
 // StreamSchema returns the schema of a registered stream.
@@ -567,20 +584,36 @@ func (e *Engine) unregisterLocked(id string) *deployedQuery {
 	return q
 }
 
-// stop ends an unregistered query: once its batch in progress, if
-// any, is through, no pass runs it again, and every sink ends.
+// stop ends an unregistered query in two phases. halt first wakes
+// every push blocked on a lossless consumer, since the pass in progress
+// holds q.mu through its pushes. Once that pass is through, no pass
+// runs the query again, and only then does every sink end, so no sink
+// gets a push after its end.
 func (q *deployedQuery) stop() {
+	q.halt()
 	q.mu.Lock()
 	q.stopped = true
 	q.mu.Unlock()
 	q.subMu.Lock()
 	subs := q.subs
 	q.subs = nil
-	q.subsClosed = true
 	q.updateSubsSnapLocked()
 	q.subMu.Unlock()
 	for s := range subs {
 		s.end()
+	}
+}
+
+// halt is stop's first phase: no consumer attaches any more, and no
+// push to one attached blocks any more.
+func (q *deployedQuery) halt() {
+	q.subMu.Lock()
+	q.subsClosed = true
+	q.subMu.Unlock()
+	for _, s := range *q.subsSnap.Load() {
+		if s.wake != nil {
+			s.wake()
+		}
 	}
 }
 
@@ -628,11 +661,10 @@ func (e *Engine) Attach(idOrHandle string, push func([]stream.Tuple), end func()
 	if err != nil {
 		return nil, err
 	}
-	return q.attach(push, end)
+	return q.attach(&sink{push: push, end: end})
 }
 
-func (q *deployedQuery) attach(push func([]stream.Tuple), end func()) (detach func(), err error) {
-	s := &sink{push: push, end: end}
+func (q *deployedQuery) attach(s *sink) (detach func(), err error) {
 	q.subMu.Lock()
 	defer q.subMu.Unlock()
 	if q.subsClosed {
@@ -657,11 +689,13 @@ func (e *Engine) Subscribe(idOrHandle string) (*Subscription, error) {
 	}
 	c := make(chan stream.Tuple, DefaultSubscriptionBuffer)
 	s := &Subscription{C: c, c: c, e: e}
+	sk := &sink{push: s.push, end: s.close}
 	if q.graph != nil && q.graph.Stage != nil {
 		s.done = make(chan struct{})
 		s.cond = sync.NewCond(&s.mu)
+		sk.wake = s.wake
 	}
-	if s.detach, err = q.attach(s.push, s.close); err != nil {
+	if s.detach, err = q.attach(sk); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -838,24 +872,13 @@ func (e *Engine) Close() {
 	e.closedFlag.Store(true)
 	empty := map[string]*inputStream{}
 	e.streamsSnap.Store(&empty)
-	ids := make([]string, 0, len(e.queries))
-	for id := range e.queries {
-		ids = append(ids, id)
-	}
 	streams := make([]*inputStream, 0, len(e.streams))
 	for _, is := range e.streams {
 		streams = append(streams, is)
 	}
 	e.mu.Unlock()
-	// Fail publishers that resolved a stream before the snapshot was
-	// cleared: their in-flight seal must error, not silently drop.
 	for _, is := range streams {
-		is.sealMu.Lock()
-		is.gone = true
-		is.sealMu.Unlock()
-	}
-	for _, id := range ids {
-		_ = e.Withdraw(id)
+		e.retire(is)
 	}
 }
 

@@ -84,30 +84,7 @@ func TestWithdrawDoesNotWaitForAnotherQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stalled, err := e.Subscribe(b.ID) // lossless, and never read
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	published := make(chan struct{})
-	go func() {
-		defer close(published)
-		batch := make([]stream.Tuple, 8)
-		for n := 0; n < 2*DefaultSubscriptionBuffer; n += len(batch) {
-			for i := range batch {
-				batch[i] = stream.NewTuple(stream.IntValue(int64(n + i)))
-			}
-			_ = e.IngestBatch("s", batch)
-		}
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for len(stalled.C) < cap(stalled.C) {
-		if time.Now().After(deadline) {
-			t.Fatal("the staged subscriber's buffer never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond) // let the publisher block on the full buffer
+	stalled, published := stallStagedSubscriber(t, e, b.ID)
 
 	withdrawn := make(chan struct{})
 	go func() {
@@ -124,6 +101,84 @@ func TestWithdrawDoesNotWaitForAnotherQuery(t *testing.T) {
 	e.Unsubscribe(b.ID, stalled)
 	<-published
 	<-withdrawn
+}
+
+// stallStagedSubscriber subscribes to the staged query id (lossless)
+// and never reads, then publishes into its stream from a goroutine
+// until that publisher blocks on the full buffer. published closes when
+// the publisher is through.
+func stallStagedSubscriber(t *testing.T, e *Engine, id string) (stalled *Subscription, published <-chan struct{}) {
+	t.Helper()
+	stalled, err := e.Subscribe(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		batch := make([]stream.Tuple, 8)
+		for n := 0; n < 2*DefaultSubscriptionBuffer; n += len(batch) {
+			for i := range batch {
+				batch[i] = stream.NewTuple(stream.IntValue(int64(n + i)))
+			}
+			_ = e.IngestBatch("s", batch)
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(stalled.C) < cap(stalled.C) {
+		if time.Now().After(deadline) {
+			t.Fatal("the staged subscriber's buffer never filled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // let the publisher block on the full buffer
+	return stalled, done
+}
+
+// TestStopDoesNotWaitForStalledConsumer stalls a staged query's
+// lossless subscriber until the publisher blocks delivering to it:
+// withdrawing that very query, dropping its stream and closing the
+// engine must each return anyway, and end the stalled subscription.
+func TestStopDoesNotWaitForStalledConsumer(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		stop func(e *Engine, id string) error
+	}{
+		{"Withdraw", func(e *Engine, id string) error { return e.Withdraw(id) }},
+		{"DropStream", func(e *Engine, _ string) error { return e.DropStream("s") }},
+		{"Close", func(e *Engine, _ string) error { e.Close(); return nil }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			e := NewEngine("stall")
+			defer e.Close()
+			if err := e.CreateStream("s", singleAttrSchema()); err != nil {
+				t.Fatal(err)
+			}
+			staged := NewQueryGraph("s", NewFilterBox(expr.MustParse("a >= 0")))
+			staged.Stage = &StageSpec{Mode: StageRelay}
+			dep, err := e.Deploy(staged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stalled, published := stallStagedSubscriber(t, e, dep.ID)
+
+			stopped := make(chan error, 1)
+			go func() { stopped <- row.stop(e, dep.ID) }()
+			select {
+			case err := <-stopped:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Errorf("%s waited for a consumer that never reads", row.name)
+				e.Unsubscribe(dep.ID, stalled)
+				<-stopped
+			}
+			for range stalled.C {
+			}
+			<-published
+		})
+	}
 }
 
 // TestDeployStartsNoGoroutine deploys and withdraws 100 queries: a

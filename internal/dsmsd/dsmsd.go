@@ -10,6 +10,12 @@
 // trusted internal port — any peer can deploy, subscribe or drop a
 // stream without reaching the PDP — so bind it to a private interface.
 // Every ingested batch is still validated against its stream's schema.
+//
+// The verb table below is the one place a verb of the protocol is
+// declared: its wire name, its request and response types, and whether
+// a caller may re-send it after the connection died under it. The
+// server registers every verb of the table with serve, and Client and
+// the runtime's RemoteBackend send them with Call.
 package dsmsd
 
 import (
@@ -28,27 +34,47 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Message types of the DSMS service.
+// Verb is one request/response verb of the shard protocol. Retry
+// declares that a duplicate is harmless, so a caller whose connection
+// died after sending it — the server may or may not have applied it —
+// re-sends it on a fresh connection; a verb without Retry surfaces the
+// failure instead.
+type Verb[Req, Resp any] struct {
+	Name  string
+	Retry bool
+}
+
+// The verb table: every request/response verb of the shard protocol.
+// Replication / failover verbs (replicated shard topology): a fronting
+// runtime ships a primary stream's accepted tuples to follower dsmsds
+// with Replicate, whose reply is the follower's applied position, and
+// reads a continuous query's serialized window state off an engine with
+// Migrate (a Deploy with State puts it back).
+var (
+	// A repeat of an applied create reports already_exists.
+	CreateStream = Verb[CreateStreamReq, struct{}]{"dsms.create_stream", false}
+	// A repeat of an applied drop reports not_found.
+	DropStream = Verb[DropStreamReq, struct{}]{"dsms.drop_stream", false}
+	Schema     = Verb[SchemaReq, SchemaResp]{"dsms.schema", true}
+	// A put is idempotent by name.
+	Deploy = Verb[DeployReq, DeployResp]{"dsms.deploy", true}
+	// A repeat of an applied withdraw reports not_found.
+	Withdraw = Verb[WithdrawReq, struct{}]{"dsms.withdraw", false}
+	// A repeat would ingest the batch twice.
+	IngestBatch = Verb[IngestBatchReq, struct{}]{"dsms.ingest_batch", false}
+	Flush       = Verb[struct{}, struct{}]{"dsms.flush", true}
+	ListParts   = Verb[struct{}, ListPartsResp]{"dsms.list_parts", true}
+	Ping        = Verb[struct{}, PingResp]{"dsms.ping", true}
+	// The follower deduplicates a repeat against Base.
+	Replicate = Verb[ReplicateReq, ReplicateResp]{"dsms.replicate", true}
+	Migrate   = Verb[MigrateReq, MigrateResp]{"dsms.migrate", true}
+)
+
+// The one verb outside the table: dsms.subscribe hijacks its
+// connection, which then carries MsgTuple pushes.
 const (
-	MsgCreateStream = "dsms.create_stream"
-	MsgDropStream   = "dsms.drop_stream"
-	MsgSchema       = "dsms.schema"
-	MsgDeploy       = "dsms.deploy"
-	MsgWithdraw     = "dsms.withdraw"
-	MsgIngestBatch  = "dsms.ingest_batch"
-	MsgFlush        = "dsms.flush"
-	MsgListParts    = "dsms.list_parts"
-	MsgPing         = "dsms.ping"
-	MsgSubscribe    = "dsms.subscribe"
-	MsgTuple        = "dsms.tuple"
-	// Replication / failover verbs (replicated shard topology): a
-	// fronting runtime ships a primary stream's accepted tuples to
-	// follower dsmsds with MsgReplicate, whose reply is the follower's
-	// applied position, and reads a continuous query's serialized window
-	// state off an engine with MsgMigrate (a MsgDeploy with State puts it
-	// back).
-	MsgReplicate = "dsms.replicate"
-	MsgMigrate   = "dsms.migrate"
+	MsgSubscribe = "dsms.subscribe"
+	MsgTuple     = "dsms.tuple"
 )
 
 // coded maps engine sentinel errors onto structured protocol error
@@ -173,7 +199,7 @@ type SubscribeReq struct {
 	IDOrHandle string `json:"id_or_handle"`
 }
 
-// PingResp answers MsgPing with the server's boot: a random id minted
+// PingResp answers Ping with the server's boot: a random id minted
 // per server life, so a peer can tell a restarted process on the same
 // address from the one it knew.
 type PingResp struct {
@@ -201,19 +227,61 @@ func NewServer(engine *dsms.Engine, profile *netsim.Profile) *Server {
 	if profile != nil {
 		s.srv.Delay = profile.RoundTrip
 	}
-	s.srv.Handle(MsgCreateStream, s.handleCreateStream)
-	s.srv.Handle(MsgDropStream, s.handleDropStream)
-	s.srv.Handle(MsgSchema, s.handleSchema)
-	s.srv.Handle(MsgDeploy, s.handleDeploy)
-	s.srv.Handle(MsgWithdraw, s.handleWithdraw)
-	s.srv.Handle(MsgIngestBatch, s.handleIngestBatch)
-	s.srv.Handle(MsgFlush, s.handleFlush)
-	s.srv.Handle(MsgListParts, s.handleListParts)
-	s.srv.Handle(MsgPing, s.handlePing)
-	s.srv.Handle(MsgSubscribe, s.handleSubscribe)
-	s.srv.Handle(MsgReplicate, s.handleReplicate)
-	s.srv.Handle(MsgMigrate, s.handleMigrate)
+	e, srv := engine, s.srv
+	serve(srv, CreateStream, func(r CreateStreamReq) (struct{}, error) {
+		return struct{}{}, e.CreateStream(r.Name, r.Schema)
+	})
+	serve(srv, DropStream, func(r DropStreamReq) (struct{}, error) {
+		return struct{}{}, e.DropStream(r.Name)
+	})
+	serve(srv, Schema, func(r SchemaReq) (SchemaResp, error) {
+		schema, err := e.StreamSchema(r.Name)
+		return SchemaResp{Schema: schema}, err
+	})
+	serve(srv, Deploy, s.deploy)
+	serve(srv, Withdraw, func(r WithdrawReq) (struct{}, error) {
+		return struct{}{}, e.Withdraw(r.IDOrHandle)
+	})
+	serve(srv, IngestBatch, func(r IngestBatchReq) (struct{}, error) {
+		return struct{}{}, e.IngestBatch(r.Stream, r.Tuples)
+	})
+	serve(srv, Flush, func(struct{}) (struct{}, error) {
+		e.Flush()
+		return struct{}{}, nil
+	})
+	serve(srv, ListParts, func(struct{}) (ListPartsResp, error) {
+		return ListPartsResp{Names: e.Queries()}, nil
+	})
+	serve(srv, Ping, func(struct{}) (PingResp, error) {
+		return PingResp{Boot: s.boot}, nil
+	})
+	serve(srv, Replicate, func(r ReplicateReq) (ReplicateResp, error) {
+		acked, err := e.Replicate(r.Stream, r.Log, r.Base, r.Reset, r.Tuples)
+		return ReplicateResp{Acked: acked}, err
+	})
+	// Migrate serializes a query's window state out (see MigrateReq).
+	serve(srv, Migrate, func(r MigrateReq) (MigrateResp, error) {
+		st, err := e.ExportQueryState(r.Export)
+		return MigrateResp{State: st}, err
+	})
+	srv.Handle(MsgSubscribe, s.handleSubscribe)
 	return s
+}
+
+// serve registers fn as the handler of verb v: the request is decoded
+// (an undecodable one is a bad_request), and fn's error is coded once.
+func serve[Req, Resp any](srv *protocol.Server, v Verb[Req, Resp], fn func(Req) (Resp, error)) {
+	srv.Handle(v.Name, func(m *protocol.Message, _ *protocol.Conn) (any, error) {
+		req, err := protocol.Decode[Req](m)
+		if err != nil {
+			return nil, protocol.WithCode(protocol.CodeBadRequest, err)
+		}
+		resp, err := fn(req)
+		if err != nil {
+			return nil, coded(err)
+		}
+		return resp, nil
+	})
 }
 
 // EnableTelemetry instruments the wrapped engine (ingest/output/window
@@ -243,39 +311,9 @@ func (s *Server) Addr() string { return s.boundAddr }
 // Close shuts the server down (the engine is left to its owner).
 func (s *Server) Close() { s.srv.Close() }
 
-func (s *Server) handleCreateStream(m *protocol.Message, _ *protocol.Conn) (any, error) {
-	req, err := protocol.Decode[CreateStreamReq](m)
-	if err != nil {
-		return nil, err
-	}
-	return struct{}{}, coded(s.Engine.CreateStream(req.Name, req.Schema))
-}
-
-func (s *Server) handleDropStream(m *protocol.Message, _ *protocol.Conn) (any, error) {
-	req, err := protocol.Decode[DropStreamReq](m)
-	if err != nil {
-		return nil, err
-	}
-	return struct{}{}, coded(s.Engine.DropStream(req.Name))
-}
-
-func (s *Server) handleSchema(m *protocol.Message, _ *protocol.Conn) (any, error) {
-	req, err := protocol.Decode[SchemaReq](m)
-	if err != nil {
-		return nil, err
-	}
-	schema, err := s.Engine.StreamSchema(req.Name)
-	if err != nil {
-		return nil, coded(err)
-	}
-	return SchemaResp{Schema: schema}, nil
-}
-
-func (s *Server) handleDeploy(m *protocol.Message, _ *protocol.Conn) (any, error) {
-	req, err := protocol.Decode[DeployReq](m)
-	if err != nil {
-		return nil, err
-	}
+// deploy compiles req's script, checks the input declaration it embeds
+// against the registered stream, and puts it (see DeployReq).
+func (s *Server) deploy(req DeployReq) (DeployResp, error) {
 	if d := s.ConnectDelay; d > 0 {
 		// Model the slow initial StreamBase connection: the first few
 		// deploys pay a start-up cost (§4.2 observes outliers only at
@@ -289,15 +327,15 @@ func (s *Server) handleDeploy(m *protocol.Message, _ *protocol.Conn) (any, error
 	// shard's staged part.
 	c, err := streamql.CompileString(req.Script)
 	if err != nil {
-		return nil, err
+		return DeployResp{}, err
 	}
 	if c.Schema != nil {
 		actual, err := s.Engine.StreamSchema(c.Input)
 		if err != nil {
-			return nil, coded(err)
+			return DeployResp{}, err
 		}
 		if !actual.Equal(c.Schema) {
-			return nil, fmt.Errorf("dsmsd: script schema for %q does not match registered stream", c.Input)
+			return DeployResp{}, fmt.Errorf("dsmsd: script schema for %q does not match registered stream", c.Input)
 		}
 	}
 	if req.Stage != nil {
@@ -305,63 +343,9 @@ func (s *Server) handleDeploy(m *protocol.Message, _ *protocol.Conn) (any, error
 	}
 	dep, err := s.Engine.Put(req.Name, c.Graph, req.State)
 	if err != nil {
-		return nil, coded(err)
+		return DeployResp{}, err
 	}
 	return DeployResp{QueryID: dep.ID, Handle: dep.Handle, OutputSchema: dep.OutputSchema}, nil
-}
-
-func (s *Server) handleWithdraw(m *protocol.Message, _ *protocol.Conn) (any, error) {
-	req, err := protocol.Decode[WithdrawReq](m)
-	if err != nil {
-		return nil, err
-	}
-	return struct{}{}, coded(s.Engine.Withdraw(req.IDOrHandle))
-}
-
-func (s *Server) handleIngestBatch(m *protocol.Message, _ *protocol.Conn) (any, error) {
-	req, err := protocol.Decode[IngestBatchReq](m)
-	if err != nil {
-		return nil, err
-	}
-	return struct{}{}, coded(s.Engine.IngestBatch(req.Stream, req.Tuples))
-}
-
-func (s *Server) handleReplicate(m *protocol.Message, _ *protocol.Conn) (any, error) {
-	req, err := protocol.Decode[ReplicateReq](m)
-	if err != nil {
-		return nil, err
-	}
-	acked, err := s.Engine.Replicate(req.Stream, req.Log, req.Base, req.Reset, req.Tuples)
-	if err != nil {
-		return nil, coded(err)
-	}
-	return ReplicateResp{Acked: acked}, nil
-}
-
-// handleMigrate serializes a query's window state out (see MigrateReq).
-func (s *Server) handleMigrate(m *protocol.Message, _ *protocol.Conn) (any, error) {
-	req, err := protocol.Decode[MigrateReq](m)
-	if err != nil {
-		return nil, err
-	}
-	st, err := s.Engine.ExportQueryState(req.Export)
-	if err != nil {
-		return nil, coded(err)
-	}
-	return MigrateResp{State: st}, nil
-}
-
-func (s *Server) handleFlush(_ *protocol.Message, _ *protocol.Conn) (any, error) {
-	s.Engine.Flush()
-	return struct{}{}, nil
-}
-
-func (s *Server) handleListParts(_ *protocol.Message, _ *protocol.Conn) (any, error) {
-	return ListPartsResp{Names: s.Engine.Queries()}, nil
-}
-
-func (s *Server) handlePing(_ *protocol.Message, _ *protocol.Conn) (any, error) {
-	return PingResp{Boot: s.boot}, nil
 }
 
 // handleSubscribe hijacks the connection: an acknowledging ".ok" frame
@@ -370,7 +354,7 @@ func (s *Server) handlePing(_ *protocol.Message, _ *protocol.Conn) (any, error) 
 func (s *Server) handleSubscribe(m *protocol.Message, conn *protocol.Conn) (any, error) {
 	req, err := protocol.Decode[SubscribeReq](m)
 	if err != nil {
-		return nil, err
+		return nil, protocol.WithCode(protocol.CodeBadRequest, err)
 	}
 	sub, err := s.Engine.Subscribe(req.IDOrHandle)
 	if err != nil {
@@ -462,47 +446,35 @@ func (c *Client) Close() error { return c.rpc.Close() }
 // connection with protocol.ErrClosed.
 func (c *Client) SetCallTimeout(d time.Duration) { c.rpc.SetCallTimeout(d) }
 
-// CreateStream registers an input stream on the engine.
-func (c *Client) CreateStream(name string, schema *stream.Schema) error {
-	_, err := c.rpc.Call(MsgCreateStream, CreateStreamReq{Name: name, Schema: schema})
-	return err
+// Call sends one request of verb v on c and decodes the response. An
+// error the server coded keeps its code (protocol.ErrorCode); a
+// connection that died under the call fails it with protocol.ErrClosed,
+// and whether the request may then be re-sent is v.Retry.
+func Call[Req, Resp any](c *Client, v Verb[Req, Resp], req Req) (Resp, error) {
+	return protocol.CallDecode[Resp](c.rpc, v.Name, req)
 }
 
-// DropStream removes an input stream, withdrawing every query reading
-// from it.
-func (c *Client) DropStream(name string) error {
-	_, err := c.rpc.Call(MsgDropStream, DropStreamReq{Name: name})
+// CreateStream registers an input stream on the engine.
+func (c *Client) CreateStream(name string, schema *stream.Schema) error {
+	_, err := Call(c, CreateStream, CreateStreamReq{Name: name, Schema: schema})
 	return err
 }
 
 // StreamSchema implements xacmlplus.StreamEngine.
 func (c *Client) StreamSchema(name string) (*stream.Schema, error) {
-	resp, err := protocol.CallDecode[SchemaResp](c.rpc, MsgSchema, SchemaReq{Name: name})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Schema, nil
+	resp, err := Call(c, Schema, SchemaReq{Name: name})
+	return resp.Schema, err
 }
 
-// DeployScript implements xacmlplus.StreamEngine: an unnamed Put.
+// DeployScript implements xacmlplus.StreamEngine: an unnamed Deploy.
 func (c *Client) DeployScript(script string) (string, string, error) {
-	resp, err := c.Put(DeployReq{Script: script})
-	if err != nil {
-		return "", "", err
-	}
-	return resp.QueryID, resp.Handle, nil
-}
-
-// Put deploys req's script as the query named req.Name, replacing the
-// query running under that name (see DeployReq), and returns the full
-// wire response, including the output schema of the continuous query.
-func (c *Client) Put(req DeployReq) (DeployResp, error) {
-	return protocol.CallDecode[DeployResp](c.rpc, MsgDeploy, req)
+	resp, err := Call(c, Deploy, DeployReq{Script: script})
+	return resp.QueryID, resp.Handle, err
 }
 
 // Withdraw implements xacmlplus.StreamEngine.
 func (c *Client) Withdraw(idOrHandle string) error {
-	_, err := c.rpc.Call(MsgWithdraw, WithdrawReq{IDOrHandle: idOrHandle})
+	_, err := Call(c, Withdraw, WithdrawReq{IDOrHandle: idOrHandle})
 	return err
 }
 
@@ -510,55 +482,20 @@ func (c *Client) Withdraw(idOrHandle string) error {
 // in one round trip. The name is historical: the dsmsd validates every
 // batch against the stream schema, whoever sends it.
 func (c *Client) IngestBatchPrevalidated(streamName string, ts []stream.Tuple) error {
-	_, err := c.rpc.Call(MsgIngestBatch, IngestBatchReq{Stream: streamName, Tuples: ts})
+	_, err := Call(c, IngestBatch, IngestBatchReq{Stream: streamName, Tuples: ts})
 	return err
-}
-
-// Replicate ships a contiguous run of a replicated stream's tuples to
-// this follower, returning the follower's applied position in log. base
-// is the absolute position of the tuple before ts[0]; a retried batch
-// is deduplicated server-side against it, so retrying after a
-// connection death is safe. reset declares the tuples before base
-// trimmed and lost (see ReplicateReq.Reset).
-func (c *Client) Replicate(streamName string, log, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
-	resp, err := protocol.CallDecode[ReplicateResp](c.rpc, MsgReplicate,
-		ReplicateReq{Stream: streamName, Log: log, Base: base, Reset: reset, Tuples: ts})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Acked, nil
-}
-
-// MigrateExport serializes a remote query's operator state (window
-// ring, incremental aggregates) for migration to another engine.
-func (c *Client) MigrateExport(idOrHandle string) (*dsms.QueryState, error) {
-	resp, err := protocol.CallDecode[MigrateResp](c.rpc, MsgMigrate, MigrateReq{Export: idOrHandle})
-	if err != nil {
-		return nil, err
-	}
-	return resp.State, nil
 }
 
 // Flush blocks until the remote engine's pipelines have quiesced.
 func (c *Client) Flush() error {
-	_, err := c.rpc.Call(MsgFlush, struct{}{})
+	_, err := Call(c, Flush, struct{}{})
 	return err
-}
-
-// ListParts names the continuous queries running on the remote
-// engine, sorted.
-func (c *Client) ListParts() ([]string, error) {
-	resp, err := protocol.CallDecode[ListPartsResp](c.rpc, MsgListParts, struct{}{})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Names, nil
 }
 
 // Ping checks liveness of the connection and the remote engine, and
 // returns the server's boot (see PingResp).
 func (c *Client) Ping() (uint64, error) {
-	resp, err := protocol.CallDecode[PingResp](c.rpc, MsgPing, struct{}{})
+	resp, err := Call(c, Ping, struct{}{})
 	return resp.Boot, err
 }
 

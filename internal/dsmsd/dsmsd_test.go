@@ -185,7 +185,7 @@ func TestErrorCodes(t *testing.T) {
 	if _, err := cli.StreamSchema("ghost"); protocol.ErrorCode(err) != protocol.CodeNotFound {
 		t.Fatalf("unknown schema lookup = %v (code %q), want %q", err, protocol.ErrorCode(err), protocol.CodeNotFound)
 	}
-	if err := cli.DropStream("ghost"); protocol.ErrorCode(err) != protocol.CodeNotFound {
+	if _, err := Call(cli, DropStream, DropStreamReq{Name: "ghost"}); protocol.ErrorCode(err) != protocol.CodeNotFound {
 		t.Fatalf("unknown drop = %v (code %q), want %q", err, protocol.ErrorCode(err), protocol.CodeNotFound)
 	}
 	if err := cli.Withdraw("q99999"); protocol.ErrorCode(err) != protocol.CodeNotFound {
@@ -196,5 +196,23 @@ func TestErrorCodes(t *testing.T) {
 	var ce *protocol.CodedError
 	if !errors.As(err, &ce) || ce.Error() == "" {
 		t.Fatalf("coded error lost its message: %v", err)
+	}
+}
+
+// TestUndecodablePayloadIsBadRequest sends a payload no request type
+// decodes for every verb of the table: each gets bad_request, and the
+// connection stays usable.
+func TestUndecodablePayloadIsBadRequest(t *testing.T) {
+	_, cli := startServer(t)
+	for _, verb := range []string{
+		CreateStream.Name, DropStream.Name, Schema.Name, Deploy.Name, Withdraw.Name, IngestBatch.Name,
+		Flush.Name, ListParts.Name, Ping.Name, Replicate.Name, Migrate.Name, MsgSubscribe,
+	} {
+		if _, err := cli.rpc.Call(verb, "undecodable"); protocol.ErrorCode(err) != protocol.CodeBadRequest {
+			t.Errorf("%s of an undecodable payload = %v (code %q), want %q", verb, err, protocol.ErrorCode(err), protocol.CodeBadRequest)
+		}
+		if _, err := cli.Ping(); err != nil {
+			t.Fatalf("connection unusable after a bad %s: %v", verb, err)
+		}
 	}
 }

@@ -146,3 +146,83 @@ func TestServerCloseDisconnectsClients(t *testing.T) {
 		t.Error("calls must fail after server close")
 	}
 }
+
+// TestWithdrawDoesNotWaitForStalledSubscriber: a subscriber to a staged
+// query whose OnTuple never returns stops reading its connection, so
+// the dsmsd's writer, then the lossless subscription, then the ingest
+// connection stall behind it. Withdrawing the query on another
+// connection must still return.
+func TestWithdrawDoesNotWaitForStalledSubscriber(t *testing.T) {
+	srv, cli := startServer(t)
+	if err := cli.CreateStream("s", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	dep, err := Call(cli, Deploy, DeployReq{
+		Script: "CREATE INPUT STREAM s (a int, b double); CREATE OUTPUT STREAM o; SELECT * FROM s WHERE a >= 0 INTO o;",
+		Stage:  &dsms.StageSpec{Mode: dsms.StageRelay},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func() *Client {
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		return c
+	}
+	subCli, cli2 := dial(), dial()
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	subCli.OnTuple = func(stream.Tuple) { <-release }
+	if err := subCli.Subscribe(dep.Handle); err != nil {
+		t.Fatal(err)
+	}
+
+	ingested := make(chan error)
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		batch := make([]stream.Tuple, 64)
+		for i := range batch {
+			batch[i] = stream.NewTuple(stream.IntValue(int64(i)), stream.DoubleValue(0))
+		}
+		for {
+			err := cli.IngestBatchPrevalidated("s", batch)
+			select {
+			case ingested <- err:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	for stalled := false; !stalled; {
+		select {
+		case err := <-ingested:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("ingest never stalled behind the subscriber")
+			}
+		case <-time.After(200 * time.Millisecond):
+			stalled = true
+		}
+	}
+
+	withdrawn := make(chan error, 1)
+	go func() {
+		_, err := Call(cli2, Withdraw, WithdrawReq{IDOrHandle: dep.QueryID})
+		withdrawn <- err
+	}()
+	select {
+	case err := <-withdrawn:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Withdraw waited for a subscriber that never reads")
+	}
+}

@@ -19,7 +19,7 @@ func TestRemoteEngineOps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := cli.Put(DeployReq{Name: "part", Script: "CREATE INPUT STREAM s (a int, b double); CREATE OUTPUT STREAM o; SELECT * FROM s WHERE a > 1 INTO o;"})
+	resp, err := Call(cli, Deploy, DeployReq{Name: "part", Script: "CREATE INPUT STREAM s (a int, b double); CREATE OUTPUT STREAM o; SELECT * FROM s WHERE a > 1 INTO o;"})
 	if err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -30,7 +30,8 @@ func TestRemoteEngineOps(t *testing.T) {
 		t.Errorf("output schema = %v, want input schema of a filter", resp.OutputSchema)
 	}
 
-	names, err := cli.ListParts()
+	resp2, err := Call(cli, ListParts, struct{}{})
+	names := resp2.Names
 	if err != nil || len(names) != 1 {
 		t.Fatalf("ListParts = %v, %v; want 1 part", names, err)
 	}
@@ -60,16 +61,16 @@ func TestRemoteEngineOps(t *testing.T) {
 		t.Error("batch never reached the filter query")
 	}
 
-	if err := cli.DropStream("s"); err != nil {
+	if _, err := Call(cli, DropStream, DropStreamReq{Name: "s"}); err != nil {
 		t.Fatalf("DropStream: %v", err)
 	}
 	if _, err := cli.StreamSchema("s"); err == nil {
 		t.Error("schema lookup after drop must fail")
 	}
-	if names, err := cli.ListParts(); err != nil || len(names) != 0 {
-		t.Errorf("ListParts after drop = %v, %v; want none (queries withdrawn with the stream)", names, err)
+	if resp, err := Call(cli, ListParts, struct{}{}); err != nil || len(resp.Names) != 0 {
+		t.Errorf("ListParts after drop = %v, %v; want none (queries withdrawn with the stream)", resp.Names, err)
 	}
-	if err := cli.DropStream("s"); err == nil {
+	if _, err := Call(cli, DropStream, DropStreamReq{Name: "s"}); err == nil {
 		t.Error("dropping an unknown stream must fail")
 	}
 }

@@ -3,11 +3,15 @@ package runtime_test
 import (
 	"errors"
 	"fmt"
+	"net"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dsms"
+	"repro/internal/dsmsd"
 	"repro/internal/protocol"
 	"repro/internal/runtime"
 	"repro/internal/stream"
@@ -262,6 +266,307 @@ func TestShardBackendConformance(t *testing.T) {
 				})
 			}
 		})
+	}
+	// The verb table rows hold for the remote flavour: they pin the
+	// backend's wire methods to dsmsd's verb table.
+	t.Run("verb table", func(t *testing.T) {
+		t.Run("every wire method is one table verb", wireMethodsAreTableVerbs)
+		t.Run("a lost reply is retried only for Retry verbs", retryFollowsTheTable)
+	})
+}
+
+// notWire are the ShardBackend methods that send no table verb: Kind
+// and Healthy are local, Close tears connections down and Subscribe
+// hijacks its own connection.
+var notWire = map[string]bool{"Kind": true, "Healthy": true, "Close": true, "Subscribe": true}
+
+// wireCase is one ShardBackend wire method over a dsmsd: the table verb
+// it sends, setup of the dsmsd's engine, the call (which fails on a
+// wrong result), and applied, which checks on the engine that the
+// call's effect landed exactly once (nil for a read).
+type wireCase struct {
+	verb    string
+	retry   bool
+	setup   func(t *testing.T, eng *dsms.Engine)
+	run     func(be runtime.ShardBackend) error
+	applied func(t *testing.T, eng *dsms.Engine)
+}
+
+func wire[Req, Resp any](v dsmsd.Verb[Req, Resp], setup func(*testing.T, *dsms.Engine), run func(runtime.ShardBackend) error, applied func(*testing.T, *dsms.Engine)) wireCase {
+	return wireCase{verb: v.Name, retry: v.Retry, setup: setup, run: run, applied: applied}
+}
+
+// wireCases maps each ShardBackend wire method to its case.
+func wireCases() map[string]wireCase {
+	withStream := func(t *testing.T, eng *dsms.Engine) {
+		t.Helper()
+		if err := eng.CreateStream("s", testSchema()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	withPart := func(t *testing.T, eng *dsms.Engine) {
+		t.Helper()
+		withStream(t, eng)
+		if _, err := runtime.NewLocalBackend(eng).PutPart("p", runtime.DeployRequest{Script: conformScript}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seqIs := func(want uint64) func(t *testing.T, eng *dsms.Engine) {
+		return func(t *testing.T, eng *dsms.Engine) {
+			t.Helper()
+			if got, err := eng.StreamSeq("s"); err != nil || got != want {
+				t.Fatalf("stream sequence = %d, %v; want %d (applied exactly once)", got, err, want)
+			}
+		}
+	}
+	partsAre := func(want ...string) func(t *testing.T, eng *dsms.Engine) {
+		return func(t *testing.T, eng *dsms.Engine) {
+			t.Helper()
+			if got := eng.Queries(); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("engine runs parts %v, want %v", got, want)
+			}
+		}
+	}
+	return map[string]wireCase{
+		"CreateStream": wire(dsmsd.CreateStream, func(*testing.T, *dsms.Engine) {},
+			func(be runtime.ShardBackend) error { return be.CreateStream("s", testSchema()) },
+			func(t *testing.T, eng *dsms.Engine) {
+				if _, err := eng.StreamSchema("s"); err != nil {
+					t.Fatalf("stream not created: %v", err)
+				}
+			}),
+		"DropStream": wire(dsmsd.DropStream, withStream,
+			func(be runtime.ShardBackend) error { return be.DropStream("s") },
+			func(t *testing.T, eng *dsms.Engine) {
+				if _, err := eng.StreamSchema("s"); err == nil {
+					t.Fatal("stream not dropped")
+				}
+			}),
+		"StreamSchema": wire(dsmsd.Schema, withStream,
+			func(be runtime.ShardBackend) error {
+				s, err := be.StreamSchema("s")
+				if err == nil && !s.Equal(testSchema()) {
+					err = fmt.Errorf("schema %v", s)
+				}
+				return err
+			}, nil),
+		"IngestBatch": wire(dsmsd.IngestBatch, withStream,
+			func(be runtime.ShardBackend) error { return be.IngestBatch("s", tuples(0, 5), nil) },
+			seqIs(5)),
+		"PutPart": wire(dsmsd.Deploy, withStream,
+			func(be runtime.ShardBackend) error {
+				_, err := be.PutPart("p", runtime.DeployRequest{Script: conformScript}, nil)
+				return err
+			}, partsAre("p")),
+		"DeletePart": wire(dsmsd.Withdraw, withPart,
+			func(be runtime.ShardBackend) error { return be.DeletePart("p") },
+			partsAre()),
+		"ListParts": wire(dsmsd.ListParts, withPart,
+			func(be runtime.ShardBackend) error {
+				names, err := be.ListParts()
+				if err == nil && fmt.Sprint(names) != "[p]" {
+					err = fmt.Errorf("parts %v, want [p]", names)
+				}
+				return err
+			}, nil),
+		"Replicate": wire(dsmsd.Replicate, withStream,
+			func(be runtime.ShardBackend) error {
+				acked, err := be.Replicate("s", conformLog, 0, false, tuples(0, 5))
+				if err == nil && acked != 5 {
+					err = fmt.Errorf("acked %d, want 5", acked)
+				}
+				return err
+			}, seqIs(5)),
+		"ExportQueryState": wire(dsmsd.Migrate, withPart,
+			func(be runtime.ShardBackend) error {
+				st, err := be.ExportQueryState("p")
+				if err == nil && st == nil {
+					err = errors.New("no state")
+				}
+				return err
+			}, nil),
+	}
+}
+
+// behindRelay stands up a dsmsd and a RemoteBackend reaching it through
+// a relay that cuts the first request of verb cut ("" for none).
+func behindRelay(t *testing.T, cut string) (runtime.ShardBackend, *dsms.Engine, *cutRelay) {
+	t.Helper()
+	srv, addr := startDSMSD(t, "relayed", nil)
+	t.Cleanup(srv.Engine.Close)
+	t.Cleanup(srv.Close)
+	r := startRelay(t, addr, cut)
+	be := runtime.NewRemoteBackend(r.addr(), runtime.RemoteOptions{HealthInterval: -1, CallTimeout: 5 * time.Second})
+	t.Cleanup(func() { _ = be.Close() })
+	return be, srv.Engine, r
+}
+
+// wireMethodsAreTableVerbs: every ShardBackend method but notWire has a
+// case, and calling it sends its case's verb, once and nothing else
+// (the ping a dial sends aside), so a new wire method cannot ship
+// without a table verb.
+func wireMethodsAreTableVerbs(t *testing.T) {
+	cases := wireCases()
+	iface := reflect.TypeOf((*runtime.ShardBackend)(nil)).Elem()
+	methods := map[string]bool{}
+	byVerb := map[string]string{}
+	for i := 0; i < iface.NumMethod(); i++ {
+		name := iface.Method(i).Name
+		methods[name] = true
+		if notWire[name] {
+			continue
+		}
+		w, ok := cases[name]
+		if !ok {
+			t.Errorf("ShardBackend.%s maps to no verb of dsmsd's table", name)
+			continue
+		}
+		if other, dup := byVerb[w.verb]; dup {
+			t.Errorf("ShardBackend.%s and .%s both map to %s", name, other, w.verb)
+		}
+		byVerb[w.verb] = name
+		be, eng, r := behindRelay(t, "")
+		w.setup(t, eng)
+		if err := w.run(be); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if got := r.sent(); len(got) != 1 || got[0] != w.verb {
+			t.Errorf("ShardBackend.%s sent %v, want exactly [%s]", name, got, w.verb)
+		}
+	}
+	for name := range cases {
+		if !methods[name] {
+			t.Errorf("case %s names no ShardBackend method", name)
+		}
+	}
+}
+
+// retryFollowsTheTable cuts each wire method's connection after the
+// dsmsd applied its request and before the reply reaches the backend.
+// A Retry verb is re-sent on a fresh connection and succeeds; any other
+// fails with an error wrapping protocol.ErrClosed. Either way the
+// dsmsd applied the request exactly once.
+func retryFollowsTheTable(t *testing.T) {
+	for name, w := range wireCases() {
+		t.Run(name, func(t *testing.T) {
+			be, eng, r := behindRelay(t, w.verb)
+			w.setup(t, eng)
+			err := w.run(be)
+			sends := 1
+			if w.retry {
+				sends = 2
+				if err != nil {
+					t.Fatalf("%s (Retry) = %v, want the re-sent request to succeed", w.verb, err)
+				}
+			} else if !errors.Is(err, protocol.ErrClosed) {
+				t.Fatalf("%s = %v, want an error wrapping protocol.ErrClosed", w.verb, err)
+			}
+			if got := r.sent(); len(got) != sends {
+				t.Fatalf("%s was sent %d times (%v), want %d", w.verb, len(got), got, sends)
+			}
+			if w.applied != nil {
+				w.applied(t, eng)
+			}
+		})
+	}
+}
+
+// cutRelay forwards protocol frames between clients and a dsmsd and
+// records the type of every request it forwards. The first request of
+// type cut is forwarded and its reply awaited; then both sides of that
+// connection close instead of relaying the reply: the server applied
+// the request, and the caller's connection died under it.
+type cutRelay struct {
+	ln    net.Listener
+	up    string
+	cut   string
+	mu    sync.Mutex
+	seen  []string
+	fired bool
+	conns []net.Conn
+}
+
+func startRelay(t *testing.T, upstream, cut string) *cutRelay {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &cutRelay{ln: ln, up: upstream, cut: cut}
+	go r.accept()
+	t.Cleanup(func() {
+		_ = ln.Close()
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		for _, c := range r.conns {
+			_ = c.Close()
+		}
+	})
+	return r
+}
+
+func (r *cutRelay) addr() string { return r.ln.Addr().String() }
+
+// sent lists the forwarded requests, less the pings that dials send.
+func (r *cutRelay) sent() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []string
+	for _, typ := range r.seen {
+		if typ != dsmsd.Ping.Name {
+			out = append(out, typ)
+		}
+	}
+	return out
+}
+
+func (r *cutRelay) accept() {
+	for {
+		down, err := r.ln.Accept()
+		if err != nil {
+			return
+		}
+		up, err := net.Dial("tcp", r.up)
+		if err != nil {
+			_ = down.Close()
+			continue
+		}
+		r.mu.Lock()
+		r.conns = append(r.conns, down, up)
+		r.mu.Unlock()
+		var cutID atomic.Uint64 // message ids start at 1
+		go func() {
+			defer up.Close()
+			for {
+				m, err := protocol.ReadFrame(down)
+				if err != nil {
+					return
+				}
+				r.mu.Lock()
+				r.seen = append(r.seen, m.Type)
+				if m.Type == r.cut && !r.fired {
+					r.fired = true
+					cutID.Store(m.ID)
+				}
+				r.mu.Unlock()
+				if protocol.WriteFrame(up, m) != nil {
+					return
+				}
+			}
+		}()
+		go func() {
+			defer down.Close()
+			for {
+				m, err := protocol.ReadFrame(up)
+				if err != nil || m.ID == cutID.Load() {
+					_ = up.Close()
+					return
+				}
+				if protocol.WriteFrame(down, m) != nil {
+					return
+				}
+			}
+		}()
 	}
 }
 

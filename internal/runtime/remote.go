@@ -86,6 +86,10 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 // Every transition is posted under the backend's lock, so in the order
 // the state changed, to the owning runtime's health stream for the
 // shard, which applies them (see failover.go).
+//
+// Each wire method is one call of a verb of dsmsd's verb table, the one
+// place a verb is declared, with its types and whether it is retried
+// on connection death; no method here chooses that itself.
 type RemoteBackend struct {
 	addr string
 	opts RemoteOptions
@@ -272,49 +276,31 @@ func (b *RemoteBackend) tryReadopt() {
 	b.healthEvent("readopted", nil)
 }
 
-// do runs one idempotent RPC against the backend, redialing and
-// re-issuing once if the connection died under it. Only safe for
-// operations whose duplicate execution is harmless (schema lookups,
-// pings, flushes, named puts): a connection can die after the server
-// applied the request but before the response arrived. The call
-// timeout rides on the connection's read/write deadlines (set at dial),
-// so a stalled dsmsd fails the call with protocol.ErrClosed without any
-// watchdog goroutine.
-func (b *RemoteBackend) do(op func(c *dsmsd.Client) error) error {
-	var lastErr error
-	for try := 0; try < 2; try++ {
+// call runs one request of verb v against the backend. A call whose
+// connection died under it drops that connection, so the next
+// operation redials (with the bounded budget that eventually declares
+// the backend down). The server may already have applied the request,
+// so it is re-issued once on a fresh connection only when v.Retry
+// declares a duplicate harmless; otherwise the error is surfaced, and
+// accounted by the caller. The call timeout rides on the connection's
+// read/write deadlines (set at dial), so a stalled dsmsd fails the call
+// with protocol.ErrClosed without any watchdog goroutine.
+func call[Req, Resp any](b *RemoteBackend, v dsmsd.Verb[Req, Resp], req Req) (Resp, error) {
+	for try := 0; ; try++ {
 		cli, err := b.client()
 		if err != nil {
-			return err
+			var zero Resp
+			return zero, err
 		}
-		err = op(cli)
+		resp, err := dsmsd.Call(cli, v, req)
 		if err == nil || !errors.Is(err, protocol.ErrClosed) {
-			return err
+			return resp, err
 		}
-		lastErr = b.connErr("runtime: remote shard %s: %w", err)
 		b.dropClient(cli)
+		if !v.Retry || try > 0 {
+			return resp, b.connErr("runtime: remote shard %s: %w", err)
+		}
 	}
-	return lastErr
-}
-
-// doOnce runs one side-effecting RPC exactly once: on connection death
-// the error is surfaced (and accounted by the caller) rather than the
-// request re-sent, because the server may already have applied it —
-// re-issuing an ingest would duplicate tuples, a create would falsely
-// report "already exists". The dead connection is dropped so the next
-// operation redials (with the bounded budget that eventually declares
-// the backend down).
-func (b *RemoteBackend) doOnce(op func(c *dsmsd.Client) error) error {
-	cli, err := b.client()
-	if err != nil {
-		return err
-	}
-	err = op(cli)
-	if err == nil || !errors.Is(err, protocol.ErrClosed) {
-		return err
-	}
-	b.dropClient(cli)
-	return b.connErr("runtime: remote shard %s: %w", err)
 }
 
 // probe pings the server every HealthInterval so a dead dsmsd is
@@ -348,10 +334,7 @@ func (b *RemoteBackend) probe() {
 				// declared down while no publishes flow.
 				continue
 			}
-			_ = b.do(func(c *dsmsd.Client) error {
-				_, err := c.Ping()
-				return err
-			})
+			_, _ = call(b, dsmsd.Ping, struct{}{})
 		}
 	}
 }
@@ -365,7 +348,7 @@ func (b *RemoteBackend) probe() {
 // recognized by the structured already_exists code the dsmsd attaches
 // (protocol.ErrorCode), not by matching error text.
 func (b *RemoteBackend) CreateStream(name string, schema *stream.Schema) error {
-	err := b.doOnce(func(c *dsmsd.Client) error { return c.CreateStream(name, schema) })
+	_, err := call(b, dsmsd.CreateStream, dsmsd.CreateStreamReq{Name: name, Schema: schema})
 	if err == nil || protocol.ErrorCode(err) != protocol.CodeAlreadyExists {
 		return err
 	}
@@ -378,93 +361,66 @@ func (b *RemoteBackend) CreateStream(name string, schema *stream.Schema) error {
 
 // DropStream implements ShardBackend.
 func (b *RemoteBackend) DropStream(name string) error {
-	return b.doOnce(func(c *dsmsd.Client) error { return c.DropStream(name) })
+	_, err := call(b, dsmsd.DropStream, dsmsd.DropStreamReq{Name: name})
+	return err
 }
 
 // StreamSchema implements ShardBackend.
 func (b *RemoteBackend) StreamSchema(name string) (*stream.Schema, error) {
-	var out *stream.Schema
-	err := b.do(func(c *dsmsd.Client) error {
-		s, err := c.StreamSchema(name)
-		out = s
-		return err
-	})
-	return out, err
+	resp, err := call(b, dsmsd.Schema, dsmsd.SchemaReq{Name: name})
+	return resp.Schema, err
 }
 
-// IngestBatch implements ShardBackend. At-most-once: a batch whose
-// connection died mid-call is reported as an error (the shard worker
-// counts it) instead of re-sent, which could double-apply it. The
-// tuples are serialized onto the wire before the call returns, and the
-// span records the whole RPC as one StageBackend interval (the dsmsd's
-// engine stages are not visible from here).
+// IngestBatch implements ShardBackend. dsmsd.IngestBatch is not
+// retried: a batch whose connection died mid-call is reported as an
+// error, which the shard worker counts. The tuples are serialized onto
+// the wire before the call returns, and the span records the whole RPC
+// as one StageBackend interval (the dsmsd's engine stages are not
+// visible from here).
 func (b *RemoteBackend) IngestBatch(streamName string, ts []stream.Tuple, sp *telemetry.Span) error {
 	sp.Begin(telemetry.StageBackend)
-	err := b.doOnce(func(c *dsmsd.Client) error { return c.IngestBatchPrevalidated(streamName, ts) })
+	_, err := call(b, dsmsd.IngestBatch, dsmsd.IngestBatchReq{Stream: streamName, Tuples: ts})
 	sp.End(telemetry.StageBackend)
 	sp.Finish()
 	return err
 }
 
 // PutPart implements ShardBackend. Remote deployment needs the script
-// form: compiled graphs do not cross the wire. A put is idempotent by
-// name, so a call whose connection died is re-issued.
+// form: compiled graphs do not cross the wire.
 func (b *RemoteBackend) PutPart(name string, req DeployRequest, st *dsms.QueryState) (BackendDeployment, error) {
 	if req.Script == "" {
 		return BackendDeployment{}, fmt.Errorf("runtime: remote shard %s: deploy requires a StreamSQL script (use DeployScript)", b.addr)
 	}
-	var out BackendDeployment
-	err := b.do(func(c *dsmsd.Client) error {
-		resp, err := c.Put(dsmsd.DeployReq{Name: name, Script: req.Script, Stage: req.Stage, State: st})
-		out = BackendDeployment{ID: resp.QueryID, OutputSchema: resp.OutputSchema}
-		return err
-	})
-	return out, err
+	resp, err := call(b, dsmsd.Deploy, dsmsd.DeployReq{Name: name, Script: req.Script, Stage: req.Stage, State: st})
+	return BackendDeployment{ID: resp.QueryID, OutputSchema: resp.OutputSchema}, err
 }
 
-// DeletePart implements ShardBackend. At most once: a repeat after an
-// applied delete would report the part unknown.
+// DeletePart implements ShardBackend.
 func (b *RemoteBackend) DeletePart(name string) error {
-	return b.doOnce(func(c *dsmsd.Client) error { return c.Withdraw(name) })
+	_, err := call(b, dsmsd.Withdraw, dsmsd.WithdrawReq{IDOrHandle: name})
+	return err
 }
 
 // ListParts implements ShardBackend.
 func (b *RemoteBackend) ListParts() ([]string, error) {
-	var names []string
-	err := b.do(func(c *dsmsd.Client) error {
-		n, err := c.ListParts()
-		names = n
-		return err
-	})
-	return names, err
+	resp, err := call(b, dsmsd.ListParts, struct{}{})
+	return resp.Names, err
 }
 
 // Replicate implements ShardBackend: it ships a contiguous run of a
-// replicated stream to the follower dsmsd. Safe to retry (and so
-// routed through do): the server deduplicates against its stored
-// position using base, so a redelivery after a lost ack trims the
-// already-applied prefix instead of double-ingesting.
+// replicated stream to the follower dsmsd. The server deduplicates
+// against its stored position using base, so a redelivery after a lost
+// ack trims the already-applied prefix instead of double-ingesting.
 func (b *RemoteBackend) Replicate(streamName string, log, base uint64, reset bool, ts []stream.Tuple) (uint64, error) {
-	var acked uint64
-	err := b.do(func(c *dsmsd.Client) error {
-		a, err := c.Replicate(streamName, log, base, reset, ts)
-		acked = a
-		return err
-	})
-	return acked, err
+	resp, err := call(b, dsmsd.Replicate, dsmsd.ReplicateReq{Stream: streamName, Log: log, Base: base, Reset: reset, Tuples: ts})
+	return resp.Acked, err
 }
 
 // ExportQueryState implements ShardBackend: it serializes a deployed
-// query's window state off the dsmsd for migration (read-only, so
-// retried on connection death).
+// query's window state off the dsmsd for migration.
 func (b *RemoteBackend) ExportQueryState(name string) (*dsms.QueryState, error) {
-	var st *dsms.QueryState
-	err := b.do(func(c *dsmsd.Client) error {
-		s, err := c.MigrateExport(name)
-		st = s
-		return err
-	})
-	return st, err
+	resp, err := call(b, dsmsd.Migrate, dsmsd.MigrateReq{Export: name})
+	return resp.State, err
 }
 
 // Close implements ShardBackend: stops the probe, drops the RPC
