@@ -340,7 +340,6 @@ func BenchmarkShardedIngest(b *testing.B) {
 				rt := runtime.New("bench", runtime.Options{
 					Shards:    shards,
 					QueueSize: 8192,
-					BatchSize: 256,
 				})
 				defer rt.Close()
 				schema := stream.MustSchema(

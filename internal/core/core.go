@@ -309,7 +309,7 @@ func (f *Framework) Subscribe(handle string) (*runtime.Subscription, error) {
 }
 
 // Publish appends a tuple to a registered stream via the shard queues;
-// all continuous queries over it are applied by the shard worker.
+// all continuous queries over it are applied by the shard's drain.
 func (f *Framework) Publish(streamName string, t stream.Tuple) error {
 	return f.Runtime.Publish(streamName, t)
 }

@@ -100,6 +100,7 @@ type pipeline struct {
 
 	sel     []int32        // reused selection vector
 	colHdrs []stream.Tuple // reused materialized output headers
+	slab    []stream.Value // unused tail of the output-row value slab
 
 	// stage, when set, runs after the operator chain on every batch
 	// (including batches the chain filtered to nothing) and replaces the
@@ -307,9 +308,11 @@ func (p *pipeline) runOps(from int, cur []stream.Tuple, retain bool) ([]stream.T
 // The returned count is the number of output tuples regardless of
 // materialization, for the engine's output accounting. Returned rows
 // follow the processBatch validity contract; when needRows is set,
-// value storage is freshly allocated (subscribers retain pushed
-// tuples beyond the batch). Staged pipelines always materialize (the
-// stage consumes rows) and return stage records.
+// their values are carved from a per-pipeline slab of at least rowSlab
+// values that no later batch writes over (subscribers retain pushed
+// tuples beyond the batch), so a consumer that keeps any one row keeps
+// its whole slab, ~40 KB, alive. Staged pipelines always materialize
+// (the stage consumes rows) and return stage records.
 func (p *pipeline) processCols(cb *stream.ColBatch, needRows bool) ([]stream.Tuple, int, error) {
 	if p.stage == nil {
 		return p.processColsCore(cb, needRows)
@@ -371,14 +374,24 @@ func (p *pipeline) processColsCore(cb *stream.ColBatch, needRows bool) ([]stream
 	if !needRows {
 		return nil, len(sel), nil
 	}
-	arena := make([]stream.Value, 0, len(sel)*len(p.outIdx))
+	// The rows outlive the batch (consumers keep them), so their values
+	// are carved from a slab no row is ever written over: one
+	// allocation serves many batches, however few rows each yields.
+	need := len(sel) * len(p.outIdx)
+	if len(p.slab) < need {
+		p.slab = make([]stream.Value, max(need, rowSlab))
+	}
 	if cap(p.colHdrs) < len(sel) {
 		p.colHdrs = make([]stream.Tuple, 0, len(sel))
 	}
-	hdrs, _ := cb.MaterializeRows(p.outIdx, sel, p.colHdrs[:0], arena)
+	hdrs, _ := cb.MaterializeRows(p.outIdx, sel, p.colHdrs[:0], p.slab[:0:need])
+	p.slab = p.slab[need:]
 	p.colHdrs = hdrs
 	return hdrs, len(hdrs), nil
 }
+
+// rowSlab is the least number of values an output-row slab holds.
+const rowSlab = 1024
 
 // filterOp drops tuples that do not satisfy the condition, compacting
 // the batch in place: zero allocations on the hot path. The condition

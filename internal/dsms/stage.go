@@ -2,7 +2,7 @@ package dsms
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/stream"
 )
@@ -151,15 +151,20 @@ type WindowPartial struct {
 	Lasts   []stream.Value `json:"lasts"`
 }
 
-func newWindowPartial(win int64, nspecs int) *WindowPartial {
+// newWindowPartial allocates a partial whose per-spec slices share one
+// backing array per element type: the merge decodes one per record, so
+// it is built in four allocations, not seven.
+func newWindowPartial(win int64, n int) *WindowPartial {
+	ints := make([]int64, 2*n)
+	vals := make([]stream.Value, 3*n)
 	return &WindowPartial{
 		Win:     win,
-		Sums:    make([]float64, nspecs),
-		Nonnull: make([]int64, nspecs),
-		Best:    make([]stream.Value, nspecs),
-		BestG:   make([]int64, nspecs),
-		Firsts:  make([]stream.Value, nspecs),
-		Lasts:   make([]stream.Value, nspecs),
+		Sums:    make([]float64, n),
+		Nonnull: ints[:n:n],
+		BestG:   ints[n:],
+		Best:    vals[:n:n],
+		Firsts:  vals[n : 2*n : 2*n],
+		Lasts:   vals[2*n:],
 	}
 }
 
@@ -345,14 +350,14 @@ func (c *PartialCodec) Merge(parts []*WindowPartial) (*WindowPartial, error) {
 			continue
 		}
 		if m == nil {
-			cp := *p
-			cp.Sums = append([]float64(nil), p.Sums...)
-			cp.Nonnull = append([]int64(nil), p.Nonnull...)
-			cp.Best = append([]stream.Value(nil), p.Best...)
-			cp.BestG = append([]int64(nil), p.BestG...)
-			cp.Firsts = append([]stream.Value(nil), p.Firsts...)
-			cp.Lasts = append([]stream.Value(nil), p.Lasts...)
-			m = &cp
+			m = newWindowPartial(p.Win, len(c.aggs))
+			m.Count, m.FirstG, m.LastG, m.LastArr = p.Count, p.FirstG, p.LastG, p.LastArr
+			copy(m.Sums, p.Sums)
+			copy(m.Nonnull, p.Nonnull)
+			copy(m.Best, p.Best)
+			copy(m.BestG, p.BestG)
+			copy(m.Firsts, p.Firsts)
+			copy(m.Lasts, p.Lasts)
 			continue
 		}
 		if p.Win != m.Win {
@@ -543,6 +548,7 @@ type partialAggOp struct {
 	lastRowG uint64 // last processed row position (order enforcement)
 
 	outBuf []stream.Tuple
+	keys   []int64 // reused open-window keys of a snapshot
 }
 
 func newPartialAggOp(agg *Box, in *stream.Schema) (*partialAggOp, error) {
@@ -595,11 +601,12 @@ func (p *partialAggOp) process(rows []stream.Tuple, batchHighG uint64) ([]stream
 	// receiving any row at or beyond it). Windows the shard frontier
 	// has passed are complete — no future row of this shard can land
 	// in them — and are dropped after this last snapshot.
-	keys := make([]int64, 0, len(p.open))
+	keys := p.keys[:0]
 	for k := range p.open {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
+	p.keys = keys
 	for _, k := range keys {
 		p.recSeq++
 		out = append(out, p.cod.encode(p.open[k], p.recSeq))
@@ -691,7 +698,7 @@ func (p *partialAggOp) exportState() *StageState {
 	for k := range p.open {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	for _, k := range keys {
 		st.Windows = append(st.Windows, *p.open[k])
 	}

@@ -46,8 +46,6 @@ type AdmissionOptions struct {
 	// QueueSize is the per-shard queue capacity (default 256, small
 	// enough that a saturating publisher forces shedding).
 	QueueSize int
-	// BatchSize is the drain batch size (default 64).
-	BatchSize int
 	// Policy is the backpressure policy (default DropNewest, which is
 	// class-aware: higher classes evict queued lower-class tuples).
 	Policy runtime.Policy
@@ -66,9 +64,6 @@ func (o AdmissionOptions) withDefaults() AdmissionOptions {
 	}
 	if o.QueueSize <= 0 {
 		o.QueueSize = 256
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 64
 	}
 	if o.BatchPublish <= 0 {
 		o.BatchPublish = 64
@@ -140,7 +135,6 @@ func RunAdmission(o AdmissionOptions) (AdmissionResult, error) {
 	rt := runtime.New("admission", runtime.Options{
 		Shards:     o.Shards,
 		QueueSize:  o.QueueSize,
-		BatchSize:  o.BatchSize,
 		Policy:     o.Policy,
 		BlockClass: o.BlockClass,
 	})

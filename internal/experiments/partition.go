@@ -207,7 +207,7 @@ func RunPartition(o PartitionOptions) (PartitionResult, error) {
 	// Leg 1: global aggregate over one partitioned stream. Every
 	// emission crosses the merge stage.
 	{
-		rt := runtime.New("bench-global", runtime.Options{Shards: o.Shards, QueueSize: o.QueueSize, BatchSize: o.BatchSize})
+		rt := runtime.New("bench-global", runtime.Options{Shards: o.Shards, QueueSize: o.QueueSize})
 		if err := rt.CreatePartitionedStream("events", partitionSchema(), "key"); err != nil {
 			rt.Close()
 			return res, err
@@ -254,7 +254,7 @@ func RunPartition(o PartitionOptions) (PartitionResult, error) {
 	// Leg 2: the same aggregate on N independent single-shard streams —
 	// per-shard answers, no merge stage.
 	{
-		rt := runtime.New("bench-pershard", runtime.Options{Shards: o.Shards, QueueSize: o.QueueSize, BatchSize: o.BatchSize})
+		rt := runtime.New("bench-pershard", runtime.Options{Shards: o.Shards, QueueSize: o.QueueSize})
 		streams := make([]string, o.Shards)
 		perStream := o.Tuples / o.Shards
 		want := o.Shards * windowCount(perStream, o.WindowSize, o.WindowStep)

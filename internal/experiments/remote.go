@@ -149,7 +149,6 @@ func RunRemoteShards(o RemoteShardsOptions) (RemoteShardsResult, error) {
 	rt := runtime.New("remote-bench", runtime.Options{
 		Backends:  specs,
 		QueueSize: o.QueueSize,
-		BatchSize: o.BatchSize,
 		Policy:    o.Policy,
 	})
 	defer rt.Close()

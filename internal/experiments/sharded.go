@@ -81,7 +81,6 @@ func RunShardedIngest(o ShardedOptions) (ShardedResult, error) {
 	rt := runtime.New("bench", runtime.Options{
 		Shards:    o.Shards,
 		QueueSize: o.QueueSize,
-		BatchSize: o.BatchSize,
 		Policy:    o.Policy,
 	})
 	defer rt.Close()

@@ -204,7 +204,7 @@ type PublishVerdict struct {
 }
 
 // streamCounters is the per-stream admission accounting, shared between
-// the publish path and the shard workers (hence atomics). The
+// the publish path and the shard drains (hence atomics). The
 // steady-state invariant after a flush is
 //
 //	offered == shed + dropped + ingested + errors

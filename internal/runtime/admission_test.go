@@ -120,7 +120,7 @@ func checkStreamInvariant(t *testing.T, row metrics.StreamStat) {
 // then publishes Critical tuples: each must evict a queued BestEffort
 // victim instead of being dropped.
 func TestClassAwareDropNewest(t *testing.T) {
-	rt := New("cls", Options{Shards: 1, QueueSize: 128, BatchSize: 16, Policy: DropNewest})
+	rt := New("cls", Options{Shards: 1, QueueSize: 128, Policy: DropNewest})
 	defer rt.Close()
 	if err := rt.CreateStream("be", testSchema(), WithClass(BestEffort)); err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestClassAwareDropNewest(t *testing.T) {
 // queued higher-class one: with the queue full of Critical, incoming
 // BestEffort is dropped even under DropOldest.
 func TestClassAwareDropOldest(t *testing.T) {
-	rt := New("old", Options{Shards: 1, QueueSize: 8, BatchSize: 4, Policy: DropOldest})
+	rt := New("old", Options{Shards: 1, QueueSize: 8, Policy: DropOldest})
 	defer rt.Close()
 	if err := rt.CreateStream("be", testSchema(), WithClass(BestEffort)); err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestClassAwareDropOldest(t *testing.T) {
 // backpressure only at or above the threshold: BestEffort publishers
 // are shed instead of waiting on a full queue.
 func TestBlockClassSheds(t *testing.T) {
-	rt := New("blockcls", Options{Shards: 1, QueueSize: 8, BatchSize: 4, Policy: Block, BlockClass: Normal})
+	rt := New("blockcls", Options{Shards: 1, QueueSize: 8, Policy: Block, BlockClass: Normal})
 	defer rt.Close()
 	if err := rt.CreateStream("be", testSchema(), WithClass(BestEffort)); err != nil {
 		t.Fatal(err)

@@ -81,10 +81,10 @@ type ShardBackend interface {
 	// StreamSchema returns a registered stream's schema.
 	StreamSchema(name string) (*stream.Schema, error)
 	// IngestBatch ships a schema-checked batch into the engine (the
-	// shard worker's drain path). A call that has returned has been
+	// shard's drain path). A call that has returned has been
 	// processed: every part on the stream has run the batch and pushed
 	// its output. The backend is done with ts by then, because the
-	// worker reuses the slice and its tuples for the next run. sp is
+	// shard reuses its buffer for a later publish. sp is
 	// the batch's publish-trace span, nil when unsampled: the backend
 	// owns it and must finish it exactly once on every path, stamping
 	// whichever stages it can see (seal / pipeline / push inside an

@@ -796,12 +796,11 @@ func (rt *Runtime) MigrateQuery(idOrHandle string, target int) error {
 // quiesce fences the flow into a query over r whose parts run on
 // shards, so state exported until resume covers an exact tuple prefix:
 // the feeding shards (r's primary, or each part's on a partitioned
-// stream) pause their drain while publishers keep queueing, their
-// in-flight batches are fenced, and r's replication log reaches every
-// healthy follower. The fence must be waitInflight, not waitDrained:
-// waitDrained returns at once on a paused shard, and an unfenced
-// mid-drain batch could append to the log after waitIdle sampled its
-// head — exporting state that covers tuples a follower re-applies.
+// stream) pause their drain, fencing its in-flight batch, while
+// publishers keep queueing, and r's replication log reaches every
+// healthy follower. An unfenced mid-drain batch could append to the
+// log after waitIdle sampled its head — exporting state that covers
+// tuples a follower re-applies.
 func (rt *Runtime) quiesce(r *route, shards []int) (resume func()) {
 	var paused []*shard
 	if r.keyIdx < 0 {
@@ -813,9 +812,6 @@ func (rt *Runtime) quiesce(r *route, shards []int) (resume func()) {
 	}
 	for _, s := range paused {
 		s.pause()
-	}
-	for _, s := range paused {
-		s.waitInflight()
 	}
 	if r.repl != nil {
 		r.repl.waitIdle(func(i int) bool { return rt.shards[i].failedErr() == nil })

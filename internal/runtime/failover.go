@@ -158,7 +158,7 @@ func (rt *Runtime) replRoutes() []*route {
 // serves as primary promoted.
 func (rt *Runtime) failoverShard(i int, err error) {
 	rt.shards[i].fail(err)
-	// Fence: the failed shard's worker may be mid-batch. fail() makes
+	// Fence: the failed shard's drain may be mid-batch. fail() makes
 	// the rest of its queue error out fast, so this wait is short — and
 	// after it no late successful ingest can append to a replication
 	// log whose tail the promotion below has already flushed.

@@ -373,7 +373,7 @@ func (b *RemoteBackend) StreamSchema(name string) (*stream.Schema, error) {
 
 // IngestBatch implements ShardBackend. dsmsd.IngestBatch is not
 // retried: a batch whose connection died mid-call is reported as an
-// error, which the shard worker counts. The tuples are serialized onto
+// error, which the shard's drain counts. The tuples are serialized onto
 // the wire before the call returns, and the span records the whole RPC
 // as one StageBackend interval (the dsmsd's engine stages are not
 // visible from here).

@@ -502,7 +502,6 @@ func TestSlowRemoteShardShedsWithoutStallingSiblings(t *testing.T) {
 	rt := runtime.New("slow", runtime.Options{
 		Backends:  []runtime.BackendSpec{{}, {Addr: addr, Remote: fastRemote()}},
 		QueueSize: 64,
-		BatchSize: 64,
 		Policy:    runtime.Block,
 		// Block only Normal and above: the best-effort stream on the
 		// slow shard sheds instead of stalling its publisher.

@@ -286,8 +286,8 @@ func (r *replicator) pauseFollower(shard int) {
 }
 
 // append adds tuples to the log (the caller passes ownership). Called
-// from the primary's shard worker after a successful ingest, so appends
-// are naturally serialized in engine ingest order.
+// by the holder of the primary shard's drain token after a successful
+// ingest, so appends are naturally serialized in engine ingest order.
 func (r *replicator) append(ts []stream.Tuple) {
 	if len(ts) == 0 {
 		return

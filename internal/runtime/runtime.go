@@ -95,7 +95,6 @@ func ParsePolicy(s string) (Policy, error) {
 // Defaults for Options zero values.
 const (
 	DefaultQueueSize = 4096
-	DefaultBatchSize = 256
 	// DefaultTraceSampleEvery is the publish-trace sampling period: one
 	// traced batch in 1024, cheap enough to leave on under load while
 	// still filling the stage histograms within seconds at realistic
@@ -153,11 +152,10 @@ type Options struct {
 	// Backends selects a backend per shard slot (local engine or remote
 	// dsmsd process); when non-empty its length is the shard count.
 	Backends []BackendSpec
-	// QueueSize is the per-shard ring buffer capacity (default 4096).
+	// QueueSize bounds, in tuples, what may wait on a shard for its
+	// drain (default 4096): the copies of admitted batches that the
+	// drain goroutine has not yet handed to the backend.
 	QueueSize int
-	// BatchSize is the maximum number of tuples a shard worker drains
-	// per wake-up and ships per engine call (default 256).
-	BatchSize int
 	// Policy is the backpressure policy for full queues (default Block).
 	Policy Policy
 	// BlockClass makes the Block policy class-aware: only streams of
@@ -212,12 +210,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueSize <= 0 {
 		o.QueueSize = DefaultQueueSize
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = DefaultBatchSize
-	}
-	if o.BatchSize > o.QueueSize {
-		o.BatchSize = o.QueueSize
 	}
 	if o.TraceSampleEvery <= 0 {
 		o.TraceSampleEvery = DefaultTraceSampleEvery
@@ -287,6 +279,7 @@ type route struct {
 	stampMu sync.Mutex
 	stampG  atomic.Uint64
 	stampA  []atomic.Uint64
+	buckets [][]stream.Tuple // a publish's per-shard split, reused under stampMu
 
 	// subs are the per-partition internal sub-routes of a replicated
 	// partitioned stream ("name@p", one per partition, each a
@@ -452,7 +445,7 @@ func NewWithBackends(name string, opts Options, backends []ShardBackend) *Runtim
 		deploying: map[string]bool{},
 	}
 	for i, be := range backends {
-		rt.shards[i] = newShard(i, be, opts.QueueSize, opts.BatchSize, opts.Policy, opts.BlockClass)
+		rt.shards[i] = newShard(i, be, opts.QueueSize, opts.Policy, opts.BlockClass)
 	}
 	if opts.Metrics != nil {
 		rt.reg = opts.Metrics
@@ -485,7 +478,7 @@ func (rt *Runtime) collectStats(g *telemetry.Gather) {
 		g.Counter("exacml_shard_dropped_total",
 			"Tuples shed by backpressure policy or eviction, per shard.", s.Dropped, lab)
 		g.Counter("exacml_shard_ingested_total",
-			"Tuples the shard worker delivered to its backend.", s.Ingested, lab)
+			"Tuples the shard's drain delivered to its backend.", s.Ingested, lab)
 		g.Counter("exacml_shard_errors_total",
 			"Tuples that failed at the shard backend.", s.Errors, lab)
 		g.Gauge("exacml_shard_queue_depth",
@@ -1023,23 +1016,23 @@ func (rt *Runtime) Streams() []string {
 	return out
 }
 
-// Publish enqueues a single tuple (a batch of one).
+// Publish publishes a single tuple (a batch of one).
 func (rt *Runtime) Publish(streamName string, t stream.Tuple) error {
 	one := [1]stream.Tuple{t}
 	_, err := rt.PublishBatch(streamName, one[:])
 	return err
 }
 
-// PublishBatch enqueues a batch of tuples for a stream, applying the
+// PublishBatch publishes a batch of tuples to a stream, applying the
 // stream's quota and then the backpressure policy per shard. The
-// returned count is the number of tuples accepted into shard queues;
-// see PublishBatchVerdict for the full admission breakdown.
+// returned count is the number of tuples admitted to shard queues; see
+// PublishBatchVerdict for the full admission breakdown.
 func (rt *Runtime) PublishBatch(streamName string, ts []stream.Tuple) (int, error) {
 	v, err := rt.PublishBatchVerdict(streamName, ts)
 	return v.Accepted, err
 }
 
-// PublishBatchVerdict enqueues a batch of tuples for a stream and
+// PublishBatchVerdict publishes a batch of tuples to a stream and
 // reports the admission verdict. Tuples are validated against the
 // stream schema first — an invalid tuple rejects the whole batch
 // synchronously (counted in Stats().Rejected) so publishers learn about
@@ -1047,12 +1040,17 @@ func (rt *Runtime) PublishBatch(streamName string, ts []stream.Tuple) (int, erro
 // tuples then pass the stream's token-bucket quota: tuples beyond the
 // available tokens are shed (Verdict.Shed) without reaching any shard,
 // admitting the batch prefix so stream order is preserved. The
-// remainder is enqueued under the backpressure policy: with Block,
+// remainder is admitted under the backpressure policy: with Block,
 // streams at or above Options.BlockClass wait for space while lower
 // classes are shed; DropNewest sheds the incoming tuple unless a
 // lower-class queued tuple can be evicted instead; DropOldest evicts
 // the oldest queued tuple of the lowest class at or below the incoming
 // one.
+//
+// Admitted tuples are copied into the shard queue, so the caller may
+// reuse ts once the call returns. A publish that finds a shard's queue
+// idle starts a goroutine that drains it and ends once it is empty; the
+// call does not wait for the engine. Flush does.
 func (rt *Runtime) PublishBatchVerdict(streamName string, ts []stream.Tuple) (PublishVerdict, error) {
 	if len(ts) == 0 {
 		return PublishVerdict{}, nil
@@ -1103,11 +1101,12 @@ func (rt *Runtime) PublishBatchVerdict(streamName string, ts []stream.Tuple) (Pu
 	// Sample the publish tracer once per batch (nil tracer or unsampled
 	// batch → nil span, and every stamp below is a no-op). The span's
 	// queue-wait stage opens here and travels with the batch's first
-	// queued tuple to the shard worker.
+	// admitted entry to whoever drains it.
 	sp := rt.tracer.Sample()
 	sp.Begin(telemetry.StageQueueWait)
+	hdr := entry{stream: r.name, class: ad.cfg.Class, sc: r.counters, rep: r.repl, sp: sp}
 	if r.keyIdx < 0 {
-		n, err := rt.shards[r.primaryShard()].enqueue(r.name, ad.cfg.Class, r.counters, r.repl, ts, sp)
+		n, err := rt.shards[r.primaryShard()].enqueue(hdr, ts)
 		v.Accepted = n
 		return v, err
 	}
@@ -1125,13 +1124,19 @@ func (rt *Runtime) PublishBatchVerdict(streamName string, ts []stream.Tuple) (Pu
 	// stamping through the bucket enqueues: each partition's queue must
 	// receive its tuples in strictly increasing g order. That
 	// serializes concurrent publishes to one partitioned route at the
-	// enqueue step (batches still pipeline through the shard workers
-	// concurrently).
+	// admission step; the shards drain their buckets in parallel.
 	keyType := r.schema.Field(r.keyIdx).Type
 	var firstErr error
 	r.stampMu.Lock()
+	defer r.stampMu.Unlock()
+	if r.buckets == nil {
+		r.buckets = make([][]stream.Tuple, len(rt.shards))
+	}
+	buckets := r.buckets
+	for si := range buckets {
+		buckets[si] = buckets[si][:0]
+	}
 	now := coarsetime.NowMillis()
-	buckets := make([][]stream.Tuple, len(rt.shards))
 	g := r.stampG.Load()
 	for i := range ts {
 		if ts[i].ArrivalMillis == 0 {
@@ -1170,25 +1175,23 @@ func (rt *Runtime) PublishBatchVerdict(streamName string, ts []stream.Tuple) (Pu
 		// The span rides with the first dispatched bucket; the others go
 		// untraced (per-bucket spans would multiply one sampled publish
 		// into shard-count traces).
-		sname, repl, tgt := r.name, (*replicator)(nil), si
+		tgt := si
 		if r.subs != nil {
 			// Replicated partition: the bucket lands on the sub-route's
 			// current primary and feeds its replication log. The record
 			// source stays the logical partition — whichever shard hosts
 			// it after failover serves the same "name@p" stream.
 			sub := r.subs[si]
-			sname, repl, tgt = sub.name, sub.repl, sub.primaryShard()
+			hdr.stream, hdr.rep, tgt = sub.name, sub.repl, sub.primaryShard()
 		}
-		n, err := rt.shards[tgt].enqueue(sname, ad.cfg.Class, r.counters, repl, bucket, sp)
-		sp = nil
+		n, err := rt.shards[tgt].enqueue(hdr, bucket)
+		hdr.sp = nil
 		v.Accepted += n
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
+		clear(bucket) // let go of the caller's values
 	}
-	r.stampMu.Unlock()
-	sp.CloseOpen()
-	sp.Finish()
 	return v, firstErr
 }
 
@@ -1218,17 +1221,19 @@ func (rt *Runtime) ReplicaLag(streamName string) []ReplicaLag {
 	return r.repl.lag()
 }
 
-// PauseDrain stops the shard workers after their current batch;
-// publishes keep queueing (and shedding, per policy) against a frozen
-// queue. Tests and maintenance windows use this to saturate queues
-// deterministically.
+// PauseDrain stops every shard's drain after its current batch and
+// returns once that batch is done: publishes keep being admitted (and
+// shed, per policy) into a frozen queue, and no drain starts until
+// ResumeDrain. Tests and maintenance windows use this to saturate
+// queues deterministically.
 func (rt *Runtime) PauseDrain() {
 	for _, s := range rt.shards {
 		s.pause()
 	}
 }
 
-// ResumeDrain restarts paused shard workers.
+// ResumeDrain lifts PauseDrain and starts a drain of what queued
+// meanwhile; Flush waits for it.
 func (rt *Runtime) ResumeDrain() {
 	for _, s := range rt.shards {
 		s.resume()

@@ -56,7 +56,7 @@ func TestPolicyRoundTrip(t *testing.T) {
 // goroutines batch-publishing into a sharded runtime, with Flush
 // providing a deterministic cut.
 func TestConcurrentPublishBatchFlush(t *testing.T) {
-	rt := New("conc", Options{Shards: 4, QueueSize: 512, BatchSize: 64})
+	rt := New("conc", Options{Shards: 4, QueueSize: 512})
 	defer rt.Close()
 	const streams = 4
 	for i := 0; i < streams; i++ {
@@ -106,7 +106,7 @@ func TestConcurrentPublishBatchFlush(t *testing.T) {
 // policy sheds the excess without blocking and that every tuple is
 // accounted for.
 func TestDropNewestAccounting(t *testing.T) {
-	rt := New("shed", Options{Shards: 1, QueueSize: 8, BatchSize: 4, Policy: DropNewest})
+	rt := New("shed", Options{Shards: 1, QueueSize: 8, Policy: DropNewest})
 	defer rt.Close()
 	if err := rt.CreateStream("s", testSchema()); err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestDropNewestAccounting(t *testing.T) {
 // retains the newest tuples, publishers never block, and the dropped
 // tuples are the oldest ones.
 func TestDropOldestKeepsFreshest(t *testing.T) {
-	rt := New("fresh", Options{Shards: 1, QueueSize: 8, BatchSize: 4, Policy: DropOldest})
+	rt := New("fresh", Options{Shards: 1, QueueSize: 8, Policy: DropOldest})
 	defer rt.Close()
 	if err := rt.CreateStream("s", testSchema()); err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestDropOldestKeepsFreshest(t *testing.T) {
 // TestBlockBackpressure checks that Block publishers wait for space
 // instead of shedding, and complete once the drain resumes.
 func TestBlockBackpressure(t *testing.T) {
-	rt := New("block", Options{Shards: 1, QueueSize: 8, BatchSize: 4, Policy: Block})
+	rt := New("block", Options{Shards: 1, QueueSize: 8, Policy: Block})
 	defer rt.Close()
 	if err := rt.CreateStream("s", testSchema()); err != nil {
 		t.Fatal(err)
@@ -301,7 +301,7 @@ func TestSingleShardEquivalence(t *testing.T) {
 // runs the query on every shard and checks the merged subscription
 // delivers everything with per-key order preserved.
 func TestPartitionedStream(t *testing.T) {
-	rt := New("part", Options{Shards: 4, QueueSize: 1024, BatchSize: 32})
+	rt := New("part", Options{Shards: 4, QueueSize: 1024})
 	defer rt.Close()
 	if err := rt.CreatePartitionedStream("gps", gpsSchema(), "deviceid"); err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/coarsetime"
 	"repro/internal/dsmsd"
 	"repro/internal/netsim"
 	"repro/internal/runtime"
@@ -345,33 +344,4 @@ func TestStalledRemoteNoGoroutineLeak(t *testing.T) {
 	}
 
 	checkGoroutinesSettle(t, before, 5)
-}
-
-// checkGoroutinesSettle fails the test unless the goroutine count falls
-// to at most before+slack within 10s: connection readers, probes and
-// health goroutines unwind asynchronously after Close.
-func checkGoroutinesSettle(t *testing.T, before, slack int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		n := stdruntime.NumGoroutine()
-		if n <= before+slack {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines: %d before, %d after\n%s", before, n, buf[:stdruntime.Stack(buf, true)])
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// noGoroutineLeak checks, once the test and its deferred closes are
-// done, that everything it started has exited. The baseline is taken
-// with the process-wide clock running: the first publish starts it for
-// good.
-func noGoroutineLeak(t *testing.T) {
-	coarsetime.NowMillis()
-	before := stdruntime.NumGoroutine()
-	t.Cleanup(func() { checkGoroutinesSettle(t, before, 0) })
 }

@@ -72,7 +72,6 @@ func TestTelemetryShardInvariantExported(t *testing.T) {
 	rt := runtime.New("tel", runtime.Options{
 		Shards:           2,
 		QueueSize:        16,
-		BatchSize:        8,
 		Policy:           runtime.DropNewest,
 		Metrics:          reg,
 		TraceSampleEvery: 4,

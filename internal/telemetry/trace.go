@@ -12,7 +12,7 @@ import (
 // push) so one span can cross the shard queue into the engine without
 // re-mapping.
 const (
-	// StageQueueWait: publish enqueue -> shard worker drain (includes
+	// StageQueueWait: publish enqueue -> start of its shard drain (includes
 	// backpressure block time).
 	StageQueueWait = iota
 	// StageSeal: batch normalization plus per-stream sequence/arrival
@@ -138,7 +138,7 @@ func (tr *Tracer) SampleCrossing(before, after uint64) *Span {
 
 // Span is one sampled trace: per-stage start timestamps and durations.
 // A span travels with its batch across goroutines (publisher -> shard
-// worker, which runs the engine); every handoff happens through a mutex
+// drain, which runs the engine); every handoff happens through a mutex
 // or a channel, which orders the stamps. All methods are nil-safe.
 type Span struct {
 	tr    *Tracer
